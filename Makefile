@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos chaos-parallel delta-parity delta-columns-parity obs bench bench-parallel bench-smoke bench-tables examples lint lint-policy lint-populations all
+.PHONY: install test chaos delta-parity obs bench bench-smoke bench-tables examples lint lint-policy lint-populations all
 
 install:
 	$(PYTHON) setup.py develop
@@ -19,68 +19,37 @@ chaos:
 		tests/storage/test_hardening.py \
 		tests/cli/test_cli_errors.py
 
-# The observability suite CI runs in the obs-smoke job: the metrics
-# registry, span tracing, the zero-cost-when-disabled guard, and the
-# CLI's --metrics / --trace / obs surface end to end (including fault
-# counters under an injected chaos plan).
-# The supervised-pool chaos suite CI runs in the chaos-parallel job:
-# seeded worker SIGKILL/SIGSTOP recovery, retry/degradation parity,
-# shared-memory leak hygiene, and the journal+workers resume contract.
-chaos-parallel:
-	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
-		tests/perf/test_supervisor.py \
-		tests/perf/test_supervisor_chaos.py \
-		tests/perf/test_shm_cleanup.py \
-		tests/cli/test_cli_journal_workers.py
-
 # The incremental-engine suite CI runs in the delta-parity job:
 # randomized mutation sequences bit-for-bit against fresh compiles,
-# the exactly-one-compile churn regression, the mutation-epoch resume
-# contract, and a smoke-size run of the delta dynamics bench.
+# the exactly-one-compile churn regression, the shared column diff and
+# chained-delta exactness, the mutation-epoch resume contract, and a
+# smoke-size run of the delta dynamics bench.
 delta-parity:
 	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
 		tests/properties/test_mutation_parity.py \
 		tests/perf/test_delta_engine.py \
 		tests/perf/test_delta_dynamics.py \
+		tests/perf/test_delta_columns.py \
 		tests/resilience/test_mutation_epoch.py
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/test_delta_dynamics.py --benchmark-only
 
-# The worker column-delta protocol CI runs in the delta-columns-parity
-# job: the shared column diff and its edge cases, chained-delta /
-# rebase / replay exactness against full evaluation, the supervised
-# pool's exact changed-columns-per-shard counter contract (including
-# worker-kill chaos, journal replay, and pool-rebuild warm starts),
-# and a smoke-size run of the column-delta rounds bench.
-delta-columns-parity:
-	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
-		tests/perf/test_delta_columns.py
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
-		benchmarks/test_delta_columns.py --benchmark-only
-
+# The observability suite CI runs in the obs-smoke job: the metrics
+# registry, span tracing, the zero-cost-when-disabled guard, and the
+# CLI's --metrics / --trace / obs surface end to end (including fault
+# counters under an injected chaos plan).
 obs:
 	REPRO_TEST_TIMEOUT=60 $(PYTHON) -m pytest -q tests/obs
 
 # Full benchmark run; machine-readable timings (including the sweep
-# speedups of the batch engine vs the reference engine, of the sharded
-# parallel executor vs the serial batch engine, of the warm supervised
-# pool vs cold per-sweep pool spin-up, and of the incremental delta
-# engine vs a full rebuild per churn round) land in BENCH_9.json via
-# the conftest recorder.  The historical BENCH_2.json record names are
+# speedup of the batch engine vs the reference engine, of column-delta
+# rounds vs full re-evaluation, and of the incremental delta engine vs
+# a full rebuild per churn round) land in BENCH_9.json via the conftest
+# recorder.  The historical BENCH_2.json record names are
 # preserved inside it, so the timing trajectory across PRs stays
 # comparable.
 bench:
 	REPRO_BENCH_JSON=BENCH_9.json $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# The parallel-executor suite plus a tiny-size run of the parallel
-# sweep bench (workers=2, small population) — what CI's parallel-smoke
-# job executes on every push.  The speedup floor is asserted only at
-# full size on machines with a core per worker.
-bench-parallel:
-	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
-		tests/perf/test_parallel_parity.py tests/perf/test_parallel_chaos.py
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
-		benchmarks/test_scaling.py::test_parallel_sweep_speedup --benchmark-only
 
 # Tiny-size smoke run of the scaling benches (same code paths, relaxed
 # speedup floor) — what CI executes on every push.
@@ -114,19 +83,20 @@ lint:
 # Static analysis of the shipped policy documents via `repro lint`.
 # The Section 8 example legitimately violates Ted and Bob, so the alpha
 # gate is set above the paper's P(W) = 2/3.  Runs the incremental path
-# with worker fan-out (--workers 0 = one per core) so the default local
-# check exercises the same code CI's lint-populations job does.
+# (--cache) so the default local check exercises the same code CI's
+# lint-populations job does.
 lint-policy:
+	@mkdir -p build
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint \
 		--taxonomy examples/documents/taxonomy.json \
 		--policy examples/documents/policy.json \
 		--population examples/documents/population.json \
 		--candidate examples/documents/candidate.json \
-		--alpha 0.7 --workers 0
+		--alpha 0.7 --cache build/lint-policy.cache
 
 # Population-scale static analysis: export every bundled dataset to
-# documents, lint each with worker fan-out (gate disabled — the bundled
-# populations intentionally carry findings; the golden tests pin them),
+# documents, lint each on the incremental path (gate disabled — the
+# bundled populations intentionally carry findings; the golden tests pin them),
 # emit SARIF per dataset, then hold the SARIF schema and golden
 # snapshot suites.  What CI's lint-populations job runs.
 lint-populations:
@@ -138,7 +108,8 @@ lint-populations:
 			--taxonomy $$dir/taxonomy.json \
 			--policy $$dir/policy.json \
 			--population $$dir/population.json \
-			--alpha 0.5 --workers 0 --fail-on never \
+			--alpha 0.5 --cache build/datasets/$$name.lint-cache \
+			--fail-on never \
 			--format sarif > build/datasets/$$name.sarif; \
 	done
 	PYTHONPATH=src $(PYTHON) -m pytest -q \

@@ -1,29 +1,17 @@
 """Column-delta rounds: O(changed columns) vs full re-evaluation.
 
-The bug this PR ends: every widening round on the parallel path used to
-ship the whole pickled policy to every shard worker and rescore every
-``(attribute, purpose)`` column from scratch, even though consecutive
-round policies differ in a handful of columns.  The column-delta
-protocol ships only the changed columns against a worker-resident base,
-so round cost scales with ``policy_delta_columns(prev, cur)`` instead
-of the full decomposition.
+Consecutive widening-round policies differ in a handful of
+``(attribute, purpose)`` columns, so the batch engine's delta path
+recomputes only those columns and round cost scales with
+``policy_delta_columns(prev, cur)`` instead of the full decomposition.
 
-Two benches:
-
-* a serial scaling run at acceptance size (2000 providers, 40 rounds)
-  — the chained delta engine vs a fresh full evaluation per round over
-  one shared compilation, with per-round changed-column counts recorded
-  so the time-vs-delta-size scaling is visible in the BENCH record;
-* the supervised worker path (``workers=4`` at full size) — protocol on
-  vs off, with the exact-counter contract asserted: after the base
-  round every round rescores exactly the changed columns per shard
-  (``parallel.columns_rescored``), bit-for-bit with full fan-out.
-
-Both double as parity checks; timing without identity is noise.
+A serial scaling run at acceptance size (2000 providers, 40 rounds) —
+the chained delta engine vs a fresh full evaluation per round over one
+shared compilation, with per-round changed-column counts recorded so
+the time-vs-delta-size scaling is visible in the BENCH record.  It
+doubles as a parity check; timing without identity is noise.
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the scenario so the module
-doubles as a CI smoke test.  The workers variant follows the same loud
-self-skip discipline as the other parallel benches: on a box without a
-core per worker it records ``"skipped"`` instead of noise.
+doubles as a CI smoke test.
 """
 
 from __future__ import annotations
@@ -32,7 +20,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.core.dimensions import Dimension
@@ -41,7 +28,6 @@ from repro.obs import observed
 from repro.perf import (
     BatchViolationEngine,
     CompiledPopulation,
-    SupervisedExecutor,
     policy_fingerprint,
 )
 from repro.simulation.widening import (
@@ -55,7 +41,6 @@ from conftest import emit, record
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 PROVIDERS = 60 if SMOKE else 2000
 ROUNDS = 6 if SMOKE else 40
-WORKERS = 2 if SMOKE else 4
 TIMING_REPEATS = 3
 #: Ordered dimensions the round tour cycles through, one attribute at a
 #: time, so each round changes a small column subset and the path stays
@@ -65,13 +50,6 @@ TOUR_DIMENSIONS = (
     Dimension.GRANULARITY,
     Dimension.RETENTION,
 )
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _round_policies(scenario, rounds: int):
@@ -217,118 +195,3 @@ def test_column_delta_rounds_serial(benchmark):
     )
     if not SMOKE:
         assert delta_seconds <= full_seconds
-
-
-def test_column_delta_rounds_workers(benchmark):
-    """The worker protocol: exact per-shard column accounting, on vs off.
-
-    Only measurable with a core per worker — on an under-cored box this
-    skips loudly (a BENCH record with ``"skipped"`` set) rather than
-    publishing timings where workers time-slice one CPU.
-    """
-    cores = _available_cores()
-    if not SMOKE and cores < WORKERS:
-        record(
-            "column_delta_rounds_parallel",
-            providers=PROVIDERS,
-            rounds=ROUNDS,
-            workers=WORKERS,
-            cores=cores,
-            smoke=SMOKE,
-            skipped="cores<workers",
-        )
-        pytest.skip(
-            f"column-delta worker bench needs >= {WORKERS} cores "
-            f"(have {cores}); timings would be meaningless"
-        )
-    scenario = healthcare_scenario(PROVIDERS, seed=9)
-    policies = _round_policies(scenario, ROUNDS)
-    changed_per_round = [
-        len(policy_delta_columns(prev, cur))
-        for prev, cur in zip(policies, policies[1:])
-    ]
-
-    def protocol_rounds(column_delta: bool):
-        with SupervisedExecutor(
-            scenario.population, workers=WORKERS, column_delta=column_delta
-        ) as executor:
-            shards = len(executor.bounds)
-            started = time.perf_counter()
-            reports = [executor.evaluate(policy) for policy in policies]
-            elapsed = time.perf_counter() - started
-        return reports, elapsed, shards
-
-    def measure():
-        full_reports, full_seconds, shards = protocol_rounds(False)
-        with observed() as obs:
-            delta_reports, delta_seconds, _ = protocol_rounds(True)
-            counters = {
-                c["name"]: c["value"] for c in obs.snapshot()["counters"]
-            }
-        return full_reports, full_seconds, delta_reports, delta_seconds, (
-            shards,
-            counters,
-        )
-
-    (
-        full_reports,
-        full_seconds,
-        delta_reports,
-        delta_seconds,
-        (shards, counters),
-    ) = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    for full, delta in zip(full_reports, delta_reports):
-        assert np.array_equal(full.violations, delta.violations)
-        assert full.total_violations == delta.total_violations
-    # The exact-counter contract: the base round rescores the full
-    # decomposition once per shard, every later round exactly its
-    # changed columns per shard, with no base replays on a healthy pool.
-    base_columns = len(
-        {
-            (entry.attribute, entry.tuple.purpose)
-            for entry in policies[0].entries
-        }
-    )
-    expected_rescored = shards * (base_columns + sum(changed_per_round))
-    assert counters["parallel.columns_rescored"] == float(expected_rescored)
-    assert counters["parallel.delta_tasks"] == float(
-        shards * len(changed_per_round)
-    )
-    assert "parallel.base_replays" not in counters
-
-    rounds = len(policies) - 1
-    speedup = full_seconds / delta_seconds if delta_seconds else float("inf")
-    emit(
-        "E10: widening rounds under workers, full fan-out vs column-delta "
-        "protocol",
-        format_table(
-            ["providers", "rounds", "workers", "cores", "cols rescored",
-             "full s", "delta s", "speedup"],
-            [
-                [
-                    PROVIDERS,
-                    rounds,
-                    WORKERS,
-                    cores,
-                    expected_rescored,
-                    round(full_seconds, 4),
-                    round(delta_seconds, 4),
-                    round(speedup, 2),
-                ]
-            ],
-        ),
-    )
-    record(
-        "column_delta_rounds_parallel",
-        providers=PROVIDERS,
-        rounds=rounds,
-        workers=WORKERS,
-        cores=cores,
-        smoke=SMOKE,
-        changed_columns_per_round=changed_per_round,
-        columns_rescored=expected_rescored,
-        full_seconds=full_seconds,
-        delta_seconds=delta_seconds,
-        speedup=speedup,
-    )

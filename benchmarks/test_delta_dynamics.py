@@ -1,18 +1,15 @@
 """Delta dynamics: incremental engine vs per-round full rebuild.
 
-The bug this PR ends: every dynamics round with departures used to
-recompile the whole population (and under ``workers=N`` re-fork the
-pool and re-export shared memory).  The incremental engine tombstones
-departures in place, so a 40-round churn run compiles exactly once.
+Every dynamics round with departures used to recompile the whole
+population.  The incremental engine tombstones departures in place, so
+a 40-round churn run compiles exactly once.
 This bench times both paths on the acceptance scenario (2000 providers,
 40 rounds) and records per-round cost into the BENCH record; results
 must also stay bit-for-bit identical, so the measurement doubles as a
 parity check.
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the scenario so the module
-doubles as a CI smoke test.  The ``workers=4`` variant follows the same
-loud self-skip discipline as the parallel sweep benches: on a box
-without a core per worker it records ``"skipped"`` instead of noise.
+doubles as a CI smoke test.
 """
 
 from __future__ import annotations
@@ -20,13 +17,11 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from repro.analysis import format_table
 from repro.core.dimensions import Dimension
 from repro.datasets import healthcare_scenario
 from repro.obs import observed
-from repro.perf import make_batch_engine
+from repro.perf import BatchViolationEngine
 from repro.simulation import run_dynamics
 from repro.simulation.dynamics import build_round_outcome, round_policy
 from repro.simulation.widening import WideningStep
@@ -36,18 +31,10 @@ from conftest import emit, record
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 DELTA_PROVIDERS = 60 if SMOKE else 2000
 DELTA_ROUNDS = 6 if SMOKE else 40
-DELTA_WORKERS = 4
 #: Widening visibility only keeps churn under the compaction threshold,
 #: so the incremental path is pure tombstones (the acceptance shape).
 STEP = WideningStep.along(Dimension.VISIBILITY, 1)
 TIMING_REPEATS = 3
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _best_of(repeats: int, run) -> float:
@@ -59,57 +46,48 @@ def _best_of(repeats: int, run) -> float:
     return best
 
 
-def _rebuild_dynamics(scenario, *, workers: int = 1):
-    """The pre-incremental loop: close + recompile after every departure."""
+def _rebuild_dynamics(scenario):
+    """The pre-incremental loop: recompile after every departure."""
     outcomes = []
     current_population = scenario.population
     current_policy = round_policy(
         scenario.policy, scenario.policy.name, STEP, scenario.taxonomy, 0
     )
-    engine = make_batch_engine(
-        current_population, workers=workers, mutable=False
-    )
-    try:
-        for round_index in range(DELTA_ROUNDS):
-            if len(current_population) == 0:
-                break
-            if round_index > 0:
-                current_policy = round_policy(
-                    current_policy,
-                    scenario.policy.name,
-                    STEP,
-                    scenario.taxonomy,
-                    round_index,
-                )
-            report = engine.evaluate(current_policy)
-            outcome = build_round_outcome(
-                report,
-                round_index=round_index,
-                per_provider_utility=1.0,
-                extra_utility_per_round=0.25,
+    engine = BatchViolationEngine(current_population)
+    for round_index in range(DELTA_ROUNDS):
+        if len(current_population) == 0:
+            break
+        if round_index > 0:
+            current_policy = round_policy(
+                current_policy,
+                scenario.policy.name,
+                STEP,
+                scenario.taxonomy,
+                round_index,
             )
-            outcomes.append(outcome)
-            if outcome.defaulted_providers:
-                current_population = current_population.without(
-                    outcome.defaulted_providers
-                )
-                engine.close()
-                engine = make_batch_engine(
-                    current_population, workers=workers, mutable=False
-                )
-    finally:
-        engine.close()
+        report = engine.evaluate(current_policy)
+        outcome = build_round_outcome(
+            report,
+            round_index=round_index,
+            per_provider_utility=1.0,
+            extra_utility_per_round=0.25,
+        )
+        outcomes.append(outcome)
+        if outcome.defaulted_providers:
+            current_population = current_population.without(
+                outcome.defaulted_providers
+            )
+            engine = BatchViolationEngine(current_population)
     return outcomes
 
 
-def _incremental_dynamics(scenario, *, workers: int = 1):
+def _incremental_dynamics(scenario):
     return run_dynamics(
         scenario.population,
         scenario.policy,
         scenario.taxonomy,
         rounds=DELTA_ROUNDS,
         step=STEP,
-        workers=workers,
     )
 
 
@@ -178,7 +156,6 @@ def test_delta_dynamics_vs_rebuild(benchmark):
         "delta_dynamics",
         providers=DELTA_PROVIDERS,
         rounds=rounds,
-        workers=1,
         smoke=SMOKE,
         rebuild_seconds=rebuild_seconds,
         incremental_seconds=incremental_seconds,
@@ -190,100 +167,5 @@ def test_delta_dynamics_vs_rebuild(benchmark):
     )
     # At full size the single-compile path must not lose to recompiling;
     # at smoke sizes only sanity (both paths agree) is held.
-    if not SMOKE:
-        assert incremental_seconds <= rebuild_seconds
-
-
-def test_delta_dynamics_vs_rebuild_workers(benchmark):
-    """Parallel churn run: tombstones also spare the pool re-forks.
-
-    Under ``workers=N`` the rebuild path pays fork + shared-memory
-    re-export on every departure round, so the incremental win is larger
-    — but only measurable with a core per worker.  On an under-cored box
-    this skips loudly (a BENCH record with ``"skipped"`` set) rather
-    than publishing timings where workers time-slice one CPU.
-    """
-    cores = _available_cores()
-    workers = 2 if SMOKE else DELTA_WORKERS
-    if not SMOKE and cores < workers:
-        record(
-            "delta_dynamics_parallel",
-            providers=DELTA_PROVIDERS,
-            rounds=DELTA_ROUNDS,
-            workers=workers,
-            cores=cores,
-            smoke=SMOKE,
-            skipped="cores<workers",
-        )
-        pytest.skip(
-            f"parallel delta bench needs >= {workers} cores "
-            f"(have {cores}); timings would be meaningless"
-        )
-    scenario = healthcare_scenario(DELTA_PROVIDERS, seed=9)
-
-    def measure():
-        rebuild_outcomes = _rebuild_dynamics(scenario, workers=workers)
-        rebuild_seconds = _best_of(
-            TIMING_REPEATS,
-            lambda: _rebuild_dynamics(scenario, workers=workers),
-        )
-        incremental_outcomes = _incremental_dynamics(
-            scenario, workers=workers
-        )
-        incremental_seconds = _best_of(
-            TIMING_REPEATS,
-            lambda: _incremental_dynamics(scenario, workers=workers),
-        )
-        return (
-            rebuild_outcomes,
-            rebuild_seconds,
-            incremental_outcomes,
-            incremental_seconds,
-        )
-
-    (
-        rebuild_outcomes,
-        rebuild_seconds,
-        incremental_outcomes,
-        incremental_seconds,
-    ) = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    assert incremental_outcomes == rebuild_outcomes
-    rounds = len(rebuild_outcomes)
-    speedup = (
-        rebuild_seconds / incremental_seconds
-        if incremental_seconds
-        else float("inf")
-    )
-    emit(
-        "E7: churn dynamics under workers, rebuild (re-fork per round) vs "
-        "incremental (one pool)",
-        format_table(
-            ["providers", "rounds", "workers", "cores",
-             "rebuild s", "incremental s", "speedup"],
-            [
-                [
-                    DELTA_PROVIDERS,
-                    rounds,
-                    workers,
-                    cores,
-                    round(rebuild_seconds, 4),
-                    round(incremental_seconds, 4),
-                    round(speedup, 2),
-                ]
-            ],
-        ),
-    )
-    record(
-        "delta_dynamics_parallel",
-        providers=DELTA_PROVIDERS,
-        rounds=rounds,
-        workers=workers,
-        cores=cores,
-        smoke=SMOKE,
-        rebuild_seconds=rebuild_seconds,
-        incremental_seconds=incremental_seconds,
-        speedup=speedup,
-    )
     if not SMOKE:
         assert incremental_seconds <= rebuild_seconds

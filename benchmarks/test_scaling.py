@@ -18,12 +18,11 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
-from repro.core import HousePolicy, PrivacyTuple, ViolationEngine
+from repro.core import PrivacyTuple, ViolationEngine
 from repro.datasets import healthcare_scenario
-from repro.perf import BatchViolationEngine, ShardExecutor, make_batch_engine
+from repro.perf import BatchViolationEngine
 from repro.simulation import WideningStep, widening_policies
 from repro.storage import AccessRequest, EnforcementMode, PrivacyDatabase
 
@@ -38,21 +37,6 @@ TIMING_REPEATS = 3
 # Acceptance floor: >= 10x on the full-size sweep.  At smoke sizes the
 # fixed per-call overhead dominates, so only sanity (not slower) is held.
 MIN_SWEEP_SPEEDUP = 1.0 if SMOKE else 10.0
-
-PARALLEL_PROVIDERS = 60 if SMOKE else 2000
-PARALLEL_POLICIES = 8 if SMOKE else 40
-PARALLEL_WORKERS = 2 if SMOKE else 4
-#: Acceptance floor for the sharded executor — only meaningful when the
-#: machine actually has a core per worker (and the problem is full-size).
-MIN_PARALLEL_SPEEDUP = 2.5
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
 
 def _best_of(repeats: int, run) -> float:
     """Best-of-*repeats* wall time of ``run()`` (fresh state per repeat)."""
@@ -197,261 +181,6 @@ def test_sweep_batch_vs_reference(benchmark):
         smoke=SMOKE,
     )
     assert speedup >= MIN_SWEEP_SPEEDUP
-
-
-def test_parallel_sweep_speedup(benchmark):
-    """The sharded executor vs the serial batch engine on a policy sweep.
-
-    Compilation and pool startup are excluded from every timed region
-    (the executor is built and warmed before the clock starts; the
-    serial engines wrap an already-compiled population), so the numbers
-    compare steady-state sweep evaluation only.  Each repeat uses a
-    fresh engine/executor because report caches are content-keyed.
-
-    The ``MIN_PARALLEL_SPEEDUP`` floor is asserted only on the full-size
-    problem *and* when the machine has at least one core per worker —
-    on a single-core box the workers time-slice one CPU and parallelism
-    cannot win.  A full-size run on such a box is skipped loudly (a
-    BENCH record with ``"skipped"`` set) rather than publishing a
-    meaningless sub-1x "speedup" that downstream dashboards would read
-    as a regression.
-    """
-    cores = _available_cores()
-    if not SMOKE and cores < PARALLEL_WORKERS:
-        record(
-            "parallel_sweep",
-            providers=PARALLEL_PROVIDERS,
-            policies=PARALLEL_POLICIES,
-            workers=PARALLEL_WORKERS,
-            cores=cores,
-            smoke=SMOKE,
-            skipped="cores<workers",
-        )
-        pytest.skip(
-            f"parallel sweep needs >= {PARALLEL_WORKERS} cores "
-            f"(have {cores}); timings would be meaningless"
-        )
-    scenario = healthcare_scenario(PARALLEL_PROVIDERS, seed=7)
-    policies = widening_policies(
-        scenario.policy,
-        WideningStep.uniform(1),
-        scenario.taxonomy,
-        PARALLEL_POLICIES - 1,
-    )
-    assert len(policies) == PARALLEL_POLICIES
-    # A warm-up policy outside the measured list: forks the workers and
-    # pays the import/attach cost without pre-caching measured content
-    # (the caches are content-keyed, so it must not equal any candidate;
-    # an attribute nobody provides guarantees that).
-    warm_policy = HousePolicy(
-        [("__warmup__", PrivacyTuple("billing", 1, 1, 1))], name="warmup"
-    )
-    compiled = BatchViolationEngine(scenario.population).compiled
-
-    def measure():
-        serial_reports = BatchViolationEngine(compiled).evaluate_policies(
-            policies
-        )
-        serial_seconds = _best_of(
-            TIMING_REPEATS,
-            lambda: BatchViolationEngine(compiled).evaluate_policies(policies),
-        )
-        workers1_seconds = _best_of(
-            TIMING_REPEATS,
-            lambda: make_batch_engine(
-                scenario.population, workers=1
-            ).evaluate_policies(policies),
-        )
-        baseline_seconds = _best_of(
-            TIMING_REPEATS,
-            lambda: BatchViolationEngine(
-                scenario.population
-            ).evaluate_policies(policies),
-        )
-        parallel_seconds = float("inf")
-        for _ in range(TIMING_REPEATS):
-            with ShardExecutor(
-                scenario.population, workers=PARALLEL_WORKERS
-            ) as executor:
-                executor.evaluate(warm_policy)
-                started = time.perf_counter()
-                parallel_reports = executor.evaluate_policies(policies)
-                parallel_seconds = min(
-                    parallel_seconds, time.perf_counter() - started
-                )
-        return (
-            serial_reports,
-            serial_seconds,
-            workers1_seconds,
-            baseline_seconds,
-            parallel_reports,
-            parallel_seconds,
-        )
-
-    (
-        serial_reports,
-        serial_seconds,
-        workers1_seconds,
-        baseline_seconds,
-        parallel_reports,
-        parallel_seconds,
-    ) = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    for expected, got in zip(serial_reports, parallel_reports):
-        assert got.policy_name == expected.policy_name
-        assert got.n_violated == expected.n_violated
-        assert got.n_defaulted == expected.n_defaulted
-        assert got.total_violations == expected.total_violations
-        assert got.violated_ids() == expected.violated_ids()
-
-    speedup = (
-        serial_seconds / parallel_seconds if parallel_seconds else float("inf")
-    )
-    emit(
-        "E7: policy sweep, serial vs sharded executor",
-        format_table(
-            ["providers", "policies", "workers", "cores",
-             "serial s", "workers=1 s", "parallel s", "speedup"],
-            [
-                [
-                    PARALLEL_PROVIDERS,
-                    PARALLEL_POLICIES,
-                    PARALLEL_WORKERS,
-                    cores,
-                    round(serial_seconds, 4),
-                    round(workers1_seconds, 4),
-                    round(parallel_seconds, 4),
-                    round(speedup, 2),
-                ]
-            ],
-        ),
-    )
-    record(
-        "parallel_sweep",
-        providers=PARALLEL_PROVIDERS,
-        policies=PARALLEL_POLICIES,
-        workers=PARALLEL_WORKERS,
-        cores=cores,
-        smoke=SMOKE,
-        serial_seconds=serial_seconds,
-        workers1_seconds=workers1_seconds,
-        baseline_seconds=baseline_seconds,
-        parallel_seconds=parallel_seconds,
-        speedup=speedup,
-    )
-    # workers=1 must stay the serial code path: same engine type, and no
-    # more than 5% over a direct construction (compile included in both).
-    if not SMOKE:
-        assert workers1_seconds <= baseline_seconds * 1.05 + 0.001
-    if not SMOKE and cores >= PARALLEL_WORKERS:
-        assert speedup >= MIN_PARALLEL_SPEEDUP
-
-
-WARM_SWEEPS = 3 if SMOKE else 6
-WARM_POLICIES_PER_SWEEP = 3 if SMOKE else 6
-
-
-def test_warm_pool_amortizes_spinup(benchmark):
-    """Warm supervised pool vs a cold pool per sweep.
-
-    A service that runs many sweeps against one population should keep
-    the :class:`~repro.perf.supervisor.SupervisedExecutor` open: the
-    fork + shared-memory attach cost is paid once, and every later sweep
-    flows straight into warm workers.  The cold path here rebuilds the
-    executor per sweep over the *same pre-compiled population* (so the
-    comparison isolates pool spin-up, not compilation).  Same loud
-    self-skip discipline as the parallel sweep bench: on a box without a
-    core per worker the record carries ``"skipped"`` instead of noise.
-    """
-    cores = _available_cores()
-    if not SMOKE and cores < PARALLEL_WORKERS:
-        record(
-            "warm_pool",
-            workers=PARALLEL_WORKERS,
-            cores=cores,
-            sweeps=WARM_SWEEPS,
-            smoke=SMOKE,
-            skipped="cores<workers",
-        )
-        pytest.skip(
-            f"warm-pool bench needs >= {PARALLEL_WORKERS} cores "
-            f"(have {cores}); timings would be meaningless"
-        )
-    from repro.perf import SupervisedExecutor
-
-    providers = 60 if SMOKE else 1000
-    scenario = healthcare_scenario(providers, seed=11)
-    path = widening_policies(
-        scenario.policy,
-        WideningStep.uniform(1),
-        scenario.taxonomy,
-        WARM_SWEEPS * WARM_POLICIES_PER_SWEEP - 1,
-    )
-    # Disjoint policy sets per sweep: report caches are content-keyed,
-    # so reuse would measure cache hits instead of evaluations.
-    sweeps = [
-        path[i : i + WARM_POLICIES_PER_SWEEP]
-        for i in range(0, len(path), WARM_POLICIES_PER_SWEEP)
-    ]
-    compiled = BatchViolationEngine(scenario.population).compiled
-
-    def measure():
-        def run_cold():
-            for policies in sweeps:
-                with SupervisedExecutor(
-                    compiled, workers=PARALLEL_WORKERS
-                ) as executor:
-                    executor.evaluate_policies(policies)
-
-        def run_warm():
-            with SupervisedExecutor(
-                compiled, workers=PARALLEL_WORKERS
-            ) as executor:
-                for policies in sweeps:
-                    executor.evaluate_policies(policies)
-
-        cold_seconds = _best_of(TIMING_REPEATS, run_cold)
-        warm_seconds = _best_of(TIMING_REPEATS, run_warm)
-        return cold_seconds, warm_seconds
-
-    cold_seconds, warm_seconds = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    amortization = (
-        cold_seconds / warm_seconds if warm_seconds else float("inf")
-    )
-    emit(
-        "E7: repeated sweeps, cold pool per sweep vs one warm pool",
-        format_table(
-            ["providers", "sweeps", "workers", "cold s", "warm s", "ratio"],
-            [
-                [
-                    providers,
-                    WARM_SWEEPS,
-                    PARALLEL_WORKERS,
-                    round(cold_seconds, 4),
-                    round(warm_seconds, 4),
-                    round(amortization, 2),
-                ]
-            ],
-        ),
-    )
-    record(
-        "warm_pool",
-        providers=providers,
-        sweeps=WARM_SWEEPS,
-        policies_per_sweep=WARM_POLICIES_PER_SWEEP,
-        workers=PARALLEL_WORKERS,
-        cores=cores,
-        smoke=SMOKE,
-        cold_seconds=cold_seconds,
-        warm_seconds=warm_seconds,
-        amortization=amortization,
-    )
-    # At full size the warm pool must never lose to respawning per
-    # sweep; at smoke sizes only sanity (both paths completed) is held.
-    if not SMOKE:
-        assert warm_seconds <= cold_seconds
 
 
 def test_gate_request_throughput(benchmark, crm_200):

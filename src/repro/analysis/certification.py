@@ -89,9 +89,9 @@ def batch_certification_document(
 ) -> CertificationDocument:
     """Produce the publishable document from a batch engine.
 
-    Accepts anything with the batch evaluation surface — the serial
-    :class:`~repro.perf.batch.BatchViolationEngine` or the parallel
-    :class:`~repro.perf.parallel.ShardExecutor` — both cache per-policy
+    Accepts anything with the batch evaluation surface — the
+    :class:`~repro.perf.batch.BatchViolationEngine` or the
+    :class:`~repro.perf.delta.MutableBatchEngine` — both cache per-policy
     reports, so certifying several candidate policies against one
     compiled population reuses each evaluation; the certificate and the
     contextual metrics come from the same cached report, keeping them

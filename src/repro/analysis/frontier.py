@@ -132,13 +132,12 @@ def sweep_frontier(
     attributes: Iterable[str] | None = None,
     purposes: Iterable[str] | None = None,
     implicit_zero: bool = True,
-    workers: int = 1,
 ) -> ParetoFrontier:
     """Run a widening sweep and return its Pareto frontier directly.
 
     Convenience wrapper over :func:`run_expansion_sweep` (which compiles
     the population once and evaluates every level through the batch
-    engine — sharded over ``workers`` processes when asked) followed by
+    engine) followed by
     :func:`pareto_frontier` — the common case when only the decision
     artifact is wanted, not the full sweep table.
     """
@@ -154,7 +153,6 @@ def sweep_frontier(
         purposes=purposes,
         scenario_name="frontier-sweep",
         implicit_zero=implicit_zero,
-        workers=workers,
     )
     return pareto_frontier(sweep)
 

@@ -17,7 +17,6 @@ Commands
 ``db-evict``   remove defaulted providers from a privacy database
 ``journal``    inspect and verify a run journal
 ``obs``        render a saved metrics snapshot (text/prometheus/json)
-``doctor``     report (and ``--clean-shm`` remove) orphaned shared memory
 
 Every command also accepts the observability flags ``--metrics PATH``
 (write a JSON metrics snapshot on exit), ``--trace`` (print the span
@@ -29,19 +28,10 @@ corrupt databases or journals, interrupted runs — exit with code 2 and
 print exactly one coded line on stderr (``error[PVL9xx]: ...``); see
 :mod:`repro.resilience.diagnostics` for the code registry.  ``sweep``
 accepts ``--journal`` to checkpoint each widening level and ``--resume``
-to continue an interrupted run bit-for-bit.  ``sweep`` and ``certify``
-accept ``--workers N`` to fan the evaluation over a process pool with
-shared-memory compiled populations (``1`` = serial, ``0`` = one worker
-per CPU; results are bit-for-bit identical).  The pool is supervised:
-crashed workers are respawned, stalled shards are retried, and shards
-that keep failing are evaluated serially in the parent, so a sweep
-completes (with degradation recorded in the metrics) rather than dying
-with ``error[PVL907]`` — that code remains the contract of the
-unsupervised executor (``make_batch_engine(..., supervised=False)``).
-``--journal`` composes with ``--workers``: shard completions are
-checkpointed alongside the per-level rows, and a resumed run replays
-them bit-for-bit under any worker count.  ``doctor`` lists shared-memory
-segments orphaned by hard kills and removes them with ``--clean-shm``.
+to continue an interrupted run bit-for-bit.  ``certify --static``
+answers from the lint layer's severity intervals without evaluating the
+population, and ``lint --cache`` runs the incremental (cached
+per-provider) lint path.
 
 Example
 -------
@@ -69,7 +59,6 @@ from .core.policy import HousePolicy
 from .core.population import Population
 from .exceptions import (
     JournalError,
-    ParallelExecutionError,
     PrivacyModelError,
     ProcessKilled,
     StorageError,
@@ -91,7 +80,6 @@ from .resilience.diagnostics import (
     CLI_IO,
     CLI_JOURNAL,
     CLI_JSON,
-    CLI_PARALLEL,
     CLI_STORAGE,
     coded_error,
 )
@@ -209,19 +197,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     """Definition 3 verdict; exit code 1 when the threshold is exceeded."""
     _, policy, population = _load_inputs(args)
-    if args.workers != 1 or args.static:
-        # The parallel path compiles the population and shards the
-        # evaluation over worker processes; the verdict is identical to
-        # the serial engine's (see tests/perf/test_parallel_parity.py).
+    if args.static:
         # --static skips evaluation entirely: the verdict comes from the
         # lint layer's severity intervals, with the same certificate.
         from .analysis.certification import batch_certification_document
-        from .perf import make_batch_engine
+        from .perf import BatchViolationEngine
 
-        with make_batch_engine(population, workers=args.workers) as engine:
-            document = batch_certification_document(
-                engine, policy, args.alpha, static=args.static
-            )
+        document = batch_certification_document(
+            BatchViolationEngine(population), policy, args.alpha, static=True
+        )
     else:
         from .analysis import certification_document
 
@@ -273,9 +257,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{args.journal!r} already exists; pass --resume to "
                 f"continue the interrupted run"
             )
-        # --journal composes with --workers: the supervised pool
-        # checkpoints per shard as well as per level, and the worker
-        # count is free to change between the crash and the resume.
         sweep = resumable_sweep(
             population,
             policy,
@@ -286,7 +267,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             per_provider_utility=args.utility,
             extra_utility_per_step=args.extra_per_step,
             guarded=args.guarded,
-            workers=args.workers,
         )
     else:
         sweep = run_expansion_sweep(
@@ -297,7 +277,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             max_steps=args.steps,
             per_provider_utility=args.utility,
             extra_utility_per_step=args.extra_per_step,
-            workers=args.workers,
             guarded=args.guarded,
         )
     _export(args, _sweep_payload(sweep))
@@ -458,12 +437,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    if args.workers != 1 or args.cache:
+    if args.cache:
         # The incremental path: identical findings (a parity property of
-        # the test suite), with per-provider caching and fan-out.
+        # the test suite), with per-provider caching.
         from .lint import LintCache, incremental_lint
 
-        cache = LintCache(args.cache) if args.cache else None
+        cache = LintCache(args.cache)
         report = incremental_lint(
             taxonomy,
             **documents,
@@ -471,10 +450,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             select=select,
             ignore=ignore,
             cache=cache,
-            workers=args.workers,
         )
-        if cache is not None:
-            cache.save()
+        cache.save()
     else:
         report = lint_documents(
             taxonomy, **documents, config=config, select=select, ignore=ignore
@@ -569,50 +546,6 @@ def cmd_journal(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_doctor(args: argparse.Namespace) -> int:
-    """Report (and optionally remove) orphaned shared-memory segments.
-
-    A SIGKILLed run cannot unlink its ``/dev/shm/pvl_*`` export; the
-    owner pid embedded in the segment name lets this command tell a
-    crashed run's leak from a live run's working set.
-    """
-    from .perf import clean_stale_segments, stale_segments
-
-    if args.clean_shm:
-        removed = clean_stale_segments()
-        payload = {
-            "removed": [
-                {"segment": name, "pid": pid} for name, pid in removed
-            ],
-            "stale": [],
-        }
-    else:
-        stale = stale_segments()
-        payload = {
-            "removed": [],
-            "stale": [{"segment": name, "pid": pid} for name, pid in stale],
-        }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if args.clean_shm:
-        if payload["removed"]:
-            for entry in payload["removed"]:
-                print(f"removed /dev/shm/{entry['segment']}")
-        else:
-            print("no stale segments")
-    elif payload["stale"]:
-        for entry in payload["stale"]:
-            print(
-                f"stale /dev/shm/{entry['segment']} "
-                f"(owner pid {entry['pid']} is gone); "
-                "run 'repro doctor --clean-shm' to remove"
-            )
-    else:
-        print("no stale segments")
-    return 0
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     """Render a saved metrics snapshot (see ``--metrics``)."""
     from .obs import render_snapshot
@@ -682,12 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_document_arguments(certify)
     certify.add_argument("--alpha", type=float, required=True)
     certify.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the evaluation (1 serial, 0 one per CPU)",
-    )
-    certify.add_argument(
         "--static",
         action="store_true",
         help=(
@@ -707,16 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, default=5)
     sweep.add_argument("--utility", type=float, default=1.0)
     sweep.add_argument("--extra-per-step", type=float, default=0.25)
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the per-level evaluations "
-            "(1 serial, 0 one per CPU); composes with --journal, which "
-            "then checkpoints per shard as well as per level"
-        ),
-    )
     sweep.add_argument("--json", action="store_true")
     sweep.add_argument(
         "--output", help="atomically export the JSON ledger to this path"
@@ -816,15 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--ignore", help="comma-separated rule codes to skip")
     lint.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for per-provider passes "
-            "(1 serial, 0 one per CPU)"
-        ),
-    )
-    lint.add_argument(
         "--cache",
         help="incremental lint cache file (created when absent)",
     )
@@ -866,18 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     journal.add_argument("journal", help="run journal path")
     journal.add_argument("--json", action="store_true")
     journal.set_defaults(func=cmd_journal)
-
-    doctor = add_parser(
-        "doctor",
-        help="report (and --clean-shm remove) orphaned shared memory",
-    )
-    doctor.add_argument(
-        "--clean-shm",
-        action="store_true",
-        help="unlink /dev/shm/pvl_* segments whose owner process is gone",
-    )
-    doctor.add_argument("--json", action="store_true")
-    doctor.set_defaults(func=cmd_doctor)
 
     obs = add_parser(
         "obs", help="render a saved metrics snapshot"
@@ -973,9 +869,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 2
     except StorageError as error:
         print(coded_error(CLI_STORAGE, str(error)), file=sys.stderr)
-        return 2
-    except ParallelExecutionError as error:
-        print(coded_error(CLI_PARALLEL, str(error)), file=sys.stderr)
         return 2
     except sqlite3.DatabaseError as error:
         print(coded_error(CLI_STORAGE, str(error)), file=sys.stderr)

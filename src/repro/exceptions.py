@@ -120,20 +120,6 @@ class ProcessKilled(ResilienceError):
         super().__init__(f"simulated process kill at fault site {site!r}")
 
 
-class ProcessStalled(ResilienceError):
-    """A scripted fault simulated the process hanging at an injection site.
-
-    The supervised worker pool turns this into a real OS-level stall
-    (the worker SIGSTOPs itself), which is how the chaos suite exercises
-    the stall watchdog: heartbeats cease, the per-shard timeout fires,
-    and the supervisor kills and replaces the wedged worker.
-    """
-
-    def __init__(self, site: str) -> None:
-        self.site = site
-        super().__init__(f"simulated process stall at fault site {site!r}")
-
-
 class JournalError(ResilienceError):
     """Base class for run-journal problems (missing, foreign, unreadable)."""
 
@@ -152,17 +138,6 @@ class JournalMismatchError(JournalError):
 
     Raised when the journal's kind or input fingerprint does not match
     the inputs of the run asking to resume from it.
-    """
-
-
-class ParallelExecutionError(PrivacyModelError):
-    """The parallel shard executor lost a worker or its shared state.
-
-    Raised when a worker process dies mid-task (a real crash, an OOM
-    kill, or the chaos suite's scripted ``kill`` fault), or when the
-    shared-memory segment backing the compiled population cannot be
-    attached.  The executor cleans up its shared-memory block before
-    raising, so no segments leak past the error.
     """
 
 

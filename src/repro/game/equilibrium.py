@@ -27,7 +27,7 @@ from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..exceptions import GameError
 from ..obs import active_observer
-from ..perf import make_batch_engine
+from ..perf import MutableBatchEngine
 from ..simulation.widening import policy_delta_columns, widen
 from ..taxonomy.builder import Taxonomy
 from .players import HouseStrategy
@@ -96,14 +96,8 @@ def play_widening_game(
     per_provider_utility: float = 1.0,
     extra_utility_per_round: float = 0.25,
     implicit_zero: bool = True,
-    workers: int = 1,
 ) -> GameTrace:
-    """Play the iterated widening game to completion.
-
-    ``workers`` selects the execution policy for the per-round
-    evaluations (see :func:`~repro.perf.parallel.make_batch_engine`);
-    the realised play is identical across settings.
-    """
+    """Play the iterated widening game to completion."""
     check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
     check_real(extra_utility_per_round, "extra_utility_per_round", minimum=0.0)
     rounds: list[GameRound] = []
@@ -114,13 +108,10 @@ def play_widening_game(
     round_index = 0
     stopped_by_strategy = False
     # One engine for the whole game: defaults are tombstoned in place, so
-    # the single compilation (and, in parallel mode, the single worker
-    # pool) survives every round.  Strategies that revisit a policy (or
-    # widen within a single column) hit the batch engine's cache and
-    # delta paths.
-    engine = make_batch_engine(
-        current_population, workers=workers, implicit_zero=implicit_zero
-    )
+    # the single compilation survives every round.  Strategies that
+    # revisit a policy (or widen within a single column) hit the batch
+    # engine's cache and delta paths.
+    engine = MutableBatchEngine(current_population, implicit_zero=implicit_zero)
     try:
         while len(current_population) > 0:
             report = engine.evaluate(current_policy)

@@ -30,7 +30,7 @@ Four layers (see ``docs/linting.md`` for the full catalogue):
 
 Entry points: :func:`lint_documents` (documents in, :class:`LintReport`
 out), :func:`incremental_lint` (the same run decomposed into cached
-global/per-provider passes with optional process fan-out), the
+global/per-provider passes), the
 :mod:`~repro.lint.plugins` registration API for external rules, and the
 ``repro lint`` CLI subcommand (``--format text|json|sarif``,
 severity-gated exit codes, ``--baseline`` ratcheting).

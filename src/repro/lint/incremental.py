@@ -1,4 +1,4 @@
-"""Incremental linting: fingerprint-keyed caching and provider fan-out.
+"""Incremental linting: fingerprint-keyed caching of per-provider passes.
 
 A full :func:`~repro.lint.runner.lint_documents` run re-derives every
 diagnostic from scratch.  For population-scale documents that is mostly
@@ -16,19 +16,13 @@ Because provider-scoped rules derive each provider's findings from that
 provider's document alone (see :data:`~repro.lint.registry.SCOPES`), the
 merged, sorted union of the two passes equals the full run — property
 ``tests/lint/test_incremental.py`` holds this parity over every bundled
-dataset.  The decomposition buys two things:
-
-* **caching** — each pass is keyed by a SHA-256 fingerprint of its exact
-  inputs (documents, config, select/ignore, and the
-  :func:`~repro.lint.registry.rules_fingerprint` of the active
-  catalogue, so plugin changes invalidate everything).  Editing one
-  provider re-lints one provider.
-* **parallelism** — cache-missed provider passes fan out across a
-  ``fork`` process pool (``workers=0`` = one per CPU, ``1`` = serial),
-  reusing the worker-count policy of :mod:`repro.perf.parallel`.  A
-  worker death surfaces as
-  :class:`~repro.exceptions.ParallelExecutionError` (CLI code
-  ``PVL907``), matching the shard executor's failure model.
+dataset.  The decomposition buys **caching**: each pass is keyed by a
+SHA-256 fingerprint of its exact inputs (documents, config,
+select/ignore, and the :func:`~repro.lint.registry.rules_fingerprint` of
+the active catalogue, so plugin changes invalidate everything).  Editing
+one provider re-lints one provider.  Cache-missed passes run serially:
+fanning them over a process pool was slower than one process at every
+population size measured (30 to 2000 providers).
 
 Cached diagnostics round-trip through JSON, so payload tuples come back
 as lists; every renderer treats the two identically, which keeps cache
@@ -40,12 +34,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 from collections.abc import Iterable, Mapping
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-from ..exceptions import ParallelExecutionError, PrivacyModelError
+from ..exceptions import PrivacyModelError
 from ..obs import active_observer
 from ..policy_lang.ast import PolicyDocument
 from ..policy_lang.population_doc import parse_population
@@ -224,29 +216,6 @@ def _provider_pass(
     return tuple(d for d in diagnostics if _is_provider_diagnostic(d))
 
 
-# Populated in the parent immediately before the fork pool spins up;
-# forked workers inherit it. Holds unpicklable shared state (the full
-# LintContext and Taxonomy) so task payloads stay small.
-_WORKER_STATE: dict | None = None
-
-
-def _worker_provider_pass(task: tuple[int, Mapping]) -> tuple[int, list[dict]]:
-    state = _WORKER_STATE
-    assert state is not None, "worker forked before state was published"
-    index, entry = task
-    diagnostics = _provider_pass(
-        state["context"],
-        state["taxonomy"],
-        entry,
-        state["pref_docs"][index],
-        state["envelope_sensitivities"],
-        state["population_lowered"],
-        state["select"],
-        state["ignore"],
-    )
-    return index, [d.as_dict() for d in diagnostics]
-
-
 def incremental_lint(
     taxonomy: Taxonomy,
     *,
@@ -257,7 +226,6 @@ def incremental_lint(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     cache: LintCache | None = None,
-    workers: int = 1,
 ) -> LintReport:
     """Lint the documents incrementally; equals the full-catalogue run.
 
@@ -268,15 +236,8 @@ def incremental_lint(
         A :class:`LintCache`.  Passes whose input fingerprints are
         already recorded are served from it; fresh results are recorded
         back (call :meth:`LintCache.save` to persist).
-    workers:
-        Process fan-out for cache-missed provider passes.  ``1`` (the
-        default) runs serially; ``0`` means one worker per CPU.  The
-        global pass always runs in the parent.
     """
-    from ..perf.parallel import resolve_workers  # heavy import kept lazy
-
     config = config if config is not None else LintConfig()
-    worker_count = resolve_workers(workers)
     context = build_context(
         taxonomy,
         policy=policy,
@@ -327,34 +288,20 @@ def incremental_lint(
         else:
             resolved[index] = cached
 
-    if pending and worker_count > 1:
-        _fan_out_providers(
-            pending,
-            resolved,
-            context=context,
-            taxonomy=taxonomy,
-            population_lowered=population_lowered,
-            envelope_sensitivities=envelope_sensitivities,
-            select=select,
-            ignore=ignore,
-            workers=worker_count,
-            cache=cache,
+    for index, entry, key in pending:
+        fresh = _provider_pass(
+            context,
+            taxonomy,
+            entry,
+            context.preference_docs[index],
+            envelope_sensitivities,
+            population_lowered,
+            select,
+            ignore,
         )
-    else:
-        for index, entry, key in pending:
-            fresh = _provider_pass(
-                context,
-                taxonomy,
-                entry,
-                context.preference_docs[index],
-                envelope_sensitivities,
-                population_lowered,
-                select,
-                ignore,
-            )
-            if cache is not None:
-                cache.put(key, fresh)
-            resolved[index] = fresh
+        if cache is not None:
+            cache.put(key, fresh)
+        resolved[index] = fresh
 
     for index in range(len(entries)):
         diagnostics.extend(resolved[index])
@@ -367,71 +314,3 @@ def incremental_lint(
             obs.inc("lint.cache.misses", cache.misses)
     return LintReport(tuple(sorted(diagnostics, key=sort_key)))
 
-
-def _fan_out_providers(
-    pending: list[tuple[int, Mapping, str]],
-    resolved: dict[int, tuple[Diagnostic, ...]],
-    *,
-    context: LintContext,
-    taxonomy: Taxonomy,
-    population_lowered: bool,
-    envelope_sensitivities: Mapping[str, float],
-    select: Iterable[str] | None,
-    ignore: Iterable[str] | None,
-    workers: int,
-    cache: LintCache | None,
-) -> None:
-    """Run cache-missed provider passes across a fork process pool."""
-    global _WORKER_STATE
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platform
-        for index, entry, key in pending:
-            fresh = _provider_pass(
-                context,
-                taxonomy,
-                entry,
-                context.preference_docs[index],
-                envelope_sensitivities,
-                population_lowered,
-                select,
-                ignore,
-            )
-            if cache is not None:
-                cache.put(key, fresh)
-            resolved[index] = fresh
-        return
-    _WORKER_STATE = {
-        "context": context,
-        "taxonomy": taxonomy,
-        "pref_docs": {
-            index: context.preference_docs[index] for index, _, _ in pending
-        },
-        "envelope_sensitivities": envelope_sensitivities,
-        "population_lowered": population_lowered,
-        "select": select,
-        "ignore": ignore,
-    }
-    keys = {index: key for index, _, key in pending}
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)), mp_context=mp_context
-        ) as pool:
-            try:
-                for index, raw_diagnostics in pool.map(
-                    _worker_provider_pass,
-                    [(index, entry) for index, entry, _ in pending],
-                ):
-                    fresh = tuple(
-                        Diagnostic.from_dict(raw) for raw in raw_diagnostics
-                    )
-                    if cache is not None:
-                        cache.put(keys[index], fresh)
-                    resolved[index] = fresh
-            except BrokenExecutor as exc:
-                raise ParallelExecutionError(
-                    "a lint worker process died before finishing its "
-                    "provider pass"
-                ) from exc
-    finally:
-        _WORKER_STATE = None

@@ -44,8 +44,7 @@ class Layer(enum.Enum):
 #: bundle; ``provider`` rules derive each provider's findings from that
 #: provider's document alone (plus the taxonomy/policy/candidate
 #: envelope); ``mixed`` rules emit both kinds of findings.  The scope is
-#: what :mod:`repro.lint.incremental` keys its per-provider caching and
-#: parallel fan-out on.
+#: what :mod:`repro.lint.incremental` keys its per-provider caching on.
 SCOPES = ("global", "provider", "mixed")
 
 

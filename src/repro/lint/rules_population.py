@@ -11,8 +11,8 @@ the population catalogue starts at ``PVL210``.
 Scope notes (consumed by :mod:`repro.lint.incremental`): ``PVL210``,
 ``PVL211``, and ``PVL214`` are *provider*-scoped — each provider's
 findings depend only on that provider's document (plus the shared
-taxonomy/policy envelope), which is what makes per-provider caching and
-fan-out sound.  ``PVL212`` and ``PVL213`` are population aggregates and
+taxonomy/policy envelope), which is what makes per-provider caching
+sound.  ``PVL212`` and ``PVL213`` are population aggregates and
 stay global.
 """
 

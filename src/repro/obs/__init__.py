@@ -92,16 +92,6 @@ class Observability:
         document["spans"] = self.tracer.as_dict()
         return document
 
-    def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
-        """Fold another registry's snapshot into this observer's registry.
-
-        The parallel executor uses this to surface worker-side metrics
-        (evaluation counts, cache hits, timer samples) in the parent's
-        ``--metrics`` export.  See
-        :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`.
-        """
-        self.registry.merge_snapshot(snapshot)
-
 
 class _NoopSpan:
     """The shared do-nothing span handed out while observability is off."""

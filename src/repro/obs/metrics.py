@@ -127,38 +127,6 @@ class Timer:
         """A context manager that observes the block's wall-clock time."""
         return _TimedBlock(self)
 
-    def absorb(
-        self,
-        count: int,
-        total: float,
-        maximum: float,
-        samples: "list[float] | tuple[float, ...]" = (),
-    ) -> None:
-        """Fold another timer's exported state into this one.
-
-        ``count``/``total``/``max`` merge exactly; raw *samples* are
-        appended up to the :data:`MAX_TIMER_SAMPLES` cap (beyond it the
-        percentiles become estimates over the retained prefix, same as
-        a long-running local timer).  This is how per-worker snapshots
-        from the parallel executor land in the parent registry.
-        """
-        if count < 0 or total < 0:
-            raise ValueError("absorbed count and total must be >= 0")
-        with self._lock:
-            self._count += int(count)
-            self._total += float(total)
-            if maximum > self._max:
-                self._max = float(maximum)
-            room = MAX_TIMER_SAMPLES - len(self._samples)
-            if room > 0:
-                self._samples.extend(float(s) for s in samples[:room])
-
-    @property
-    def samples(self) -> tuple[float, ...]:
-        """The retained raw samples (capped; see :data:`MAX_TIMER_SAMPLES`)."""
-        with self._lock:
-            return tuple(self._samples)
-
     @property
     def count(self) -> int:
         """Number of samples observed."""
@@ -277,25 +245,12 @@ class MetricsRegistry:
 
     # -- export --------------------------------------------------------------
 
-    def snapshot(self, *, include_samples: bool = False) -> dict[str, Any]:
-        """A sorted, JSON-safe document of every instrument's state.
-
-        With ``include_samples=True`` each timer entry additionally
-        carries its retained raw ``samples`` — the lossless form
-        :meth:`merge_snapshot` consumes when folding worker registries
-        into a parent.  The default (summary-only) form is what the CLI
-        exports, unchanged.
-        """
+    def snapshot(self) -> dict[str, Any]:
+        """A sorted, JSON-safe document of every instrument's state."""
         with self._lock:
             counters = sorted(self._counters.items())
             gauges = sorted(self._gauges.items())
             timers = sorted(self._timers.items())
-        timer_entries = []
-        for _, t in timers:
-            entry = {"name": t.name, "labels": t.labels, **t.summary()}
-            if include_samples:
-                entry["samples"] = list(t.samples)
-            timer_entries.append(entry)
         return {
             "counters": [
                 {"name": c.name, "labels": c.labels, "value": c.value}
@@ -305,34 +260,11 @@ class MetricsRegistry:
                 {"name": g.name, "labels": g.labels, "value": g.value}
                 for _, g in gauges
             ],
-            "timers": timer_entries,
+            "timers": [
+                {"name": t.name, "labels": t.labels, **t.summary()}
+                for _, t in timers
+            ],
         }
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` document into this registry.
-
-        Counters add, gauges take the snapshot's (last-written) value,
-        timers :meth:`~Timer.absorb` the exported ``count``/``total``/
-        ``max`` plus any raw ``samples`` present.  Used by the parallel
-        executor to merge per-worker metric snapshots into the parent's
-        active registry; any ``spans`` key is ignored (worker span trees
-        are process-local and are not reparented).
-        """
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], **entry.get("labels", {})).inc(
-                entry["value"]
-            )
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"], **entry.get("labels", {})).set(
-                entry["value"]
-            )
-        for entry in snapshot.get("timers", ()):
-            self.timer(entry["name"], **entry.get("labels", {})).absorb(
-                int(entry["count"]),
-                float(entry["total"]),
-                float(entry["max"]),
-                entry.get("samples", ()),
-            )
 
     def to_prometheus(self) -> str:
         """The live registry in Prometheus text exposition format."""

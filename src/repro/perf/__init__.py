@@ -14,39 +14,28 @@ path.  This package is the production path:
   of single-rule policy deltas;
 * :func:`~repro.perf.sweep.batch_assess_expansion` — Section 9 economics
   read directly off a batch report;
-* :class:`~repro.perf.parallel.ShardExecutor` — the same evaluation
-  fanned over a process pool attached zero-copy to one shared-memory
-  export of the compilation, behind the ``workers=N`` execution policy
-  (:func:`~repro.perf.parallel.make_batch_engine`);
-* :class:`~repro.perf.supervisor.SupervisedExecutor` — the supervised
-  (default) worker pool: heartbeats, a stall watchdog, crash respawn,
-  shard retry with backoff, and serial degradation so sweeps complete
-  bit-for-bit under partial failure;
-* :func:`~repro.perf.streaming.evaluate_chunked` — bounded-memory
-  chunk-by-chunk evaluation for populations larger than RAM;
-* :class:`~repro.perf.delta.MutableBatchEngine` — the incremental
-  facade :func:`make_batch_engine` returns: population churn (remove /
-  append / update) mutates the compilation in place instead of
-  rebuilding it, so one engine — and one worker pool — survives a whole
-  dynamics, equilibrium, or widening run.
+* :class:`~repro.perf.delta.MutableBatchEngine` — the batch engine over
+  a :class:`~repro.perf.delta.MutableCompiledPopulation`: population
+  churn (remove / append / update) mutates the compilation in place
+  instead of rebuilding it, so one engine survives a whole dynamics,
+  equilibrium, or widening run.
 
-The batch engine matches the reference engine exactly (see
-``tests/properties/test_batch_parity.py``), and the parallel and
-chunked modes match the batch engine bit-for-bit
-(``tests/perf/test_parallel_parity.py``); ``docs/performance.md``
-describes the compile/evaluate/sweep lifecycle, the shard model, and
-when to prefer which engine.
+Evaluation is serial: a house's Eq. 16 total is a sum of independent
+per-provider terms that the batch engine already computes in a few
+milliseconds per policy at 100k providers.  The batch engine matches the
+reference engine exactly (see ``tests/properties/test_batch_parity.py``),
+and the mutable engine matches a fresh compile bit-for-bit
+(``tests/properties/test_mutation_parity.py``); ``docs/performance.md``
+describes the compile/evaluate/sweep lifecycle and when to prefer which
+engine.
 """
 
 from .batch import (
     BatchReport,
     BatchViolationEngine,
-    ColumnPlan,
     assemble_report,
     changed_column_keys,
     column_contribution,
-    column_plan,
-    plan_delta,
     policy_columns,
     policy_fingerprint,
     row_contribution,
@@ -54,54 +43,22 @@ from .batch import (
 )
 from .compiled import CompiledColumn, CompiledPopulation, RANK_AXES
 from .delta import MutableBatchEngine, MutableCompiledPopulation
-from .parallel import (
-    ShardExecutor,
-    available_cpus,
-    make_batch_engine,
-    resolve_workers,
-)
-from .shards import shard_bounds
-from .shm import (
-    SharedArrayPack,
-    attach_arrays,
-    clean_stale_segments,
-    stale_segments,
-)
-from .streaming import evaluate_chunked, iter_population_chunks, merge_reports
-from .supervisor import DegradationRecord, SupervisedExecutor
 from .sweep import batch_assess_expansion
 
 __all__ = [
     "BatchReport",
     "BatchViolationEngine",
-    "ColumnPlan",
     "CompiledColumn",
     "CompiledPopulation",
-    "DegradationRecord",
     "MutableBatchEngine",
     "MutableCompiledPopulation",
     "RANK_AXES",
-    "ShardExecutor",
-    "SharedArrayPack",
-    "SupervisedExecutor",
     "assemble_report",
-    "attach_arrays",
-    "available_cpus",
     "batch_assess_expansion",
     "changed_column_keys",
-    "clean_stale_segments",
     "column_contribution",
-    "column_plan",
-    "evaluate_chunked",
-    "iter_population_chunks",
-    "make_batch_engine",
-    "merge_reports",
-    "plan_delta",
     "policy_columns",
     "policy_fingerprint",
-    "resolve_workers",
     "row_contribution",
-    "shard_bounds",
-    "stale_segments",
     "sum_column_arrays",
 ]

@@ -63,8 +63,8 @@ def policy_fingerprint(policy: HousePolicy) -> PolicyFingerprint:
 
     Two policies with equal fingerprints produce identical evaluations
     (``HousePolicy`` equality is the same entry-set comparison).
-    Memoised on the (immutable) policy instance: sweeps and worker-path
-    bookkeeping fingerprint the same policy many times per round.
+    Memoised on the (immutable) policy instance: sweeps and their
+    caches fingerprint the same policy many times per round.
     """
     cached = policy._fingerprint
     if cached is None:
@@ -109,51 +109,17 @@ def policy_columns(policy: HousePolicy) -> dict[tuple[str, str], _ColumnEntries]
     return cached
 
 
-#: A delta wire payload: changed column key -> the target policy's entry
-#: ranks for that column, or ``None`` when the column disappears.
-ColumnDelta = dict[tuple[str, str], "_ColumnEntries | None"]
-
-
-@dataclass(frozen=True)
-class ColumnPlan:
-    """A parent-side record of the worker-resident base evaluation.
-
-    The worker delta protocol's bookkeeping unit: *fingerprint* names the
-    last policy whose full column decomposition was fanned out to the
-    shard workers, and *columns* is that decomposition
-    (:func:`policy_columns`).  While an executor holds a plan, the next
-    policy's ``(policy, shard)`` tasks can carry only the changed columns
-    (:func:`plan_delta`) instead of the full decomposition — workers
-    patch their resident base arrays via :func:`column_contribution`.
-
-    The plan is population-independent (it describes the policy, not the
-    providers), which is what lets a rebuilt worker pool be warm-started
-    from the previous pool's plan after an append/update mutation.
-    """
-
-    fingerprint: PolicyFingerprint
-    columns: dict[tuple[str, str], _ColumnEntries]
-
-
-def column_plan(policy: HousePolicy) -> ColumnPlan:
-    """The :class:`ColumnPlan` describing *policy* (memoised pieces)."""
-    return ColumnPlan(
-        fingerprint=policy_fingerprint(policy),
-        columns=policy_columns(policy),
-    )
-
-
 def changed_column_keys(
     before: Mapping[tuple[str, str], _ColumnEntries],
     after: Mapping[tuple[str, str], _ColumnEntries],
 ) -> tuple[tuple[str, str], ...]:
     """The sorted ``(attribute, purpose)`` keys whose entries differ.
 
-    The one column-diff everything shares: the serial engine's delta
-    path, the worker protocol's ``plan_delta``, and the simulation
-    layer's :func:`repro.simulation.widening.policy_delta_columns` all
-    compare decompositions through this helper, so "changed" means the
-    same thing at every layer.
+    The one column-diff everything shares: the engine's delta path and
+    the simulation layer's
+    :func:`repro.simulation.widening.policy_delta_columns` both compare
+    decompositions through this helper, so "changed" means the same
+    thing at every layer.
     """
     keys = set(before) | set(after)
     return tuple(
@@ -161,36 +127,12 @@ def changed_column_keys(
     )
 
 
-def plan_delta(
-    plan: ColumnPlan | None,
-    columns: Mapping[tuple[str, str], _ColumnEntries],
-) -> ColumnDelta | None:
-    """The changed-column payload from *plan* to the target *columns*.
-
-    Returns ``None`` when a full decomposition must ship instead: there
-    is no plan yet, or the delta would touch every column of the union
-    (then the full task is no larger and needs no resident base).  An
-    empty dict is a valid delta — the target equals the plan, and a
-    worker holding the base serves it without recomputing anything.
-    Keys are emitted in sorted order so wire payloads (and the order
-    delta patches are applied in) are deterministic.
-    """
-    if plan is None:
-        return None
-    changed = changed_column_keys(plan.columns, columns)
-    total = len(set(plan.columns) | set(columns))
-    if total and len(changed) >= total:
-        return None
-    return {key: columns.get(key) for key in changed}
-
-
 class CompiledLike(Protocol):
     """What the batch kernels need from a compiled population.
 
     :class:`~repro.perf.compiled.CompiledPopulation` is the canonical
-    implementation; the parallel layer's shard views
-    (:mod:`repro.perf.parallel`) implement the same surface over
-    shared-memory arrays restricted to one provider shard.
+    implementation; :class:`~repro.perf.delta.MutableCompiledPopulation`
+    implements the same surface over its churn-capable stores.
     """
 
     def __len__(self) -> int: ...
@@ -222,11 +164,10 @@ def column_contribution(
     Every policy entry in the column is compared against every matching
     explicit preference row and, when the completion is on, against the
     implicit zero tuple of the providers that supplied the attribute
-    without covering the purpose.  Shared by the serial engine and the
-    parallel shard workers; a column's vectors depend only on its entry
-    ranks and the compiled preference rows, so a recomputed contribution
-    is bit-for-bit identical to a cached one — the invariant the delta
-    paths rest on (see :func:`sum_column_arrays`).
+    without covering the purpose.  A column's vectors depend only on its
+    entry ranks and the compiled preference rows, so a recomputed
+    contribution is bit-for-bit identical to a cached one — the
+    invariant the delta path rests on (see :func:`sum_column_arrays`).
     """
     n = len(compiled)
     column = compiled.column(*key)
@@ -265,9 +206,6 @@ def sum_column_arrays(
     summation order is what makes a delta round (reuse unchanged column
     vectors, recompute only changed ones) bit-for-bit identical to a
     full recompute: both sum bitwise-equal operands in the same order.
-    That exactness is load-bearing for the worker delta protocol, where
-    a respawned worker's full replay must merge indistinguishably with
-    surviving workers' patched shards.
     """
     violations = np.zeros(n, dtype=np.float64)
     counts = np.zeros(n, dtype=np.float64)
@@ -345,10 +283,10 @@ def assemble_report(
 ) -> BatchReport:
     """A :class:`BatchReport` from raw severity/count arrays.
 
-    The single place the aggregate arithmetic lives: the serial engine,
-    the parallel shard merge, and the chunked-evaluation merge all build
-    their reports here, so every execution mode derives ``P(W)``,
-    ``P(Default)``, and the Eq. 16 total identically.
+    The single place the aggregate arithmetic lives: the batch engine
+    and the mutable engine's alive-row reports both build their reports
+    here, so every evaluation path derives ``P(W)``, ``P(Default)``, and
+    the Eq. 16 total identically.
     """
     n = len(ids)
     violated = counts > 0
@@ -447,24 +385,12 @@ class _Evaluation:
     ``columns`` records the policy's column decomposition at evaluation
     time so :meth:`BatchViolationEngine.rescore_rows` can re-derive any
     provider's totals for this policy after an in-place population
-    mutation without re-fingerprinting the policy.  ``column_arrays``
-    keeps the per-column ``(violations, counts)`` vectors the totals
-    were summed from — consecutive delta evaluations share the
-    unchanged vectors by reference, so the marginal cost per cached
-    policy is only its changed columns.  Holding them lets
-    :meth:`BatchViolationEngine.apply_column_delta` rebase onto *any*
-    cached evaluation, not just the most recent one, which is what
-    keeps the worker delta protocol exact when a pool's untargeted
-    dispatch hands a shard to a worker whose resident base is a round
-    or two behind.
+    mutation without re-fingerprinting the policy.
     """
 
     violations: np.ndarray  # (N,) float64
     counts: np.ndarray  # (N,) float64 (integer-valued)
-    columns: dict[tuple[str, str], _ColumnEntries] | None = None
-    column_arrays: (
-        dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] | None
-    ) = None
+    columns: dict[tuple[str, str], _ColumnEntries]
 
 
 class BatchViolationEngine:
@@ -476,7 +402,8 @@ class BatchViolationEngine:
         A :class:`~repro.core.population.Population` (compiled on the
         spot), an existing :class:`CompiledPopulation` to share the
         compilation across engines, or any other :class:`CompiledLike`
-        view (the parallel layer evaluates shard views this way).
+        store (:class:`~repro.perf.delta.MutableBatchEngine` evaluates
+        its mutable compilation this way).
     sensitivities, default_model:
         Optional overrides, honoured exactly like the reference engine's.
         Only valid when *population* is not already compiled (a compiled
@@ -550,12 +477,12 @@ class BatchViolationEngine:
 
     @property
     def compiled(self) -> CompiledLike:
-        """The compiled population (or view) this engine evaluates against."""
+        """The compiled population this engine evaluates against."""
         return self._compiled
 
     @property
     def population(self) -> Population:
-        """The underlying population (full compilations only)."""
+        """The underlying population."""
         return self._compiled.population
 
     @property
@@ -586,12 +513,11 @@ class BatchViolationEngine:
     def evaluate_arrays(self, policy: HousePolicy) -> tuple[np.ndarray, np.ndarray]:
         """Raw per-provider ``(violations, counts)`` arrays for *policy*.
 
-        The parallel layer's shard workers call this instead of
-        :meth:`evaluate`: the parent merges shard arrays by concatenation
-        and assembles one report, so no per-shard :class:`BatchReport`
-        objects cross the process boundary.  Served from the same cache
-        and delta paths as :meth:`evaluate` — the returned arrays may be
-        cached state and must not be mutated.
+        :class:`~repro.perf.delta.MutableBatchEngine` calls this instead
+        of :meth:`evaluate` once rows are tombstoned: it restricts the
+        capacity arrays to the alive rows and assembles its own report.
+        Served from the same cache and delta paths as :meth:`evaluate` —
+        the returned arrays may be cached state and must not be mutated.
         """
         if not isinstance(policy, HousePolicy):
             raise ValidationError(
@@ -600,93 +526,11 @@ class BatchViolationEngine:
         evaluation = self._evaluate(policy)
         return evaluation.violations, evaluation.counts
 
-    def evaluate_decomposed(
-        self,
-        fingerprint: PolicyFingerprint,
-        columns: Mapping[tuple[str, str], _ColumnEntries],
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Evaluate from an explicit ``(fingerprint, columns)`` decomposition.
-
-        The worker delta protocol's full-task entry point: the parent
-        ships the decomposition instead of a pickled policy, and this
-        engine serves it through the same cache and delta paths as
-        :meth:`evaluate` — including its own resident base, so a shard
-        engine that already evaluated a neighbouring policy still pays
-        only the changed columns.  Returns ``(violations, counts,
-        rescored)`` where *rescored* counts the columns this call
-        actually recomputed or patched out (``0`` on a cache hit).  The
-        arrays are cached state and must not be mutated.
-        """
-        cached = self._cache.get(fingerprint)
-        if cached is not None:
-            return cached.violations, cached.counts, 0
-        rescored = len(columns)
-        if self._base_fingerprint is not None:
-            changed = self._changed_columns(columns)
-            if len(changed) < len(set(self._base_columns) | set(columns)):
-                evaluation = self._evaluate_delta(columns, changed)
-                rescored = len(changed)
-            else:
-                evaluation = self._evaluate_full(columns)
-        else:
-            evaluation = self._evaluate_full(columns)
-        self._base_fingerprint = fingerprint
-        self._remember(fingerprint, evaluation)
-        return evaluation.violations, evaluation.counts, rescored
-
-    def apply_column_delta(
-        self,
-        base_fingerprint: PolicyFingerprint,
-        fingerprint: PolicyFingerprint,
-        changed: Mapping[tuple[str, str], _ColumnEntries | None],
-    ) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Patch this engine's resident base with explicit column changes.
-
-        The worker delta protocol's delta-task entry point: *changed*
-        maps each differing column to the target policy's entries for it
-        (``None`` when the column disappears).  Returns ``(violations,
-        counts, rescored)`` bit-for-bit identical to a full evaluation
-        of the target (see :func:`sum_column_arrays`), or ``None`` when
-        this engine's resident base is not *base_fingerprint* — the
-        caller must then fall back to a full decomposition (the
-        protocol's base replay).  A cached target fingerprint is served
-        directly with ``rescored == 0``.
-        """
-        cached = self._cache.get(fingerprint)
-        if cached is not None:
-            return cached.violations, cached.counts, 0
-        if self._base_fingerprint != base_fingerprint:
-            # Rebase onto any cached evaluation of the requested base:
-            # under a pool's untargeted dispatch this engine may have
-            # last seen a round-older policy, but the requested base is
-            # often still memoised (column vectors included) — patching
-            # from it is exact, so no replay round-trip is needed.
-            base = self._cache.get(base_fingerprint)
-            if base is None or base.columns is None or base.column_arrays is None:
-                return None
-            self._base_fingerprint = base_fingerprint
-            self._base_columns = base.columns
-            self._base_column_arrays = base.column_arrays
-            obs = active_observer()
-            if obs is not None:
-                obs.inc("engine.batch.rebases")
-        columns = dict(self._base_columns)
-        for key, entries in changed.items():
-            if entries:
-                columns[key] = entries
-            else:
-                columns.pop(key, None)
-        evaluation = self._evaluate_delta(columns, tuple(changed))
-        self._base_fingerprint = fingerprint
-        self._remember(fingerprint, evaluation)
-        return evaluation.violations, evaluation.counts, len(changed)
-
     def close(self) -> None:
-        """Release resources.  A no-op for the in-process engine.
+        """Release resources.  A no-op: the engine holds only arrays.
 
-        Exists so callers can treat this engine and the parallel
-        :class:`~repro.perf.parallel.ShardExecutor` uniformly (both
-        support the context-manager protocol).
+        Exists so the engine supports the context-manager protocol like
+        :class:`~repro.perf.delta.MutableBatchEngine`.
         """
 
     def __enter__(self) -> "BatchViolationEngine":
@@ -761,52 +605,14 @@ class BatchViolationEngine:
                 memo[token] = contribution
             return contribution
 
-        def regrown(array: np.ndarray) -> np.ndarray:
-            patched = np.zeros(n, dtype=np.float64)
-            patched[: array.shape[0]] = array
-            return patched
-
-        patched_pairs: dict[
-            int,
-            tuple[
-                tuple[np.ndarray, np.ndarray],
-                tuple[np.ndarray, np.ndarray],
-            ],
-        ] = {}
-
-        def patch_pair(
-            key: tuple[str, str],
-            entries: _ColumnEntries,
-            pair: tuple[np.ndarray, np.ndarray],
-        ) -> tuple[np.ndarray, np.ndarray]:
-            # Identity-memoised so column vectors shared between cached
-            # evaluations stay shared after the patch (the memo value
-            # pins the old pair, so its id cannot be recycled mid-pass).
-            token = id(pair)
-            got = patched_pairs.get(token)
-            if got is None:
-                contribution = restricted(key, entries)
-                violations = regrown(pair[0])
-                counts = regrown(pair[1])
-                violations[row_array] = contribution[0]
-                counts[row_array] = contribution[1]
-                got = (pair, (violations, counts))
-                patched_pairs[token] = got
-            return got[1]
+        def patched(array: np.ndarray, contribution: np.ndarray) -> np.ndarray:
+            grown = np.zeros(n, dtype=np.float64)
+            grown[: array.shape[0]] = array
+            grown[row_array] = contribution
+            return grown
 
         rescored = 0
         for fingerprint, evaluation in list(self._cache.items()):
-            if evaluation.columns is None:
-                # An evaluation without its decomposition cannot be
-                # patched; drop it and let the next lookup recompute.
-                del self._cache[fingerprint]
-                if fingerprint == self._base_fingerprint:
-                    self._base_fingerprint = None
-                    self._base_columns = {}
-                    self._base_column_arrays = {}
-                continue
-            violations = regrown(evaluation.violations)
-            counts = regrown(evaluation.counts)
             patch_violations = np.zeros(row_array.shape[0], dtype=np.float64)
             patch_counts = np.zeros(row_array.shape[0], dtype=np.float64)
             # Same sorted order as sum_column_arrays, so the patched rows
@@ -815,25 +621,20 @@ class BatchViolationEngine:
                 contribution = restricted(key, evaluation.columns[key])
                 patch_violations += contribution[0]
                 patch_counts += contribution[1]
-            violations[row_array] = patch_violations
-            counts[row_array] = patch_counts
-            column_arrays = evaluation.column_arrays
-            if column_arrays is not None:
-                column_arrays = {
-                    key: patch_pair(key, evaluation.columns[key], pair)
-                    for key, pair in column_arrays.items()
-                }
             self._cache[fingerprint] = _Evaluation(
-                violations=violations,
-                counts=counts,
+                violations=patched(evaluation.violations, patch_violations),
+                counts=patched(evaluation.counts, patch_counts),
                 columns=evaluation.columns,
-                column_arrays=column_arrays,
             )
             rescored += int(row_array.size)
-        self._base_column_arrays = {
-            key: patch_pair(key, self._base_columns[key], pair)
-            for key, pair in self._base_column_arrays.items()
-        }
+        base_arrays = {}
+        for key, (violations, counts) in self._base_column_arrays.items():
+            contribution = restricted(key, self._base_columns[key])
+            base_arrays[key] = (
+                patched(violations, contribution[0]),
+                patched(counts, contribution[1]),
+            )
+        self._base_column_arrays = base_arrays
         reused = (n - int(row_array.size)) * len(self._cache)
         return rescored, reused
 
@@ -1009,9 +810,9 @@ class BatchViolationEngine:
     def _changed_columns(
         self, columns: Mapping[tuple[str, str], _ColumnEntries]
     ) -> list[tuple[str, str]]:
-        # Sorted for determinism only (stable counters, wire payloads,
-        # and hash-randomization-proof traces); since totals are re-summed
-        # canonically by sum_column_arrays, the order no longer affects
+        # Sorted for determinism only (stable counters and
+        # hash-randomization-proof traces); since totals are re-summed
+        # canonically by sum_column_arrays, the order does not affect
         # the numbers.
         return list(changed_column_keys(self._base_columns, columns))
 
@@ -1026,12 +827,7 @@ class BatchViolationEngine:
         column_map = dict(columns)
         self._base_columns = column_map
         self._base_column_arrays = column_arrays
-        return _Evaluation(
-            violations=violations,
-            counts=counts,
-            columns=column_map,
-            column_arrays=column_arrays,
-        )
+        return _Evaluation(violations=violations, counts=counts, columns=column_map)
 
     def _evaluate_delta(
         self,
@@ -1043,8 +839,7 @@ class BatchViolationEngine:
         # O(columns x rows) cheap adds but buys exactness: the result is
         # bit-for-bit what _evaluate_full would produce for the same
         # target, so delta, full, and cache-served paths are freely
-        # interchangeable — including across process boundaries in the
-        # worker delta protocol.  The base's column vectors live in
+        # interchangeable.  The base's column vectors live in
         # _base_column_arrays, so cache eviction of the base report does
         # not invalidate the delta path.
         new_columns = dict(self._base_columns)
@@ -1059,12 +854,7 @@ class BatchViolationEngine:
         violations, counts = sum_column_arrays(len(self._compiled), new_arrays)
         self._base_columns = new_columns
         self._base_column_arrays = new_arrays
-        return _Evaluation(
-            violations=violations,
-            counts=counts,
-            columns=new_columns,
-            column_arrays=new_arrays,
-        )
+        return _Evaluation(violations=violations, counts=counts, columns=new_columns)
 
     def _column_contribution(
         self, key: tuple[str, str], entries: _ColumnEntries

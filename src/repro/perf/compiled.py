@@ -260,46 +260,6 @@ class CompiledPopulation:
         self._weights_by_attribute[attribute] = weights
         return weights
 
-    def shared_state(self) -> tuple[dict[str, object], dict[str, np.ndarray]]:
-        """The compilation split into picklable meta and raw arrays.
-
-        Returns ``(meta, arrays)`` where *arrays* holds every
-        policy-independent tensor — the threshold vector, each provided
-        attribute's ``(N, 3)`` weight tensor and sorted supplied-row
-        vector, and each explicit column's provider-row and rank arrays —
-        and *meta* is the small picklable remainder (ids, segments,
-        strictness, the sorted attribute and column-key orders the array
-        names are indexed by).  The parallel executor copies *arrays*
-        into one shared-memory block so worker processes can rebuild
-        shard-restricted column views without re-pickling or re-compiling
-        the population (see :mod:`repro.perf.parallel`).
-
-        Array naming: ``w{i}``/``p{i}`` pair with ``meta["attributes"][i]``,
-        ``cp{j}``/``cr{j}`` with ``meta["column_keys"][j]``.  Explicit rows
-        are emitted in population row order, so every ``p{i}`` and
-        ``cp{j}`` is non-decreasing — shard restriction is a
-        ``searchsorted`` slice.
-        """
-        attributes = sorted(self._provided)
-        column_keys = sorted(self._explicit_rows)
-        arrays: dict[str, np.ndarray] = {"thresholds": self._thresholds}
-        for i, attribute in enumerate(attributes):
-            arrays[f"w{i}"] = self.attribute_weights(attribute)
-            arrays[f"p{i}"] = self._provided[attribute]
-        for j, key in enumerate(column_keys):
-            providers, ranks = self._explicit_rows[key]
-            arrays[f"cp{j}"] = np.array(providers, dtype=np.int64)
-            arrays[f"cr{j}"] = np.array(ranks, dtype=np.int64).reshape(-1, 3)
-        meta = {
-            "n": len(self._ids),
-            "ids": self._ids,
-            "segments": self._segments,
-            "strict": self._strict,
-            "attributes": attributes,
-            "column_keys": column_keys,
-        }
-        return meta, arrays
-
     def column(self, attribute: str, purpose: str) -> CompiledColumn:
         """The compiled column for ``(attribute, purpose)``.
 

@@ -2,37 +2,29 @@
 
 Multi-round workloads (policy dynamics, the widening game, equilibrium
 search) evolve their population between evaluations: providers default
-and leave, join, or edit preferences.  Before this module existed every
-churn event threw away the whole :class:`~repro.perf.compiled.
-CompiledPopulation` — and, under ``workers=N``, the warm worker pool and
-its shared-memory export with it.  The two classes here make churn cost
-``O(changed)`` instead of ``O(population)``:
+and leave, join, or edit preferences.  Rebuilding the whole
+:class:`~repro.perf.compiled.CompiledPopulation` on every churn event
+costs ``O(population)``; the two classes here make it ``O(changed)``:
 
 * :class:`MutableCompiledPopulation` — a compiled population whose
   stores accept in-place mutation.  **Removals are tombstones**: the row
   is masked out of the alive set and the NumPy column stores are not
   touched at all, so a departure round performs zero recompilation.
   **Appends and edits** patch the list-backed stores directly (rows stay
-  non-decreasing, so shard restriction and the shared-memory layout
-  contract survive) and invalidate only the lazily materialised columns.
+  non-decreasing) and invalidate only the lazily materialised columns.
   A compaction (full recompile of the survivors) happens only when the
   tombstone fraction crosses the configured threshold — never once per
   round.
-* :class:`MutableBatchEngine` — the facade
-  :func:`~repro.perf.parallel.make_batch_engine` returns.  It owns one
-  execution backend (the serial
-  :class:`~repro.perf.batch.BatchViolationEngine` or a live worker pool
-  attached to the existing shm segment) for the lifetime of a run.
-  While no tombstones exist every call delegates wholesale, so static
-  workloads are byte-identical to the pre-incremental behaviour.  Once
-  rows are tombstoned the backend keeps evaluating over the full
-  capacity arrays (dead rows included — their per-provider sums are
-  independent, which is what makes masking exact) and the facade
-  restricts the merged arrays to the alive rows at assembly time.
-  Structural mutations re-score only the changed rows through
-  :meth:`~repro.perf.batch.BatchViolationEngine.rescore_rows` (serial)
-  or compact and re-fork once (parallel pools, whose workers hold the
-  old export).
+* :class:`MutableBatchEngine` — a serial
+  :class:`~repro.perf.batch.BatchViolationEngine` over the mutable
+  store, kept for the lifetime of a run.  While no tombstones exist
+  every call delegates wholesale, so static workloads are byte-identical
+  to the bare batch engine.  Once rows are tombstoned the inner engine
+  keeps evaluating over the full capacity arrays (dead rows included —
+  their per-provider sums are independent, which is what makes masking
+  exact) and the wrapper restricts the arrays to the alive rows at
+  assembly time.  Structural mutations re-score only the changed rows
+  through :meth:`~repro.perf.batch.BatchViolationEngine.rescore_rows`.
 
 Bit-for-bit contract: after any mutation sequence, every report equals a
 fresh compile-and-evaluate of the final population — per-provider sums
@@ -40,8 +32,7 @@ touch only that provider's own entries and weights, so row masking and
 row-restricted rescoring perform the identical floating-point additions
 in the identical order.  The property suite in
 ``tests/properties/test_mutation_parity.py`` holds this over hundreds of
-randomized add/remove/edit sequences, serial and parallel, cached and
-uncached.
+randomized add/remove/edit sequences, cached and uncached.
 
 Mutations advance a monotonic **epoch** (:attr:`MutableBatchEngine.epoch`),
 which the resilience layer folds into journal fingerprints: a journal
@@ -51,9 +42,9 @@ different epoch (see :func:`repro.resilience.resume.journal_fingerprint`).
 Observability: ``delta.reused`` / ``delta.rescored`` count the
 ``(provider, policy)`` pairs carried over versus recomputed by
 structural mutations, ``delta.removals`` / ``delta.appends`` /
-``delta.updates`` count mutation rows, ``delta.compactions`` and
-``delta.pool_rebuilds`` count the expensive events, and the
-``delta.tombstones`` / ``delta.epoch`` gauges track live state.
+``delta.updates`` count mutation rows, ``delta.compactions`` counts the
+expensive event, and the ``delta.tombstones`` / ``delta.epoch`` gauges
+track live state.
 """
 
 from __future__ import annotations
@@ -71,11 +62,7 @@ from ..core.policy import HousePolicy
 from ..core.population import Population, Provider
 from ..core.ppdb import PPDBCertificate
 from ..core.sensitivity import NEUTRAL_SENSITIVITY, SensitivityModel
-from ..exceptions import (
-    ParallelExecutionError,
-    UnknownProviderError,
-    ValidationError,
-)
+from ..exceptions import UnknownProviderError, ValidationError
 from ..obs import active_observer
 from .batch import (
     BatchReport,
@@ -85,7 +72,6 @@ from .batch import (
     policy_fingerprint,
 )
 from .compiled import CompiledColumn, CompiledPopulation
-from .shards import shard_bounds
 
 #: Default tombstone fraction above which a removal triggers compaction.
 #: Churn below this level never recompiles; pass ``None`` to disable
@@ -121,7 +107,6 @@ class MutableCompiledPopulation:
         "_sigma",
         "_override_sensitivities",
         "_override_default",
-        "_base",
         "_providers",
         "_ids_list",
         "_segments_list",
@@ -136,7 +121,6 @@ class MutableCompiledPopulation:
         "_weights",
         "_columns",
         "_provided_arrays",
-        "_structural_dirty",
         "_epoch",
         "_ids_tuple",
         "_segments_tuple",
@@ -180,7 +164,6 @@ class MutableCompiledPopulation:
         accumulation order downstream — matches the adopted compilation
         exactly.
         """
-        self._base = compiled
         population = compiled.population
         self._providers: list[Provider] = list(population.providers)
         self._ids_list: list[Hashable] = list(compiled.ids)
@@ -219,7 +202,6 @@ class MutableCompiledPopulation:
         self._weights: dict[str, np.ndarray] = {}
         self._columns: dict[tuple[str, str], CompiledColumn] = {}
         self._provided_arrays: dict[str, np.ndarray] = {}
-        self._structural_dirty = False
         self._ids_tuple: tuple[Hashable, ...] | None = compiled.ids
         self._segments_tuple: tuple[str | None, ...] | None = compiled.segments
         self._population_view: Population | None = population
@@ -444,8 +426,7 @@ class MutableCompiledPopulation:
         """Add new providers at the end of the row space; returns their rows.
 
         Rows stay non-decreasing in every store, preserving the ordering
-        contract the kernels and the shared-memory layout rely on.
-        Materialised columns are invalidated; cached weight tensors are
+        contract the kernels rely on.  Materialised columns are invalidated; cached weight tensors are
         grown in place with the new rows computed the same way a fresh
         compile would.
         """
@@ -530,10 +511,9 @@ class MutableCompiledPopulation:
     def compact(self) -> None:
         """Recompile the alive view, dropping tombstones and renumbering rows.
 
-        The one expensive path — triggered by the facade when the
-        tombstone fraction crosses its threshold or when a parallel pool
-        must re-export after a structural mutation, never on a plain
-        removal.
+        The one expensive path — triggered by :class:`MutableBatchEngine`
+        when the tombstone fraction crosses its threshold, never on a
+        plain removal.
         """
         survivors = self.population
         epoch = self._epoch
@@ -550,17 +530,6 @@ class MutableCompiledPopulation:
         if obs is not None:
             obs.inc("delta.compactions")
             obs.set_gauge("delta.tombstones", 0)
-
-    def snapshot(self) -> CompiledPopulation:
-        """An immutable :class:`CompiledPopulation` of the current state.
-
-        Compacts first when the stores drifted from the adopted base
-        (structural mutations or tombstones); otherwise returns the base
-        without recompiling.  Used to (re-)export to worker pools.
-        """
-        if self._structural_dirty or self._dead:
-            self.compact()
-        return self._base
 
     # ------------------------------------------------------------------
     # internals
@@ -687,7 +656,6 @@ class MutableCompiledPopulation:
         self._provided_arrays.clear()
         self._ids_tuple = None
         self._segments_tuple = None
-        self._structural_dirty = True
         self._bump_epoch()
 
     def _bump_epoch(self) -> None:
@@ -698,36 +666,29 @@ class MutableCompiledPopulation:
         self._alive_segments_cache = None
 
 
+
+
 class MutableBatchEngine:
-    """The churn-surviving engine behind ``make_batch_engine``.
+    """The churn-surviving batch engine.
 
     Mirrors the batch-engine surface (``evaluate`` / ``report`` /
     ``evaluate_arrays`` / ``evaluate_policies`` / ``certify`` /
     ``static_intervals`` / ``reference_engine`` / ``close``) and adds the
     mutation operations :meth:`remove`, :meth:`append`, and
-    :meth:`update`.  One engine — one compilation, and under
-    ``workers=N`` one live worker pool on one shared-memory export —
-    serves an entire dynamics, equilibrium, or widening run.
-
-    Unknown attributes delegate to the execution backend, so
-    pool-specific surfaces (``segment_name``, ``degradations``,
-    ``restarts``) remain reachable.
+    :meth:`update`.  One engine — one compilation — serves an entire
+    dynamics, equilibrium, or widening run.
     """
 
     def __init__(
         self,
         population: Population,
         *,
-        workers: int = 1,
         sensitivities: SensitivityModel | None = None,
         default_model: DefaultModel | None = None,
         implicit_zero: bool = True,
         max_cached_reports: int = 128,
-        supervised: bool = True,
         compact_threshold: float | None = COMPACT_THRESHOLD,
     ) -> None:
-        from .parallel import resolve_workers
-
         if max_cached_reports < 1:
             raise ValidationError("max_cached_reports must be >= 1")
         if compact_threshold is not None:
@@ -736,14 +697,11 @@ class MutableBatchEngine:
                 raise ValidationError(
                     "compact_threshold must lie in (0, 1] or be None"
                 )
-        self._inner = None
         self._mutable = MutableCompiledPopulation(
             population,
             sensitivities=sensitivities,
             default_model=default_model,
         )
-        self._workers = resolve_workers(workers)
-        self._supervised = bool(supervised)
         self._implicit_zero = bool(implicit_zero)
         self._max_cached = int(max_cached_reports)
         self._compact_threshold = compact_threshold
@@ -751,8 +709,7 @@ class MutableBatchEngine:
             tuple[PolicyFingerprint, int], BatchReport
         ] = {}
         self._static_cache: dict[tuple[PolicyFingerprint, int], object] = {}
-        self._closed = False
-        self._inner = self._build_inner()
+        self._inner = self._new_inner()
 
     # ------------------------------------------------------------------
     # identity
@@ -764,11 +721,6 @@ class MutableBatchEngine:
         return self._mutable
 
     @property
-    def inner_engine(self):
-        """The execution backend currently in service (introspection)."""
-        return self._inner
-
-    @property
     def population(self) -> Population:
         """The alive providers."""
         return self._mutable.population
@@ -777,11 +729,6 @@ class MutableBatchEngine:
     def implicit_zero(self) -> bool:
         """Whether the implicit-zero completion is applied."""
         return self._implicit_zero
-
-    @property
-    def workers(self) -> int:
-        """The resolved worker count of the execution policy."""
-        return self._workers
 
     @property
     def epoch(self) -> int:
@@ -800,33 +747,9 @@ class MutableBatchEngine:
             return self._inner.cached_policies
         return len(self._report_cache)
 
-    @property
-    def bounds(self) -> tuple[tuple[int, int], ...]:
-        """Alive-space shard bounds of the execution policy.
-
-        With tombstones present the capacity-space pool shards are
-        re-derived over the alive count — exactly the bounds a rebuilt
-        pool over the shrunk population would report, which keeps
-        seeded per-shard consumers (the guardrail's sampling) aligned
-        with the alive-length reports this engine returns.
-        """
-        inner_bounds = getattr(self._inner, "bounds", None)
-        if inner_bounds is None:
-            return ((0, self._mutable.alive_count),)
-        if self._mutable.dead_count == 0:
-            return tuple(inner_bounds)
-        return tuple(shard_bounds(self._mutable.alive_count, len(inner_bounds)))
-
-    def __getattr__(self, name: str):
-        inner = self.__dict__.get("_inner")
-        if inner is not None and not name.startswith("_"):
-            return getattr(inner, name)
-        raise AttributeError(name)
-
     def __repr__(self) -> str:
         return (
-            f"MutableBatchEngine(workers={self._workers}, "
-            f"alive={self._mutable.alive_count}, "
+            f"MutableBatchEngine(alive={self._mutable.alive_count}, "
             f"tombstones={self._mutable.dead_count}, "
             f"epoch={self._mutable.epoch})"
         )
@@ -836,14 +759,7 @@ class MutableBatchEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the execution backend.  Idempotent — safe to call
-        twice, and safe after a failed backend rebuild."""
-        if self._closed:
-            return
-        self._closed = True
-        inner = self._inner
-        if inner is not None:
-            inner.close()
+        """Release resources.  A no-op, like the batch engine's."""
 
     def __enter__(self) -> "MutableBatchEngine":
         return self
@@ -859,12 +775,11 @@ class MutableBatchEngine:
         """The :class:`BatchReport` for *policy* over the alive providers.
 
         Reports are always returned under the *requested* policy's name:
-        the caches (this facade's and the worker pools') key on the
-        name-independent fingerprint, so a widening run that saturates —
-        consecutive rounds with equal entries but fresh ``@rN`` names —
-        would otherwise resurface a stale round's name.
+        the caches key on the name-independent fingerprint, so a
+        widening run that saturates — consecutive rounds with equal
+        entries but fresh ``@rN`` names — would otherwise resurface a
+        stale round's name.
         """
-        self._ensure_open()
         self._check_policy(policy)
         if self._mutable.dead_count == 0:
             return self._renamed(self._inner.evaluate(policy), policy.name)
@@ -889,11 +804,10 @@ class MutableBatchEngine:
     def evaluate_arrays(self, policy: HousePolicy) -> tuple[np.ndarray, np.ndarray]:
         """Raw alive-space ``(violations, counts)`` arrays for *policy*.
 
-        Without tombstones the backend's arrays are returned as-is (they
-        may be cached state — do not mutate); with tombstones the
+        Without tombstones the inner engine's arrays are returned as-is
+        (they may be cached state — do not mutate); with tombstones the
         capacity arrays are restricted to the alive rows (fresh copies).
         """
-        self._ensure_open()
         self._check_policy(policy)
         violations, counts = self._inner.evaluate_arrays(policy)
         if self._mutable.dead_count == 0:
@@ -905,15 +819,7 @@ class MutableBatchEngine:
         self, policies: Iterable[HousePolicy]
     ) -> list[BatchReport]:
         """Evaluate a policy sweep, reusing work across candidates."""
-        self._ensure_open()
-        candidates = list(policies)
-        if self._mutable.dead_count == 0:
-            reports = self._inner.evaluate_policies(candidates)
-            return [
-                self._renamed(report, policy.name)
-                for report, policy in zip(reports, candidates)
-            ]
-        return [self.evaluate(policy) for policy in candidates]
+        return [self.evaluate(policy) for policy in policies]
 
     def certify(
         self,
@@ -931,7 +837,6 @@ class MutableBatchEngine:
         ``early_exit`` falls back to the exact path — a dead row's
         finding counts must not spend the shared ``alpha x N`` budget.
         """
-        self._ensure_open()
         self._check_policy(policy)
         if self._mutable.dead_count == 0:
             return self._inner.certify(
@@ -970,13 +875,12 @@ class MutableBatchEngine:
     def static_intervals(self, policy: HousePolicy):
         """The lint layer's severity intervals over the alive providers.
 
-        Serves the serial backend's own (mutation-aware) cache when no
+        Serves the inner engine's own (mutation-aware) cache when no
         tombstones exist; otherwise computes over the alive view and
         caches per ``(fingerprint, epoch)``.
         """
-        self._ensure_open()
         self._check_policy(policy)
-        if self._mutable.dead_count == 0 and self._workers <= 1:
+        if self._mutable.dead_count == 0:
             return self._inner.static_intervals(policy)
         key = (policy_fingerprint(policy), self._mutable.epoch)
         cached = self._static_cache.get(key)
@@ -1012,15 +916,14 @@ class MutableBatchEngine:
     # ------------------------------------------------------------------
 
     def remove(self, provider_ids: Iterable[Hashable]) -> None:
-        """Tombstone providers — no recompilation, no pool restart.
+        """Tombstone providers — no recompilation.
 
-        Worker pools keep evaluating the full capacity arrays from the
-        existing shared-memory export (per-provider sums are
-        independent, so dead rows cannot perturb alive ones) and the
-        facade masks them out at assembly.  Compaction runs only when
-        the tombstone fraction crosses the engine's threshold.
+        The inner engine keeps evaluating the full capacity arrays
+        (per-provider sums are independent, so dead rows cannot perturb
+        alive ones) and this engine masks them out at assembly.
+        Compaction runs only when the tombstone fraction crosses the
+        engine's threshold.
         """
-        self._ensure_open()
         ids = tuple(provider_ids)
         if not ids:
             return
@@ -1036,9 +939,7 @@ class MutableBatchEngine:
             self._compact()
 
     def append(self, providers: Iterable[Provider]) -> None:
-        """Add providers; re-scores only the new rows (serial) or
-        compacts and re-forks the pool once (parallel)."""
-        self._ensure_open()
+        """Add providers; re-scores only the new rows."""
         added = tuple(providers)
         if not added:
             return
@@ -1050,8 +951,7 @@ class MutableBatchEngine:
 
     def update(self, providers: Iterable[Provider]) -> None:
         """Replace providers in place (matched by id); re-scores only
-        the edited rows (serial) or compacts and re-forks once."""
-        self._ensure_open()
+        the edited rows."""
         updates = tuple(providers)
         if not updates:
             return
@@ -1065,73 +965,27 @@ class MutableBatchEngine:
     # internals
     # ------------------------------------------------------------------
 
-    def _build_inner(self):
-        if self._workers <= 1:
-            return BatchViolationEngine(
-                self._mutable,
-                implicit_zero=self._implicit_zero,
-                max_cached_reports=self._max_cached,
-            )
-        snapshot = self._mutable.snapshot()
-        if self._supervised:
-            from .supervisor import SupervisedExecutor
-
-            return SupervisedExecutor(
-                snapshot,
-                workers=self._workers,
-                implicit_zero=self._implicit_zero,
-                max_cached_reports=self._max_cached,
-            )
-        from .parallel import ShardExecutor
-
-        return ShardExecutor(
-            snapshot,
-            workers=self._workers,
+    def _new_inner(self) -> BatchViolationEngine:
+        return BatchViolationEngine(
+            self._mutable,
             implicit_zero=self._implicit_zero,
             max_cached_reports=self._max_cached,
         )
 
     def _after_structural_mutation(self, rows: np.ndarray) -> None:
+        rescored, reused = self._inner.rescore_rows(rows)
         obs = active_observer()
-        if self._workers > 1:
-            # Workers hold the pre-mutation export; compact and re-fork
-            # once.  (Removals never take this path.)
-            self._rebuild_inner()
-        else:
-            rescored, reused = self._inner.rescore_rows(rows)
-            if obs is not None:
-                obs.inc("delta.rescored", rescored)
-                obs.inc("delta.reused", reused)
         if obs is not None:
+            obs.inc("delta.rescored", rescored)
+            obs.inc("delta.reused", reused)
             obs.set_gauge("delta.tombstones", self._mutable.dead_count)
             obs.set_gauge("delta.epoch", self._mutable.epoch)
 
-    def _rebuild_inner(self) -> None:
-        """Tear down and rebuild the execution backend over a fresh base.
-
-        On failure the engine is left backend-less: evaluation raises a
-        clear error, while :meth:`close` stays safe (and idempotent).
-        The old executor's column plan (if any) carries over to the new
-        one: the plan is population-independent, so the first policy of
-        the next round still goes out as a delta task decomposition-wise
-        — fresh workers hold no base and evaluate it full, but the
-        parent-side delta chain survives the rebuild.
-        """
-        old, self._inner = self._inner, None
-        plan = getattr(old, "plan", None) if old is not None else None
-        if old is not None:
-            old.close()
-        self._inner = self._build_inner()
-        adopt = getattr(self._inner, "adopt_plan", None)
-        if plan is not None and adopt is not None:
-            adopt(plan)
-        obs = active_observer()
-        if obs is not None and self._workers > 1:
-            obs.inc("delta.pool_rebuilds")
-
     def _compact(self) -> None:
         self._mutable.compact()
-        self._rebuild_inner()
+        # Compaction renumbers the rows, so the inner engine's cached
+        # evaluations no longer line up with the store: start afresh.
+        self._inner = self._new_inner()
         obs = active_observer()
         if obs is not None:
             obs.set_gauge("delta.epoch", self._mutable.epoch)
@@ -1179,11 +1033,4 @@ class MutableBatchEngine:
         if not isinstance(policy, HousePolicy):
             raise ValidationError(
                 f"policy must be a HousePolicy, got {type(policy).__name__}"
-            )
-
-    def _ensure_open(self) -> None:
-        if self._inner is None:
-            raise ParallelExecutionError(
-                "engine lost its execution backend after a failed rebuild; "
-                "create a new engine via make_batch_engine"
             )

@@ -39,8 +39,6 @@ CLI_STORAGE = "PVL904"
 CLI_JOURNAL = "PVL905"
 #: A run was interrupted mid-flight (resumable via its journal).
 CLI_INTERRUPTED = "PVL906"
-#: A parallel worker died or shared-memory state was lost mid-run.
-CLI_PARALLEL = "PVL907"
 
 #: One-line descriptions, for docs and ``repro`` error output tooling.
 RUNTIME_CODES: dict[str, str] = {
@@ -53,7 +51,6 @@ RUNTIME_CODES: dict[str, str] = {
     CLI_STORAGE: "privacy store failure",
     CLI_JOURNAL: "run journal missing, corrupt, or mismatched",
     CLI_INTERRUPTED: "run interrupted; resume from its journal",
-    CLI_PARALLEL: "parallel worker died or shared memory was lost",
 }
 
 

@@ -17,10 +17,6 @@ Fault kinds
 ``"kill"``
     Raise :class:`~repro.exceptions.ProcessKilled` — a simulated process
     death at a checkpoint boundary.  Never caught by library code.
-``"stall"``
-    Raise :class:`~repro.exceptions.ProcessStalled` — a simulated hang.
-    The supervised worker pool's task site turns it into a real SIGSTOP
-    so the stall watchdog (not Python exception handling) must recover.
 ``"corrupt"``
     Flip one seeded byte of data passing through a byte site (journal
     payloads, exported documents), simulating silent media corruption.
@@ -52,7 +48,6 @@ Injection sites
 
 from __future__ import annotations
 
-import os
 import random
 import sqlite3
 from collections.abc import Iterable, Iterator
@@ -61,14 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import FaultConfigError, ProcessKilled, ProcessStalled
+from ..exceptions import FaultConfigError, ProcessKilled
 from ..obs import active_observer
 
 #: The recognised fault kinds.
-FAULT_KINDS = ("locked", "disk_full", "kill", "stall", "corrupt", "nan", "scale")
+FAULT_KINDS = ("locked", "disk_full", "kill", "corrupt", "nan", "scale")
 
 #: Kinds that raise at any site (as opposed to transforming data).
-_RAISING_KINDS = ("locked", "disk_full", "kill", "stall")
+_RAISING_KINDS = ("locked", "disk_full", "kill")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,8 +122,6 @@ def _make_error(spec: FaultSpec) -> BaseException:
         return sqlite3.OperationalError("database is locked")
     if spec.kind == "disk_full":
         return sqlite3.OperationalError("database or disk is full")
-    if spec.kind == "stall":
-        return ProcessStalled(spec.site)
     return ProcessKilled(spec.site)
 
 
@@ -140,17 +133,6 @@ class FaultPlan:
     firing, which byte to flip, which element to poison) comes from one
     ``random.Random(seed)``, so a plan is a pure function of its
     construction arguments and the visit sequence.
-
-    Fork awareness: a plan is armed only in the process that constructed
-    it.  A child process forked while a plan is active (the parallel
-    executor's worker pool, for instance) inherits the plan object and
-    the global activation, but its visits are no-ops — otherwise every
-    worker would replay the parent's seed-driven schedule from wherever
-    the fork happened to land, double-firing faults the scenario
-    scripted exactly once.  Workers that *should* fault construct a
-    fresh plan after the fork (see
-    :class:`~repro.perf.parallel.ShardExecutor`'s ``worker_faults``), or
-    call :meth:`rearm` to adopt an inherited plan deliberately.
     """
 
     def __init__(self, faults: Iterable[FaultSpec] = (), *, seed: int = 0) -> None:
@@ -160,48 +142,20 @@ class FaultPlan:
                 raise FaultConfigError(
                     f"faults must be FaultSpec, got {type(spec).__name__}"
                 )
-        self._seed = seed
         self._rng = random.Random(seed)
         self._visits: dict[str, int] = {}
         self._fired: list[tuple[str, int, str]] = []
-        self._owner_pid = os.getpid()
 
     @property
     def fired(self) -> tuple[tuple[str, int, str], ...]:
         """Every fault that fired so far, as ``(site, visit, kind)``."""
         return tuple(self._fired)
 
-    @property
-    def armed(self) -> bool:
-        """Whether visits in *this* process can fire faults."""
-        return os.getpid() == self._owner_pid
-
-    def rearm(self, *, seed: int | None = None) -> None:
-        """Adopt the plan in the current process, restarting its schedule.
-
-        Resets the visit counts, the fired log, and the RNG (to *seed*,
-        or the construction seed) and makes the calling process the
-        owner.  This is the explicit opt-in for a forked child that
-        wants its own copy of the schedule instead of the default
-        disabled state.
-        """
-        self._owner_pid = os.getpid()
-        if seed is not None:
-            self._seed = seed
-        self._rng = random.Random(self._seed)
-        self._visits = {}
-        self._fired = []
-
     def visits(self, site: str) -> int:
         """How many times *site* has been visited."""
         return self._visits.get(site, 0)
 
     def _visit(self, site: str) -> FaultSpec | None:
-        if os.getpid() != self._owner_pid:
-            # Forked child: the inherited plan is disarmed (see class
-            # docstring).  Visits do not advance the schedule either, so
-            # the parent's counters stay consistent if pages are shared.
-            return None
         visit = self._visits.get(site, 0)
         self._visits[site] = visit + 1
         for spec in self._faults:

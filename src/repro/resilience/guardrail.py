@@ -23,19 +23,8 @@ analyzer emits) record exactly what was caught and where.
 The sampling oracle is deliberately *not* the batch engine's own parity
 harness: it recomputes from the population's raw preferences and
 sensitivities, sharing no intermediate state with the code under guard.
-
-Parallel guarding
------------------
-With ``workers > 1`` the guarded engine runs the supervised worker pool
-(:class:`~repro.perf.supervisor.SupervisedExecutor`) underneath and the
-spot-check samples **per shard**: each shard contributes its own seeded
-sample (seed derived from the guardrail seed, the evaluation ordinal,
-and the shard index — independent of worker scheduling), and verdicts
-merge deterministically because shards are checked in shard order and
-the first failure wins.  ``--guarded`` and ``--workers`` therefore
-compose: the same workload always spot-checks the same rows and
-degrades (or not) identically, regardless of how tasks landed on
-workers.  The oracle itself always runs in the parent.
+The wrapped engine is a :class:`~repro.perf.delta.MutableBatchEngine`,
+so guarded dynamics runs tombstone departures in place.
 """
 
 from __future__ import annotations
@@ -54,7 +43,7 @@ from ..core.violation import find_violations
 from ..lint.diagnostics import Diagnostic
 from ..obs import active_observer
 from ..perf.batch import BatchReport
-from ..perf.parallel import make_batch_engine, resolve_workers
+from ..perf.delta import MutableBatchEngine
 from .diagnostics import (
     GUARDRAIL_DEGRADED,
     GUARDRAIL_DIVERGENCE,
@@ -84,11 +73,6 @@ class GuardedBatchEngine:
     After a check fails the engine is *degraded* (see :attr:`degraded`):
     all subsequent evaluations use the reference engine, and
     :attr:`diagnostics` carries the structured findings.
-
-    With ``workers > 1`` (or 0 = auto) the wrapped engine is the
-    supervised worker pool and sampling is per shard (see the module
-    docstring); the serial sampling behaviour — and thus every existing
-    seeded workload — is unchanged at ``workers=1``.
     """
 
     def __init__(
@@ -101,21 +85,16 @@ class GuardedBatchEngine:
         sample_size: int = SAMPLE_SIZE,
         tolerance: float = SEVERITY_TOLERANCE,
         seed: int = 0,
-        workers: int = 1,
     ) -> None:
-        self._workers = resolve_workers(workers)
-        self._batch = make_batch_engine(
+        self._batch = MutableBatchEngine(
             population,
-            workers=self._workers,
             sensitivities=sensitivities,
             default_model=default_model,
             implicit_zero=implicit_zero,
         )
         self._sample_size = int(sample_size)
         self._tolerance = float(tolerance)
-        self._seed = int(seed)
         self._rng = random.Random(seed)
-        self._evaluations = 0
         self._degraded = False
         self._diagnostics: list[Diagnostic] = []
 
@@ -132,11 +111,6 @@ class GuardedBatchEngine:
         return self._batch.implicit_zero
 
     @property
-    def workers(self) -> int:
-        """The resolved worker count of the wrapped engine."""
-        return self._workers
-
-    @property
     def degraded(self) -> bool:
         """True once any evaluation has fallen back to the reference engine."""
         return self._degraded
@@ -149,7 +123,7 @@ class GuardedBatchEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the wrapped engine (worker pool and shared memory)."""
+        """Release the wrapped engine."""
         self._batch.close()
 
     def __enter__(self) -> "GuardedBatchEngine":
@@ -301,30 +275,10 @@ class GuardedBatchEngine:
     def _sample_rows(self, n: int) -> list[int]:
         """The provider rows this evaluation spot-checks, in check order.
 
-        Serial mode draws from the engine's one stateful RNG — exactly
-        the pre-parallel behaviour, so existing seeded workloads keep
-        their samples.  Parallel mode draws one seeded sample *per
-        shard* from an RNG keyed ``(seed, evaluation ordinal, shard
-        index)`` — a pure function of the guardrail configuration and
-        the shard layout, never of worker scheduling — and concatenates
-        them in shard order, which is what makes the merged verdict
-        deterministic under ``--workers``.
+        Drawn from the engine's one stateful RNG, so a seeded workload
+        always checks the same rows.
         """
-        self._evaluations += 1
-        if self._workers <= 1:
-            return sorted(self._rng.sample(range(n), min(self._sample_size, n)))
-        rows: list[int] = []
-        for index, (lo, hi) in enumerate(self._batch.bounds):
-            size = hi - lo
-            if size == 0:
-                continue
-            rng = random.Random(
-                (self._seed * 1_000_003 + self._evaluations) * 1_000_003
-                + index
-            )
-            sample = rng.sample(range(size), min(self._sample_size, size))
-            rows.extend(lo + offset for offset in sorted(sample))
-        return rows
+        return sorted(self._rng.sample(range(n), min(self._sample_size, n)))
 
     def _degrade(self, policy: HousePolicy, failure: Diagnostic) -> None:
         self._degraded = True

@@ -15,6 +15,9 @@ run killed between steps resumes from its journal and produces output
 * the journal pins an input **fingerprint** — resuming against different
   inputs is refused with a coded error instead of mixing two runs.
 
+A sweep journal holding shard checkpoints, a format only the retired
+worker-pool sweeps wrote, is refused the same way.
+
 Provider ids must survive a JSON round trip (strings, ints) for a run to
 be journalable; this is checked up front.
 """
@@ -34,14 +37,9 @@ from ..estimation.observation import (
     observations_from_state,
 )
 from ..estimation.thresholds import ThresholdEstimator
-from ..exceptions import ResilienceError
+from ..exceptions import JournalMismatchError, ResilienceError
 from ..obs import active_observer, span
-from ..perf import (
-    BatchViolationEngine,
-    SupervisedExecutor,
-    make_batch_engine,
-    resolve_workers,
-)
+from ..perf import BatchViolationEngine, MutableBatchEngine
 from ..policy_lang.serializer import policy_to_dict, preferences_to_dict
 from ..policy_lang.serializer import sensitivities_to_dict
 from ..simulation.dynamics import (
@@ -149,88 +147,25 @@ def _fire(site: str) -> None:
         plan.check(site)
 
 
-def _make_engine(
-    population: Population,
-    *,
-    implicit_zero: bool,
-    guarded: bool,
-    workers: int = 1,
-    worker_faults: tuple = (),
-    fault_seed: int = 0,
-    mutable: bool = False,
-):
-    """The engine for a resumable runner's live steps.
-
-    ``mutable=True`` (the dynamics runner) returns the churn-capable
-    facade from :func:`~repro.perf.parallel.make_batch_engine`, so
-    departures tombstone in place instead of rebuilding.  The sweep
-    runner keeps the bare engines: its population is static and the
-    shard-checkpoint path needs the supervisor's sharded surface.
-    """
-    if guarded:
-        return GuardedBatchEngine(
-            population, implicit_zero=implicit_zero, workers=workers
-        )
-    if mutable:
-        return make_batch_engine(
-            population, workers=workers, implicit_zero=implicit_zero
-        )
-    if resolve_workers(workers) > 1:
-        return SupervisedExecutor(
-            population,
-            workers=workers,
-            implicit_zero=implicit_zero,
-            worker_faults=worker_faults,
-            fault_seed=fault_seed,
-        )
-    return BatchViolationEngine(population, implicit_zero=implicit_zero)
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
 
-def _shard_payload(
-    step: int, lo: int, hi: int, violations: Any, counts: Any
-) -> dict[str, Any]:
-    """One completed shard of a parallel sweep level, journal-ready.
+def _refuse_shard_checkpoints(journal: RunJournal) -> None:
+    """Refuse a sweep journal that holds retired shard checkpoints.
 
-    JSON floats round-trip exactly (``repr`` is the shortest round-trip
-    form), so restoring these arrays on resume reproduces the worker's
-    output bit-for-bit.
+    Sweeps once evaluated on worker pools journaled each finished shard
+    as a ``{"kind": "shard", ...}`` step between the level rows.  The
+    serial engine cannot replay those partial results, so such a journal
+    is refused rather than resumed.
     """
-    return {
-        "kind": "shard",
-        "step": int(step),
-        "lo": int(lo),
-        "hi": int(hi),
-        "violations": [float(value) for value in violations],
-        "counts": [float(value) for value in counts],
-    }
-
-
-def _split_sweep_payloads(
-    payloads: Sequence[dict[str, Any]],
-) -> tuple[list[dict[str, Any]], dict[int, dict[tuple[int, int], tuple]]]:
-    """Separate journaled sweep levels from shard checkpoints.
-
-    Row payloads (no ``kind`` tag, the only shape journals held before
-    shard-level checkpointing existed) stay in order; shard payloads are
-    grouped by sweep level and keyed by their ``(lo, hi)`` bounds.
-    """
-    rows: list[dict[str, Any]] = []
-    shards: dict[int, dict[tuple[int, int], tuple]] = {}
-    for payload in payloads:
-        if payload.get("kind") == "shard":
-            level = shards.setdefault(int(payload["step"]), {})
-            level[(int(payload["lo"]), int(payload["hi"]))] = (
-                payload["violations"],
-                payload["counts"],
-            )
-        else:
-            rows.append(payload)
-    return rows, shards
+    if any(payload.get("kind") == "shard" for payload in journal.payloads()):
+        raise JournalMismatchError(
+            f"journal {journal.path!r} holds shard checkpoints from a "
+            f"worker-pool sweep, a retired format that cannot be resumed; "
+            f"remove it and rerun the sweep"
+        )
 
 
 def _sweep_row_payload(row: SweepRow) -> dict[str, Any]:
@@ -286,9 +221,6 @@ def resumable_sweep(
     scenario_name: str = "expansion-sweep",
     implicit_zero: bool = True,
     guarded: bool = False,
-    workers: int = 1,
-    worker_faults: tuple = (),
-    fault_seed: int = 0,
 ) -> ExpansionSweep:
     """A widening sweep that checkpoints every level to *journal_path*.
 
@@ -299,21 +231,9 @@ def resumable_sweep(
     uninterrupted with the same arguments.
 
     With ``guarded=True`` live steps are evaluated through the
-    :class:`~repro.resilience.guardrail.GuardedBatchEngine`.
-
-    With ``workers > 1`` (or 0 = auto) live steps fan out over the
-    supervised worker pool
-    (:class:`~repro.perf.supervisor.SupervisedExecutor`) and the journal
-    checkpoints **per shard** as well as per level: a run killed in the
-    middle of a level resumes with that level's completed shards
-    restored from the journal and only the remainder re-evaluated —
-    still bit-for-bit, because journaled floats round-trip exactly and
-    shards merge in deterministic order.  The worker count is *not* part
-    of the journal fingerprint: a sweep journaled with ``--workers 4``
-    may resume with any worker count (journaled shard results are reused
-    only where their bounds match the current shard layout; others are
-    recomputed to identical values).  ``worker_faults``/``fault_seed``
-    are the chaos hooks, passed through to the supervisor.
+    :class:`~repro.resilience.guardrail.GuardedBatchEngine`.  A journal
+    holding shard checkpoints (a format only worker-pool sweeps wrote)
+    is refused with :class:`~repro.exceptions.JournalMismatchError`.
     """
     if step is None:
         step = WideningStep.uniform(1)
@@ -338,10 +258,8 @@ def resumable_sweep(
     ) as journal, span(
         "resume.sweep", journal=journal_path, max_steps=max_steps
     ):
-        row_payloads, shard_payloads = _split_sweep_payloads(
-            journal.payloads()
-        )
-        rows = [_sweep_row_from_payload(p) for p in row_payloads]
+        _refuse_shard_checkpoints(journal)
+        rows = [_sweep_row_from_payload(p) for p in journal.payloads()]
         obs = active_observer()
         if obs is not None and rows:
             obs.inc("resume.replayed_steps", len(rows), kind="sweep")
@@ -359,32 +277,14 @@ def resumable_sweep(
                 if k < len(rows):
                     continue  # already journaled: replayed, not re-evaluated
                 if engine is None:
-                    engine = _make_engine(
-                        population,
-                        implicit_zero=implicit_zero,
-                        guarded=guarded,
-                        workers=workers,
-                        worker_faults=worker_faults,
-                        fault_seed=fault_seed,
-                    )
-                if isinstance(engine, SupervisedExecutor):
-                    restored = shard_payloads.get(k, {})
-                    if obs is not None and restored:
-                        obs.inc(
-                            "resume.replayed_shards", len(restored), kind="sweep"
+                    engine = (
+                        GuardedBatchEngine(population, implicit_zero=implicit_zero)
+                        if guarded
+                        else BatchViolationEngine(
+                            population, implicit_zero=implicit_zero
                         )
-
-                    def _journal_shard(lo, hi, violations, counts, _k=k):
-                        journal.record_step(
-                            _shard_payload(_k, lo, hi, violations, counts)
-                        )
-
-                    violations, counts = engine.evaluate_arrays_sharded(
-                        policy, precomputed=restored, on_shard=_journal_shard
                     )
-                    report = engine.assemble(policy.name, violations, counts)
-                else:
-                    report = engine.evaluate(policy)
+                report = engine.evaluate(policy)
                 row = build_sweep_row(
                     report,
                     step=k,
@@ -398,8 +298,6 @@ def resumable_sweep(
                     obs.inc("resume.live_steps", kind="sweep")
                 _fire("sweep.step")
         finally:
-            # A scripted kill (or real crash unwinding) must not leak
-            # the supervisor's worker pool or shared-memory segment.
             if engine is not None:
                 engine.close()
         return ExpansionSweep(
@@ -455,7 +353,6 @@ def resumable_dynamics(
     extra_utility_per_round: float = 0.25,
     implicit_zero: bool = True,
     guarded: bool = False,
-    workers: int = 1,
     mutation_epoch: int = 0,
 ) -> list[RoundOutcome]:
     """Multi-round dynamics, checkpointing one journal step per round.
@@ -465,9 +362,8 @@ def resumable_dynamics(
     from the journaled departures without touching the engine), live
     rounds are evaluated through the shared round builder against **one**
     engine whose departures are tombstoned in place — the compilation
-    (and, under ``workers > 1``, the worker pool) survives the whole run.
-    The worker count is not part of the journal fingerprint, but
-    ``mutation_epoch`` is: pass the
+    survives the whole run.  ``mutation_epoch`` is part of the journal
+    fingerprint: pass the
     :attr:`~repro.perf.delta.MutableBatchEngine.epoch` the input
     population was snapshotted at (0 for a run-start population), and a
     journal recorded at a different epoch refuses to resume instead of
@@ -522,12 +418,14 @@ def resumable_dynamics(
                         )
                     continue
                 if engine is None:
-                    engine = _make_engine(
-                        current_population,
-                        implicit_zero=implicit_zero,
-                        guarded=guarded,
-                        workers=workers,
-                        mutable=True,
+                    engine = (
+                        GuardedBatchEngine(
+                            current_population, implicit_zero=implicit_zero
+                        )
+                        if guarded
+                        else MutableBatchEngine(
+                            current_population, implicit_zero=implicit_zero
+                        )
                     )
                 report = engine.evaluate(current_policy)
                 outcome = build_round_outcome(

@@ -23,7 +23,7 @@ from .._validation import check_int, check_real
 from ..obs import active_observer, span
 from ..core.policy import HousePolicy
 from ..core.population import Population
-from ..perf import BatchReport, make_batch_engine
+from ..perf import BatchReport, MutableBatchEngine
 from ..taxonomy.builder import Taxonomy
 from .widening import WideningStep, policy_delta_columns, widen
 
@@ -108,7 +108,6 @@ def run_dynamics(
     per_provider_utility: float = 1.0,
     extra_utility_per_round: float = 0.25,
     implicit_zero: bool = True,
-    workers: int = 1,
 ) -> list[RoundOutcome]:
     """Run *rounds* rounds of widen-then-default over a shrinking population.
 
@@ -118,9 +117,6 @@ def run_dynamics(
 
     Returns one :class:`RoundOutcome` per round, including rounds where
     nobody defaults.  Stops early when the population empties.
-    ``workers`` selects the execution policy (see
-    :func:`~repro.perf.parallel.make_batch_engine`); outcomes are
-    identical across settings.
     """
     check_int(rounds, "rounds", minimum=1)
     check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
@@ -131,14 +127,11 @@ def run_dynamics(
     current_population = population
     current_policy = round_policy(base_policy, base_policy.name, step, taxonomy, 0)
     previous_policy: HousePolicy | None = None
-    # One engine — one compilation and, under a parallel execution policy,
-    # one worker pool on one shared-memory export — serves every round:
-    # departures are tombstoned in place rather than triggering a rebuild,
-    # and consecutive round policies ship only their changed columns to
-    # the warm workers (the column-delta protocol; docs/performance.md).
-    engine = make_batch_engine(
-        current_population, workers=workers, implicit_zero=implicit_zero
-    )
+    # One engine — one compilation — serves every round: departures are
+    # tombstoned in place rather than triggering a rebuild, and
+    # consecutive round policies recompute only their changed columns
+    # (the batch engine's delta path; docs/performance.md).
+    engine = MutableBatchEngine(current_population, implicit_zero=implicit_zero)
     obs = active_observer()
     try:
         with span("dynamics.run", providers=len(population), rounds=rounds):

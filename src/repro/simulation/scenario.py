@@ -29,7 +29,7 @@ from ..core.economics import (
 from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..exceptions import SimulationError
-from ..perf import BatchReport, make_batch_engine
+from ..perf import BatchReport, BatchViolationEngine
 from ..taxonomy.builder import Taxonomy
 from .widening import WideningStep, widening_path
 
@@ -157,7 +157,6 @@ def run_expansion_sweep(
     purposes: Iterable[str] | None = None,
     scenario_name: str = "expansion-sweep",
     implicit_zero: bool = True,
-    workers: int = 1,
     guarded: bool = False,
 ) -> ExpansionSweep:
     """Walk a widening path, evaluating the full model at every level.
@@ -183,17 +182,11 @@ def run_expansion_sweep(
         at level ``k`` the house enjoys ``T x k``.
     attributes, purposes:
         Restrict the widening's scope (see :func:`widen`).
-    workers:
-        The execution policy: ``1`` (default) evaluates in-process,
-        ``0`` uses one worker per CPU, ``N > 1`` fans each level's
-        evaluation over the supervised worker pool
-        (:class:`~repro.perf.supervisor.SupervisedExecutor`).  Results
-        are bit-for-bit identical across settings.
     guarded:
         Evaluate through the
         :class:`~repro.resilience.guardrail.GuardedBatchEngine`, which
         spot-checks every level against the reference oracle and
-        degrades to it on divergence.  Composes with ``workers``.
+        degrades to it on divergence.
     """
     check_int(max_steps, "max_steps", minimum=0)
     check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
@@ -210,12 +203,8 @@ def run_expansion_sweep(
             # (resume wraps the sweep), so a module-scope import cycles.
             from ..resilience.guardrail import GuardedBatchEngine
 
-            return GuardedBatchEngine(
-                population, implicit_zero=implicit_zero, workers=workers
-            )
-        return make_batch_engine(
-            population, workers=workers, implicit_zero=implicit_zero
-        )
+            return GuardedBatchEngine(population, implicit_zero=implicit_zero)
+        return BatchViolationEngine(population, implicit_zero=implicit_zero)
 
     with span(
         "sweep.run",
@@ -225,8 +214,7 @@ def run_expansion_sweep(
     ):
         # One compilation serves the whole sweep; consecutive widening
         # levels share most (attribute, purpose) columns, so the batch
-        # engine's delta path (per shard, under the parallel executor)
-        # re-evaluates only what each step moved.
+        # engine's delta path re-evaluates only what each step moved.
         with _sweep_engine() as engine:
             for k, policy in widening_path(
                 base_policy,

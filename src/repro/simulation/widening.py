@@ -129,7 +129,7 @@ def policy_delta_columns(
     decomposition the batch kernels evaluate, so "differs" here means
     exactly "evaluates differently" there — and the diff itself is
     :func:`repro.perf.batch.changed_column_keys`, the one helper the
-    serial delta path and the worker column-delta protocol also use.
+    batch engine's delta path also uses.
     """
     from ..perf.batch import changed_column_keys, policy_columns
 

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.resilience import FaultPlan, FaultSpec, RunJournal
 
 from .test_cli import POLICY, POPULATION, TAXONOMY
 
@@ -178,6 +179,34 @@ class TestJournalErrors:
         ]
         assert main(args) == 2
         _one_coded_line(capsys, "PVL905")
+
+    def test_sweep_resume_refuses_shard_checkpoint_journal(
+        self, documents, tmp_path, capsys
+    ):
+        journal = str(tmp_path / "run.journal")
+        args = SUBCOMMAND_ARGS["sweep"](documents) + ["--journal", journal]
+        # Die right after level 0 is journaled: one level row on disk.
+        plan = FaultPlan([FaultSpec(site="sweep.step", kind="kill", at=0)])
+        with plan.activate():
+            assert main(args) == 2
+        _one_coded_line(capsys, "PVL906")
+        # Append a shard checkpoint, the row shape worker-pool sweeps
+        # journaled between level rows.
+        with RunJournal.open(journal) as recorded:
+            assert recorded.n_steps == 1
+            recorded.record_step(
+                {
+                    "kind": "shard",
+                    "step": 1,
+                    "lo": 0,
+                    "hi": 1,
+                    "violations": [0.0],
+                    "counts": [0.0],
+                }
+            )
+        assert main(args + ["--resume"]) == 2
+        line = _one_coded_line(capsys, "PVL905")
+        assert "shard checkpoints" in line
 
 
 class TestResumeRoundTrip:

@@ -1,8 +1,8 @@
 """Tests for the incremental lint runner and its fingerprint cache.
 
 The load-bearing contract is parity: ``incremental_lint`` must produce
-exactly the diagnostics ``lint_documents`` produces — fresh, from cache,
-and under worker fan-out — because the decomposition into a global pass
+exactly the diagnostics ``lint_documents`` produces — fresh and from
+cache — because the decomposition into a global pass
 plus per-provider passes is an optimisation, not a semantics change.
 """
 
@@ -111,18 +111,6 @@ class TestParity:
             taxonomy, policy=clean_policy, population=population
         )
         assert "PVL001" in report.codes()
-
-    def test_worker_fan_out(self, taxonomy, clean_policy, dirty_population):
-        full = lint_documents(
-            taxonomy, policy=clean_policy, population=dirty_population
-        )
-        fanned = incremental_lint(
-            taxonomy,
-            policy=clean_policy,
-            population=dirty_population,
-            workers=2,
-        )
-        assert fanned.as_dict() == full.as_dict()
 
 
 class TestCache:

@@ -144,6 +144,17 @@ class TestSnapshot:
         [entry] = registry.snapshot()["counters"]
         assert entry["labels"] == {"at": "3"}
 
+    def test_timer_entry_is_a_summary_without_raw_samples(self):
+        """The ``--metrics`` timer shape: summary statistics only."""
+        registry = MetricsRegistry()
+        registry.timer("t").observe(0.1)
+        [entry] = registry.snapshot()["timers"]
+        assert set(entry) == {
+            "name", "labels", "count", "total", "mean", "p50", "p95", "max"
+        }
+        assert entry["count"] == 1
+        assert entry["max"] == 0.1
+
 
 class TestPrometheus:
     def test_counter_gauge_timer_families(self):

@@ -101,6 +101,23 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             engine.evaluate("not a policy")  # type: ignore[arg-type]
 
+    def test_rejects_non_population(self):
+        with pytest.raises(ValidationError):
+            BatchViolationEngine(object())  # type: ignore[arg-type]
+
+    def test_empty_population_evaluates_to_zeros(self, wide_policy):
+        engine = BatchViolationEngine(
+            Population([], attribute_sensitivities={"name": 1.0})
+        )
+        report = engine.evaluate(wide_policy)
+        expected = ViolationEngine(wide_policy, Population([])).report()
+        assert report.n_providers == expected.n_providers == 0
+        assert report.violation_probability == 0.0
+        assert report.default_probability == 0.0
+        assert report.total_violations == expected.total_violations
+        assert report.provider_ids == ()
+        assert report.violations.shape == (0,)
+
 
 class TestCaching:
     def test_same_policy_cached_once(self, population, wide_policy):

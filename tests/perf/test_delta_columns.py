@@ -1,21 +1,14 @@
-"""The worker column-delta protocol, end to end.
+"""The column diff and the serial delta path's exactness.
 
-Three layers are under test, bottom-up:
+Two layers are under test, bottom-up:
 
-* the **column diff** — :func:`changed_column_keys` /
-  :func:`policy_delta_columns` / :func:`plan_delta` agree on what
-  "changed" means, including the awkward edges (attribute removed
-  entirely, purpose added under an existing attribute, name-only
-  renames, empty policies);
+* the **column diff** — :func:`changed_column_keys` and
+  :func:`policy_delta_columns` agree on what "changed" means, including
+  the awkward edges (attribute removed entirely, purpose added under an
+  existing attribute, name-only renames, empty policies);
 * the **serial foundations** — canonical per-column summation makes
-  chained delta evaluations, rebases onto cached bases, and fresh full
-  evaluations produce bit-for-bit identical arrays;
-* the **wire protocol** — :class:`SupervisedExecutor`'s targeted
-  dispatch rescores *exactly* the changed columns per shard after the
-  base round (asserted through ``parallel.columns_rescored``), stays
-  bit-for-bit under worker kills, journal replay, and append-driven
-  pool rebuilds, and :class:`ShardExecutor`'s opportunistic variant
-  recovers misses through base replays without losing exactness.
+  chained delta evaluations and fresh full evaluations produce
+  bit-for-bit identical arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +16,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 
 from repro.core.dimensions import Dimension
 from repro.core.policy import HousePolicy
@@ -31,29 +23,17 @@ from repro.datasets import healthcare_scenario
 from repro.obs import observed
 from repro.perf import (
     BatchViolationEngine,
-    ColumnPlan,
-    ShardExecutor,
-    SupervisedExecutor,
     changed_column_keys,
-    column_plan,
-    make_batch_engine,
-    plan_delta,
     policy_columns,
     policy_fingerprint,
 )
-from repro.perf.parallel import TASK_FAULT_SITE
-from repro.resilience import FaultSpec
 from repro.simulation.widening import (
     WideningStep,
     policy_delta_columns,
     widening_policies,
 )
 
-from tests.properties.test_batch_parity import (
-    _random_policy,
-    _random_population,
-    _random_provider,
-)
+from tests.properties.test_batch_parity import _random_policy
 
 
 def _counters(snapshot: dict) -> dict[str, float]:
@@ -90,34 +70,6 @@ def _widening_scenario(n_providers: int = 40, rounds: int = 6):
     return scenario, policies
 
 
-def _expected_protocol_counters(policies, shards: int):
-    """Replay the parent's plan bookkeeping to predict exact counters.
-
-    Mirrors ``SupervisedExecutor._decompose``: one decomposition per
-    *new* fingerprint (repeats hit the report cache and never fan out),
-    full rescore when no delta applies, per-shard changed-column rescore
-    otherwise.
-    """
-    expected_rescored = 0
-    expected_delta_tasks = 0
-    seen: set = set()
-    plan = None
-    for policy in policies:
-        fingerprint = policy_fingerprint(policy)
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        columns = dict(policy_columns(policy))
-        delta = plan_delta(plan, columns)
-        if delta is None:
-            expected_rescored += shards * len(columns)
-        else:
-            expected_delta_tasks += shards
-            expected_rescored += shards * len(delta)
-        plan = ColumnPlan(fingerprint=fingerprint, columns=columns)
-    return expected_rescored, expected_delta_tasks
-
-
 # ---------------------------------------------------------------------------
 # the column diff: one definition of "changed" at every layer
 # ---------------------------------------------------------------------------
@@ -140,11 +92,6 @@ class TestColumnDiff:
             key for key in policy_columns(base) if key[0] == victim
         )
         assert list(changed) == expected
-        # plan_delta ships the removal as explicit None entries.
-        delta = plan_delta(column_plan(base), dict(policy_columns(reduced)))
-        assert delta is not None
-        assert set(delta) == set(expected)
-        assert all(value is None for value in delta.values())
 
     def test_purpose_added_under_existing_attribute(self):
         scenario, _ = _widening_scenario(n_providers=10)
@@ -157,12 +104,6 @@ class TestColumnDiff:
         )
         changed = policy_delta_columns(base, extended)
         assert changed == ((attribute, "brand-new-purpose"),)
-        delta = plan_delta(column_plan(base), dict(policy_columns(extended)))
-        assert delta == {
-            (attribute, "brand-new-purpose"): policy_columns(extended)[
-                (attribute, "brand-new-purpose")
-            ]
-        }
 
     def test_name_only_change_is_an_empty_delta(self):
         scenario, _ = _widening_scenario(n_providers=10)
@@ -170,10 +111,6 @@ class TestColumnDiff:
         renamed = HousePolicy(base.entries, name="totally-different-name")
         assert policy_delta_columns(base, renamed) == ()
         assert policy_fingerprint(base) == policy_fingerprint(renamed)
-        # plan_delta returns the *empty dict*, not None: a worker holding
-        # the base serves this without recomputing anything.
-        delta = plan_delta(column_plan(base), dict(policy_columns(renamed)))
-        assert delta == {}
 
     def test_empty_policy_transitions(self):
         scenario, _ = _widening_scenario(n_providers=10)
@@ -185,11 +122,6 @@ class TestColumnDiff:
         every_column = tuple(sorted(policy_columns(base)))
         assert forward == every_column
         assert backward == every_column
-        # Against an empty plan every column of the target changes, so
-        # the protocol falls back to a full decomposition ...
-        assert plan_delta(column_plan(empty), dict(policy_columns(base))) is None
-        # ... and symmetrically for emptying a non-empty plan.
-        assert plan_delta(column_plan(base), {}) is None
 
     def test_changed_column_keys_is_symmetric_and_sorted(self):
         rng = random.Random(7)
@@ -200,19 +132,6 @@ class TestColumnDiff:
         assert forward == backward
         assert list(forward) == sorted(forward)
         assert changed_column_keys(a, a) == ()
-
-    def test_plan_delta_without_a_plan_is_full(self):
-        scenario, _ = _widening_scenario(n_providers=10)
-        assert plan_delta(None, dict(policy_columns(scenario.policy))) is None
-
-    def test_plan_delta_whole_union_changed_is_full(self):
-        scenario, _ = _widening_scenario(n_providers=10)
-        base = scenario.policy
-        # A disjoint decomposition touches every column of the union.
-        disjoint = {
-            (f"other-{i}", "p"): (("x",),) for i in range(3)
-        }
-        assert plan_delta(column_plan(base), disjoint) is None
 
 
 # ---------------------------------------------------------------------------
@@ -238,250 +157,3 @@ class TestSerialCanonicalSummation:
             counters = _counters(obs.snapshot())
         assert counters["engine.batch.full_evaluations"] == 1.0
         assert counters["engine.batch.delta_evaluations"] >= 1.0
-
-    def test_apply_column_delta_rebases_onto_a_cached_base(self):
-        scenario, policies = _widening_scenario()
-        base, middle, target = policies[0], policies[1], policies[2]
-        engine = BatchViolationEngine(scenario.population)
-        engine.evaluate(base)
-        engine.evaluate(middle)  # the resident base is now *middle*
-        delta = plan_delta(column_plan(base), dict(policy_columns(target)))
-        assert delta is not None
-        with observed() as obs:
-            patched = engine.apply_column_delta(
-                policy_fingerprint(base), policy_fingerprint(target), delta
-            )
-            counters = _counters(obs.snapshot())
-        assert patched is not None
-        violations, counts, rescored = patched
-        assert rescored == len(delta)
-        assert counters["engine.batch.rebases"] == 1.0
-        full = BatchViolationEngine(scenario.population).evaluate_decomposed(
-            policy_fingerprint(target), dict(policy_columns(target))
-        )
-        assert np.array_equal(violations, full[0])
-        assert np.array_equal(counts, full[1])
-
-    def test_apply_column_delta_misses_without_the_base(self):
-        scenario, policies = _widening_scenario(n_providers=10)
-        target = policies[1]
-        engine = BatchViolationEngine(scenario.population)
-        # Never evaluated anything: no resident base, no cache to rebase
-        # from — the protocol must fall back to a full task.
-        missing_base = policy_fingerprint(policies[0])
-        delta = plan_delta(
-            column_plan(policies[0]), dict(policy_columns(target))
-        )
-        assert (
-            engine.apply_column_delta(
-                missing_base, policy_fingerprint(target), delta
-            )
-            is None
-        )
-
-
-# ---------------------------------------------------------------------------
-# the supervised protocol: exact counters, bit-for-bit under everything
-# ---------------------------------------------------------------------------
-
-
-class TestSupervisedDeltaProtocol:
-    def test_rescores_exactly_the_changed_columns(self):
-        scenario, policies = _widening_scenario()
-        with observed() as obs:
-            with SupervisedExecutor(
-                scenario.population, workers=2
-            ) as executor:
-                shards = len(executor.bounds)
-                reports = [executor.evaluate(p) for p in policies]
-            counters = _counters(obs.snapshot())
-        expected_rescored, expected_delta_tasks = _expected_protocol_counters(
-            policies, shards
-        )
-        # The path must actually exercise the protocol: some rounds ship
-        # deltas, and the total rescore is far below full fan-out.
-        assert expected_delta_tasks > 0
-        assert counters["parallel.columns_rescored"] == expected_rescored
-        assert counters["parallel.delta_tasks"] == expected_delta_tasks
-        assert "parallel.base_replays" not in counters
-        # And the numbers are the full fan-out's, bit for bit.
-        with SupervisedExecutor(
-            scenario.population, workers=2, column_delta=False
-        ) as full_executor:
-            for policy, report in zip(policies, reports):
-                _assert_reports_identical(
-                    report, full_executor.evaluate(policy)
-                )
-
-    def test_disabled_protocol_ships_no_deltas(self):
-        scenario, policies = _widening_scenario(n_providers=20, rounds=2)
-        with observed() as obs:
-            with SupervisedExecutor(
-                scenario.population, workers=2, column_delta=False
-            ) as executor:
-                for policy in policies:
-                    executor.evaluate(policy)
-            counters = _counters(obs.snapshot())
-        assert "parallel.delta_tasks" not in counters
-
-    def test_worker_kill_chaos_keeps_rounds_bit_for_bit(self):
-        scenario, policies = _widening_scenario()
-        serial = BatchViolationEngine(scenario.population)
-        with observed() as obs:
-            with SupervisedExecutor(
-                scenario.population,
-                workers=2,
-                worker_faults=[
-                    FaultSpec(site=TASK_FAULT_SITE, kind="kill", at=2)
-                ],
-                fault_worker_indices=[0],
-                retry_base_delay=0.0,
-            ) as executor:
-                for policy in policies:
-                    _assert_reports_identical(
-                        executor.evaluate(policy), serial.evaluate(policy)
-                    )
-                assert executor.restarts == 1
-            counters = _counters(obs.snapshot())
-        # The respawned worker started with no resident bases, so the
-        # sweeps after the kill still completed through full replays —
-        # visible, not silent.
-        assert counters["supervisor.restarts"] == 1.0
-
-    def test_journal_replay_composes_with_the_delta_protocol(self):
-        scenario, policies = _widening_scenario()
-        base, target = policies[0], policies[1]
-        serial = BatchViolationEngine(scenario.population)
-        # First run records target's shards, exactly as the journal would.
-        recorded: dict[tuple[int, int], tuple] = {}
-        with SupervisedExecutor(scenario.population, workers=2) as executor:
-            executor.evaluate(base)
-            executor.evaluate_arrays_sharded(
-                target,
-                on_shard=lambda lo, hi, v, c: recorded.__setitem__(
-                    (lo, hi), (list(map(float, v)), list(map(float, c)))
-                ),
-            )
-        # Resume: one shard is journaled, the rest must go over the wire
-        # as a delta against the freshly re-established base.
-        replayed = dict(sorted(recorded.items())[:1])
-        with observed() as obs:
-            with SupervisedExecutor(
-                scenario.population, workers=2
-            ) as executor:
-                executor.evaluate(base)
-                violations, counts = executor.evaluate_arrays_sharded(
-                    target, precomputed=replayed
-                )
-                report = executor.assemble(target.name, violations, counts)
-            counters = _counters(obs.snapshot())
-        _assert_reports_identical(report, serial.evaluate(target))
-        assert counters["parallel.delta_tasks"] >= 1.0
-
-    def test_pool_rebuild_warm_starts_the_plan(self):
-        rng = random.Random(55)
-        scenario, policies = _widening_scenario()
-        base, target = policies[0], policies[1]
-        added = [_random_provider(rng, 910)]
-        with observed() as obs:
-            with make_batch_engine(
-                scenario.population, workers=2
-            ) as engine:
-                engine.evaluate(base)
-                plan_before = engine.plan
-                assert plan_before is not None
-                engine.append(added)  # rebuilds the worker pool
-                plan_after = engine.plan
-                # The plan is population-independent: the rebuilt pool
-                # inherits it instead of restarting from scratch.
-                assert plan_after is not None
-                assert plan_after.fingerprint == plan_before.fingerprint
-                report = engine.evaluate(target)
-            counters = _counters(obs.snapshot())
-        assert counters["delta.pool_rebuilds"] >= 1.0
-        expected = BatchViolationEngine(
-            scenario.population.extended(added)
-        ).evaluate(target)
-        _assert_reports_identical(report, expected)
-
-    def test_arrays_and_reports_share_one_cache(self):
-        scenario, policies = _widening_scenario(n_providers=20, rounds=1)
-        policy = policies[0]
-        with observed() as obs:
-            with SupervisedExecutor(
-                scenario.population, workers=2
-            ) as executor:
-                report = executor.evaluate(policy)
-                violations, counts = executor.evaluate_arrays(policy)
-                # And the other direction: arrays first, report second.
-                other = policies[-1]
-                arrays_first, _ = executor.evaluate_arrays(other)
-                assembled = executor.evaluate(other)
-            counters = _counters(obs.snapshot())
-        assert np.array_equal(violations, report.violations)
-        assert np.array_equal(arrays_first, assembled.violations)
-        assert counters["supervisor.cache_hits"] >= 2.0
-
-    def test_degradation_serves_the_decomposition_serially(self):
-        scenario, policies = _widening_scenario(n_providers=20, rounds=2)
-        serial = BatchViolationEngine(scenario.population)
-        with SupervisedExecutor(
-            scenario.population,
-            workers=2,
-            worker_faults=[
-                FaultSpec(site=TASK_FAULT_SITE, kind="kill", at=0, count=999)
-            ],
-            max_shard_retries=0,
-            max_respawns=0,
-            retry_base_delay=0.0,
-        ) as executor:
-            for policy in policies:
-                _assert_reports_identical(
-                    executor.evaluate(policy), serial.evaluate(policy)
-                )
-            assert len(executor.degradations) >= 1
-
-
-# ---------------------------------------------------------------------------
-# the opportunistic shard-pool variant: misses replay, results stay exact
-# ---------------------------------------------------------------------------
-
-
-class TestShardPoolDeltaProtocol:
-    def test_widening_sequence_is_bit_for_bit_with_replays(self):
-        scenario, policies = _widening_scenario()
-        serial = BatchViolationEngine(scenario.population)
-        with observed() as obs:
-            with ShardExecutor(scenario.population, workers=2) as executor:
-                shards = len(executor.bounds)
-                for policy in policies:
-                    _assert_reports_identical(
-                        executor.evaluate(policy), serial.evaluate(policy)
-                    )
-            counters = _counters(obs.snapshot())
-        # The pool's dispatch is untargeted, so deltas are attempted and
-        # misses replay as full tasks — exactness never depends on hits.
-        assert counters["parallel.delta_tasks"] >= shards
-        assert counters["parallel.columns_rescored"] >= 1.0
-
-    def test_disabled_protocol_matches_enabled(self):
-        scenario, policies = _widening_scenario(n_providers=20, rounds=3)
-        with ShardExecutor(scenario.population, workers=2) as enabled:
-            with ShardExecutor(
-                scenario.population, workers=2, column_delta=False
-            ) as disabled:
-                for policy in policies:
-                    _assert_reports_identical(
-                        enabled.evaluate(policy), disabled.evaluate(policy)
-                    )
-
-    def test_evaluate_arrays_served_from_the_report_cache(self):
-        scenario, policies = _widening_scenario(n_providers=20, rounds=1)
-        policy = policies[0]
-        with observed() as obs:
-            with ShardExecutor(scenario.population, workers=2) as executor:
-                report = executor.evaluate(policy)
-                violations, _ = executor.evaluate_arrays(policy)
-            counters = _counters(obs.snapshot())
-        assert np.array_equal(violations, report.violations)
-        assert counters["parallel.cache_hits"] >= 1.0

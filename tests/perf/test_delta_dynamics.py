@@ -1,13 +1,12 @@
 """Regression: multi-round churn workloads compile exactly once.
 
 The bug this pins down: ``run_dynamics`` (and ``play_widening_game``)
-used to rebuild the whole engine — full recompile, and under
-``workers=N`` a pool re-fork plus shared-memory re-export — on every
-round with departures.  The incremental engine tombstones departures in
+used to rebuild the whole engine — a full recompile — on every round
+with departures.  The incremental engine tombstones departures in
 place, so the acceptance scenario (2000 providers, 40 rounds of real
 churn) performs **exactly one** full compilation, asserted through the
 ``perf.compilations`` counter, while remaining bit-for-bit identical to
-the rebuild path under ``workers`` of 1 and 4.
+the rebuild path.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 
 from repro.core.dimensions import Dimension
 from repro.obs import observed
-from repro.perf import make_batch_engine
+from repro.perf import BatchViolationEngine
 from repro.simulation import run_dynamics
 from repro.simulation.dynamics import build_round_outcome, round_policy
 from repro.simulation.widening import WideningStep
@@ -36,52 +35,44 @@ def scenario():
     return healthcare_scenario(N_PROVIDERS, seed=9)
 
 
-def _rebuild_path_dynamics(scenario, *, workers: int = 1):
+def _rebuild_path_dynamics(scenario):
     """The pre-incremental behaviour: recompile after every departure.
 
-    Uses ``mutable=False`` engines and rebuilds on each round with
-    defaults — the loop :func:`run_dynamics` ran before the incremental
-    engine existed.  This is the oracle the incremental path must match
-    bit for bit.
+    Uses plain batch engines and rebuilds on each round with defaults —
+    the loop :func:`run_dynamics` ran before the incremental engine
+    existed.  This is the oracle the incremental path must match bit
+    for bit.
     """
     outcomes = []
     current_population = scenario.population
     current_policy = round_policy(
         scenario.policy, scenario.policy.name, STEP, scenario.taxonomy, 0
     )
-    engine = make_batch_engine(
-        current_population, workers=workers, mutable=False
-    )
-    try:
-        for round_index in range(ROUNDS):
-            if len(current_population) == 0:
-                break
-            if round_index > 0:
-                current_policy = round_policy(
-                    current_policy,
-                    scenario.policy.name,
-                    STEP,
-                    scenario.taxonomy,
-                    round_index,
-                )
-            report = engine.evaluate(current_policy)
-            outcome = build_round_outcome(
-                report,
-                round_index=round_index,
-                per_provider_utility=1.0,
-                extra_utility_per_round=0.25,
+    engine = BatchViolationEngine(current_population)
+    for round_index in range(ROUNDS):
+        if len(current_population) == 0:
+            break
+        if round_index > 0:
+            current_policy = round_policy(
+                current_policy,
+                scenario.policy.name,
+                STEP,
+                scenario.taxonomy,
+                round_index,
             )
-            outcomes.append(outcome)
-            if outcome.defaulted_providers:
-                current_population = current_population.without(
-                    outcome.defaulted_providers
-                )
-                engine.close()
-                engine = make_batch_engine(
-                    current_population, workers=workers, mutable=False
-                )
-    finally:
-        engine.close()
+        report = engine.evaluate(current_policy)
+        outcome = build_round_outcome(
+            report,
+            round_index=round_index,
+            per_provider_utility=1.0,
+            extra_utility_per_round=0.25,
+        )
+        outcomes.append(outcome)
+        if outcome.defaulted_providers:
+            current_population = current_population.without(
+                outcome.defaulted_providers
+            )
+            engine = BatchViolationEngine(current_population)
     return outcomes
 
 
@@ -124,21 +115,6 @@ def test_run_dynamics_compiles_exactly_once(scenario, rebuild_outcomes):
         sum(o.n_defaulted for o in rebuild_outcomes)
     )
     assert counters["delta.reused"] > 0.0
-    assert outcomes == rebuild_outcomes
-
-
-def test_incremental_matches_rebuild_workers_4(scenario, rebuild_outcomes):
-    with observed() as obs:
-        outcomes = run_dynamics(
-            scenario.population,
-            scenario.policy,
-            scenario.taxonomy,
-            rounds=ROUNDS,
-            step=STEP,
-            workers=4,
-        )
-        counters = _counters(obs.snapshot())
-    assert counters["perf.compilations"] == 1.0
     assert outcomes == rebuild_outcomes
 
 

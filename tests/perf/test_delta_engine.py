@@ -15,17 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core import Population
-from repro.exceptions import (
-    ParallelExecutionError,
-    UnknownProviderError,
-    ValidationError,
-)
+from repro.exceptions import UnknownProviderError, ValidationError
 from repro.obs import observed
 from repro.perf import (
     BatchViolationEngine,
     MutableBatchEngine,
     MutableCompiledPopulation,
-    make_batch_engine,
 )
 from repro.simulation.widening import policy_delta_columns
 
@@ -140,22 +135,6 @@ class TestMutableCompiledPopulation:
         assert compiled.alive_ids == survivors.ids()
         assert compiled.population.ids() == survivors.ids()
 
-    def test_snapshot_compacts_only_when_dirty(self):
-        rng = random.Random(8)
-        population = _random_population(rng)
-        with observed() as obs:
-            compiled = MutableCompiledPopulation(population)
-            first = compiled.snapshot()
-            second = compiled.snapshot()
-            assert first is second  # clean snapshot: no recompile
-            compiled.remove([population.providers[0].provider_id])
-            third = compiled.snapshot()
-            counters = _counters(obs.snapshot())
-        assert third is not first
-        assert len(third) == len(population) - 1
-        assert counters["perf.compilations"] == 2.0
-        assert counters["delta.compactions"] == 1.0
-
 
 # ---------------------------------------------------------------------------
 # the facade: masked evaluation, caches, compaction
@@ -168,7 +147,7 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="masked")
         victims = [p.provider_id for p in population.providers[:2]]
-        with make_batch_engine(population) as engine:
+        with MutableBatchEngine(population) as engine:
             engine.remove(victims)
             report = engine.evaluate(policy)
         expected = _fresh_report(population.without(victims), policy)
@@ -179,7 +158,7 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="cached")
         with observed() as obs:
-            with make_batch_engine(population) as engine:
+            with MutableBatchEngine(population) as engine:
                 engine.remove([population.providers[0].provider_id])
                 first = engine.evaluate(policy)
                 second = engine.evaluate(policy)
@@ -198,7 +177,7 @@ class TestMutableBatchEngine:
         n = len(population)
         victims = [p.provider_id for p in population.providers[: n // 3]]
         with observed() as obs:
-            with make_batch_engine(population) as engine:
+            with MutableBatchEngine(population) as engine:
                 engine.evaluate(policy)
                 for victim in victims:
                     engine.remove([victim])
@@ -214,7 +193,7 @@ class TestMutableBatchEngine:
         n = len(population)
         victims = [p.provider_id for p in population.providers[: n // 2 + 1]]
         with observed() as obs:
-            with make_batch_engine(population) as engine:
+            with MutableBatchEngine(population) as engine:
                 engine.remove(victims)
                 assert engine.tombstones == 0  # compaction just ran
             counters = _counters(obs.snapshot())
@@ -240,7 +219,7 @@ class TestMutableBatchEngine:
         policy = _random_policy(rng, name="append")
         added = [_random_provider(rng, 700), _random_provider(rng, 701)]
         with observed() as obs:
-            with make_batch_engine(population) as engine:
+            with MutableBatchEngine(population) as engine:
                 engine.evaluate(policy)
                 engine.append(added)
                 report = engine.evaluate(policy)
@@ -259,7 +238,7 @@ class TestMutableBatchEngine:
 
         target = population.providers[0]
         replacement = dataclasses.replace(target, threshold=0.0)
-        with make_batch_engine(population) as engine:
+        with MutableBatchEngine(population) as engine:
             before = engine.evaluate(policy)
             thresholds_before = before.thresholds.copy()
             engine.update([replacement])
@@ -275,7 +254,7 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="certify")
         victims = [p.provider_id for p in population.providers[:1]]
-        with make_batch_engine(population) as engine:
+        with MutableBatchEngine(population) as engine:
             engine.remove(victims)
             exact = engine.certify(policy, 0.5)
             static = engine.certify(policy, 0.5, static=True)
@@ -297,7 +276,7 @@ class TestMutableBatchEngine:
         rng = random.Random(18)
         population = _random_population(rng)
         policy = _random_policy(rng, name="exclusive")
-        with make_batch_engine(population) as engine:
+        with MutableBatchEngine(population) as engine:
             engine.remove([population.providers[0].provider_id])
             with pytest.raises(ValidationError):
                 engine.certify(policy, 0.5, static=True, early_exit=True)
@@ -307,7 +286,7 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="arrays")
         victims = [p.provider_id for p in population.providers[:2]]
-        with make_batch_engine(population) as engine:
+        with MutableBatchEngine(population) as engine:
             engine.remove(victims)
             violations, counts = engine.evaluate_arrays(policy)
         survivors = population.without(victims)
@@ -315,18 +294,10 @@ class TestMutableBatchEngine:
         assert violations.shape == (len(survivors),)
         assert np.array_equal(violations, expected.violations)
 
-    def test_bounds_shrink_with_the_alive_count(self):
-        rng = random.Random(20)
-        population = _random_population(rng)
-        with make_batch_engine(population) as engine:
-            assert engine.bounds == ((0, len(population)),)
-            engine.remove([population.providers[0].provider_id])
-            assert engine.bounds == ((0, len(population) - 1),)
-
     def test_empty_mutations_are_noops(self):
         rng = random.Random(21)
         population = _random_population(rng)
-        with make_batch_engine(population) as engine:
+        with MutableBatchEngine(population) as engine:
             epoch = engine.epoch
             engine.remove([])
             engine.append([])
@@ -335,7 +306,7 @@ class TestMutableBatchEngine:
 
 
 # ---------------------------------------------------------------------------
-# lifecycle: idempotent close everywhere, failed-rebuild safety
+# lifecycle: idempotent close everywhere
 # ---------------------------------------------------------------------------
 
 
@@ -343,27 +314,10 @@ class TestLifecycle:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda population: make_batch_engine(population),
-            lambda population: make_batch_engine(population, workers=2),
-            lambda population: make_batch_engine(
-                population, workers=2, supervised=False
-            ),
-            lambda population: make_batch_engine(population, mutable=False),
-            lambda population: make_batch_engine(
-                population, workers=2, mutable=False
-            ),
-            lambda population: make_batch_engine(
-                population, workers=2, supervised=False, mutable=False
-            ),
+            lambda population: MutableBatchEngine(population),
+            lambda population: BatchViolationEngine(population),
         ],
-        ids=[
-            "facade-serial",
-            "facade-supervised",
-            "facade-shard",
-            "bare-serial",
-            "bare-supervised",
-            "bare-shard",
-        ],
+        ids=["facade-serial", "bare-serial"],
     )
     def test_close_is_idempotent(self, factory):
         rng = random.Random(30)
@@ -380,36 +334,6 @@ class TestLifecycle:
         engine = GuardedBatchEngine(population)
         engine.close()
         engine.close()
-
-    def test_close_safe_after_failed_pool_rebuild(self, monkeypatch):
-        rng = random.Random(32)
-        population = _random_population(rng)
-        engine = make_batch_engine(population, workers=2)
-        try:
-
-            def boom():
-                raise ParallelExecutionError("scripted rebuild failure")
-
-            monkeypatch.setattr(engine, "_build_inner", boom)
-            with pytest.raises(ParallelExecutionError):
-                engine.append([_random_provider(rng, 800)])
-            # The backend is gone: evaluation fails loudly ...
-            policy = _random_policy(rng, name="afterboom")
-            with pytest.raises(ParallelExecutionError):
-                engine.evaluate(policy)
-        finally:
-            # ... but close() — including the double-close the callers'
-            # `finally` blocks perform — must not raise.
-            engine.close()
-            engine.close()
-
-    def test_facade_passes_through_backend_surfaces(self):
-        rng = random.Random(33)
-        population = _random_population(rng)
-        with make_batch_engine(population, workers=2) as engine:
-            # Supervisor-only surfaces remain reachable through the facade.
-            assert engine.live_workers >= 1
-            assert engine.restarts == 0
 
 
 # ---------------------------------------------------------------------------

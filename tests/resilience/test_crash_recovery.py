@@ -206,72 +206,6 @@ class TestSweepRecovery:
         assert resumed.rows == uninterrupted_sweep.rows
 
 
-class TestParallelSweepRecovery:
-    """``--journal`` + ``--workers``: every kill shape still converges."""
-
-    def test_parallel_journaled_sweep_matches_serial(
-        self, tmp_path, scenario, uninterrupted_sweep
-    ):
-        swept = resumable_sweep(
-            scenario.population,
-            scenario.policy,
-            scenario.taxonomy,
-            journal_path=str(tmp_path / "sweep.journal"),
-            max_steps=MAX_STEPS,
-            workers=2,
-        )
-        assert swept.rows == uninterrupted_sweep.rows
-
-    @pytest.mark.parametrize("kill_after", [0, 2, MAX_STEPS])
-    def test_parent_kill_then_resume_under_any_worker_count(
-        self, tmp_path, scenario, uninterrupted_sweep, kill_after
-    ):
-        path = str(tmp_path / "sweep.journal")
-        plan = FaultPlan(
-            [FaultSpec(site="sweep.step", kind="kill", at=kill_after)]
-        )
-        with plan.activate():
-            with pytest.raises(ProcessKilled):
-                resumable_sweep(
-                    scenario.population,
-                    scenario.policy,
-                    scenario.taxonomy,
-                    journal_path=path,
-                    max_steps=MAX_STEPS,
-                    workers=2,
-                )
-        # The worker count is not journaled: resume serially.
-        resumed = resumable_sweep(
-            scenario.population,
-            scenario.policy,
-            scenario.taxonomy,
-            journal_path=path,
-            max_steps=MAX_STEPS,
-            workers=1,
-        )
-        assert resumed.rows == uninterrupted_sweep.rows
-
-    def test_worker_sigkill_mid_sweep_degrades_and_still_converges(
-        self, tmp_path, scenario, uninterrupted_sweep
-    ):
-        """A SIGKILLed worker costs a respawn, never a different ledger."""
-        from repro.perf.parallel import TASK_FAULT_SITE
-
-        swept = resumable_sweep(
-            scenario.population,
-            scenario.policy,
-            scenario.taxonomy,
-            journal_path=str(tmp_path / "sweep.journal"),
-            max_steps=MAX_STEPS,
-            workers=2,
-            worker_faults=(
-                FaultSpec(site=TASK_FAULT_SITE, kind="kill", at=0),
-            ),
-            fault_seed=7,
-        )
-        assert swept.rows == uninterrupted_sweep.rows
-
-
 class TestDynamicsRecovery:
     @pytest.mark.parametrize("kill_after", range(ROUNDS))
     def test_kill_at_every_round_then_resume(

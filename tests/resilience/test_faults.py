@@ -17,6 +17,10 @@ class TestFaultSpecValidation:
         with pytest.raises(FaultConfigError):
             FaultSpec(site="db.execute", kind="gremlins", at=0)
 
+    def test_retired_stall_kind_rejected(self):
+        with pytest.raises(FaultConfigError):
+            FaultSpec(site="sweep.step", kind="stall", at=0)
+
     def test_at_and_probability_mutually_exclusive(self):
         with pytest.raises(FaultConfigError):
             FaultSpec(site="db.execute", kind="locked", at=0, probability=0.5)
@@ -197,81 +201,3 @@ class TestFaultProxy:
         connection = connect(str(tmp_path / "p.sqlite"))
         assert isinstance(connection, sqlite3.Connection)
         connection.close()
-
-
-class TestForkAwareness:
-    """A plan is armed only in the process that constructed (or rearmed) it."""
-
-    def test_plan_is_armed_in_its_owner(self):
-        plan = FaultPlan([FaultSpec(site="s", kind="locked", at=0)])
-        assert plan.armed
-        with pytest.raises(sqlite3.OperationalError):
-            plan.check("s")
-
-    def test_inherited_plan_is_disarmed_in_forked_child(self):
-        import multiprocessing
-
-        plan = FaultPlan([FaultSpec(site="s", kind="locked", at=0)])
-        context = multiprocessing.get_context("fork")
-        queue = context.SimpleQueue()
-
-        def probe(q):
-            # In the child the inherited plan must be silent: visits
-            # neither fire nor advance the schedule.
-            try:
-                plan.check("s")
-                q.put(("ok", plan.armed, plan.visits("s")))
-            except Exception as error:  # pragma: no cover - the failure case
-                q.put(("raised", type(error).__name__, None))
-
-        child = context.Process(target=probe, args=(queue,))
-        child.start()
-        outcome, armed, visits = queue.get()
-        child.join()
-        assert outcome == "ok"
-        assert armed is False
-        assert visits == 0
-        # The parent's schedule was untouched: the fault still fires here.
-        assert plan.armed
-        with pytest.raises(sqlite3.OperationalError):
-            plan.check("s")
-
-    def test_rearm_adopts_and_restarts_the_schedule(self):
-        import os
-
-        plan = FaultPlan([FaultSpec(site="s", kind="locked", at=0)])
-        with pytest.raises(sqlite3.OperationalError):
-            plan.check("s")
-        assert plan.visits("s") == 1
-        # Simulate an inherited plan in a forked child.
-        plan._owner_pid = os.getpid() + 1
-        assert not plan.armed
-        plan.check("s")  # silent: disarmed
-        assert plan.visits("s") == 1
-        plan.rearm()
-        assert plan.armed
-        assert plan.visits("s") == 0  # schedule restarted
-        assert plan.fired == ()
-        with pytest.raises(sqlite3.OperationalError):
-            plan.check("s")
-
-    def test_rearm_with_new_seed_redraws_randomness(self):
-        plan = FaultPlan(
-            [FaultSpec(site="s", kind="locked", probability=0.5)], seed=1
-        )
-        outcomes = []
-        for _ in range(16):
-            try:
-                plan.check("s")
-                outcomes.append(False)
-            except sqlite3.OperationalError:
-                outcomes.append(True)
-        plan.rearm(seed=1)
-        replay = []
-        for _ in range(16):
-            try:
-                plan.check("s")
-                replay.append(False)
-            except sqlite3.OperationalError:
-                replay.append(True)
-        assert replay == outcomes  # same seed, same schedule

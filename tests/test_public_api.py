@@ -72,6 +72,7 @@ class TestPublicSurface:
             "repro.game",
             "repro.datasets",
             "repro.estimation",
+            "repro.perf",
             "repro.cli",
         ],
     )
@@ -89,12 +90,34 @@ class TestPublicSurface:
             "repro.analysis",
             "repro.game",
             "repro.estimation",
+            "repro.perf",
         ],
     )
     def test_subpackage_alls_resolve(self, module):
         package = importlib.import_module(module)
         for name in getattr(package, "__all__", []):
             assert hasattr(package, name), f"{module}.{name}"
+
+    def test_perf_surface_is_the_serial_engines(self):
+        import repro.perf
+
+        assert sorted(repro.perf.__all__) == [
+            "BatchReport",
+            "BatchViolationEngine",
+            "CompiledColumn",
+            "CompiledPopulation",
+            "MutableBatchEngine",
+            "MutableCompiledPopulation",
+            "RANK_AXES",
+            "assemble_report",
+            "batch_assess_expansion",
+            "changed_column_keys",
+            "column_contribution",
+            "policy_columns",
+            "policy_fingerprint",
+            "row_contribution",
+            "sum_column_arrays",
+        ]
 
     def test_every_public_item_documented(self):
         """Every object exported at the top level carries a docstring."""
