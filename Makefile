@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos delta-parity obs bench bench-smoke bench-tables examples lint lint-policy lint-populations all
+.PHONY: install test chaos delta-parity obs perfbench-check bench bench-smoke bench-tables examples lint lint-policy lint-populations all
 
 install:
 	$(PYTHON) setup.py develop
@@ -40,6 +40,13 @@ delta-parity:
 # counters under an injected chaos plan).
 obs:
 	REPRO_TEST_TIMEOUT=60 $(PYTHON) -m pytest -q tests/obs
+
+# The repository benchmark's own tests and its inputs check: generation
+# and widening must still give the seeded inputs perfbench/workloads.py
+# pins.  What CI's perfbench job runs.
+perfbench-check:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
+	PYTHONPATH=src $(PYTHON) -c "import sys; sys.path.insert(0, 'perfbench'); import workloads; p = workloads.check_inputs(); print(p or 'inputs digest ok'); sys.exit(bool(p))"
 
 # Full benchmark run; machine-readable timings (including the sweep
 # speedup of the batch engine vs the reference engine, of column-delta

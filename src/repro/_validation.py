@@ -42,21 +42,31 @@ def check_int(value: object, name: str, *, minimum: int | None = None) -> int:
     """Return *value* as ``int`` if integral and >= *minimum* (when given).
 
     Booleans are rejected: ``True`` silently behaving as a privacy level of 1
-    has bitten real policy documents, so we treat it as a type error.
+    has bitten real policy documents, so we treat it as a type error.  An
+    exact ``int`` skips the ``numbers`` ABC check (the common, hot case).
     """
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if type(value) is int:
+        result = value
+    elif isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    result = int(value)
+    else:
+        result = int(value)
     if minimum is not None and result < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {result}")
     return result
 
 
 def check_real(value: object, name: str, *, minimum: float | None = None) -> float:
-    """Return *value* as ``float`` if real-valued and >= *minimum* (when given)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+    """Return *value* as ``float`` if real-valued and >= *minimum* (when given).
+
+    An exact ``float`` skips the ``numbers`` ABC check (the common, hot case).
+    """
+    if type(value) is float:
+        result = value
+    elif isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    result = float(value)
+    else:
+        result = float(value)
     if result != result:  # NaN
         raise ValidationError(f"{name} must not be NaN")
     if minimum is not None and result < minimum:

@@ -39,8 +39,9 @@ class PrivacyTuple:
 
     def __post_init__(self) -> None:
         check_non_empty_str(self.purpose, "purpose")
-        for dim in ORDERED_DIMENSIONS:
-            check_int(getattr(self, dim.value), dim.value, minimum=0)
+        check_int(self.visibility, "visibility", minimum=0)
+        check_int(self.granularity, "granularity", minimum=0)
+        check_int(self.retention, "retention", minimum=0)
 
     def value(self, dimension: Dimension) -> int | str:
         """The paper's ``p[dim]``: this tuple's value along *dimension*."""

@@ -159,10 +159,10 @@ class MutableCompiledPopulation:
     def _adopt(self, compiled: CompiledPopulation) -> None:
         """Take ownership of a fresh compilation's state.
 
-        The list-backed stores are rebuilt with the same walk the
-        compiler performs, so entry order — and therefore every
-        accumulation order downstream — matches the adopted compilation
-        exactly.
+        The compilation is built for this store alone and dropped after,
+        so the store takes over its entry grouping and mutates it in
+        place: the list-backed stores keep the compiler's entry order,
+        and with it every accumulation order downstream.
         """
         population = compiled.population
         self._providers: list[Provider] = list(population.providers)
@@ -173,35 +173,16 @@ class MutableCompiledPopulation:
         }
         self._thresholds = compiled.thresholds.copy()
         self._strict = compiled.strict
-        explicit_rows: dict[
-            tuple[str, str], tuple[list[int], list[tuple[int, int, int]]]
-        ] = {}
-        explicit_providers: dict[tuple[str, str], set[int]] = {}
-        provided: dict[str, list[int]] = {}
-        for row, provider in enumerate(population):
-            preferences = provider.preferences
-            for attribute in preferences.attributes_provided:
-                provided.setdefault(attribute, []).append(row)
-            for entry in preferences.entries:
-                key = (entry.attribute, entry.purpose)
-                rows_list, ranks_list = explicit_rows.setdefault(key, ([], []))
-                rows_list.append(row)
-                ranks_list.append(
-                    (
-                        entry.tuple.visibility,
-                        entry.tuple.granularity,
-                        entry.tuple.retention,
-                    )
-                )
-                explicit_providers.setdefault(key, set()).add(row)
-        self._explicit_rows = explicit_rows
-        self._explicit_providers = explicit_providers
-        self._provided = provided
+        self._explicit_rows = compiled._explicit_rows
+        self._explicit_providers = compiled._explicit_providers
+        self._provided = {
+            attribute: rows.tolist() for attribute, rows in compiled._provided.items()
+        }
         self._alive = np.ones(len(self._ids_list), dtype=bool)
         self._dead = 0
         self._weights: dict[str, np.ndarray] = {}
         self._columns: dict[tuple[str, str], CompiledColumn] = {}
-        self._provided_arrays: dict[str, np.ndarray] = {}
+        self._provided_arrays: dict[str, np.ndarray] = dict(compiled._provided)
         self._ids_tuple: tuple[Hashable, ...] | None = compiled.ids
         self._segments_tuple: tuple[str | None, ...] | None = compiled.segments
         self._population_view: Population | None = population

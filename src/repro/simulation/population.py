@@ -31,8 +31,9 @@ from ..core.tuples import PrivacyTuple
 from ..exceptions import SimulationError
 from ..taxonomy.builder import Taxonomy
 from .sampling import (
+    check_range,
+    preference_ceilings,
     sample_dimension_sensitivity,
-    sample_preference_tuple,
     sample_threshold,
 )
 
@@ -57,7 +58,9 @@ class WestinSegment:
     dimension_sensitivity:
         Bounds for each dimension weight ``s[dim]``.
     threshold:
-        Bounds for the default tolerance ``v_i``.
+        Bounds for the default tolerance ``v_i``.  Each of these three
+        ranges must be finite with ``0 <= lo <= hi``; that is checked
+        here, so a segment no provider is drawn from is held to it too.
     headroom:
         Inclusive bounds (in ranks) of how far *above* an anchor policy's
         rank this segment's preferences sit.  Providers currently in the
@@ -85,6 +88,9 @@ class WestinSegment:
         lo, hi = self.headroom
         check_int(lo, "headroom low", minimum=0)
         check_int(hi, "headroom high", minimum=lo)
+        check_range(self.value_sensitivity, "value_range")
+        check_range(self.dimension_sensitivity, "weight_range")
+        check_range(self.threshold, "threshold_range")
 
 
 def standard_segments() -> tuple[WestinSegment, ...]:
@@ -197,38 +203,38 @@ def generate_population(spec: PopulationSpec) -> Population:
     quota allocation (largest-remainder) followed by a seeded shuffle, so
     the realised segment mix matches the spec's fractions as closely as
     integer counts allow — a property the tests assert.
+
+    Per provider and attribute, one broadcast ``rng.integers`` call draws
+    the attribute's ranks (see :func:`_draw_plan`) and one
+    ``rng.random(4)`` call its sensitivity; one ``rng.random()`` draws the
+    threshold.  These consume the generator exactly as one scalar call
+    per value would, so a seed gives the same population byte for byte.
+    Batching stops at the attribute because PCG64 keeps the spare 32-bit
+    half of a word for the next integer draw, across the doubles drawn in
+    between.  Equal tuples are built (and validated) once per call and
+    shared: they are immutable.
     """
     rng = np.random.default_rng(spec.seed)
     segment_of = _allocate_segments(rng, spec)
     purposes = spec.effective_purposes()
     anchor = _anchor_ranks(spec.anchor_policy)
+    plans = [
+        _draw_plan(spec, segment, purposes, anchor) for segment in spec.segments
+    ]
+    shared: dict[tuple[str, int, int, int], PrivacyTuple] = {}
     providers: list[Provider] = []
-    for index in range(spec.n_providers):
-        segment = segment_of[index]
+    for index, segment_index in enumerate(segment_of):
+        segment = spec.segments[segment_index]
         provider_id = f"{spec.id_prefix}{index}"
         entries = []
         sensitivity: dict[str, DimensionSensitivity] = {}
-        for attribute in spec.attributes:
-            for purpose in purposes:
-                base = anchor.get((attribute, purpose))
-                if base is not None:
-                    entries.append(
-                        (
-                            attribute,
-                            _anchored_preference(
-                                rng, spec.taxonomy, purpose, base, segment
-                            ),
-                        )
-                    )
-                else:
-                    entries.append(
-                        (
-                            attribute,
-                            sample_preference_tuple(
-                                rng, spec.taxonomy, purpose, segment.tightness
-                            ),
-                        )
-                    )
+        for attribute, lows, highs, caps in plans[segment_index]:
+            ranks = np.minimum(rng.integers(lows, highs), caps).tolist()
+            for key in zip(purposes, ranks[0::3], ranks[1::3], ranks[2::3]):
+                privacy_tuple = shared.get(key)
+                if privacy_tuple is None:
+                    privacy_tuple = shared[key] = PrivacyTuple(*key)
+                entries.append((attribute, privacy_tuple))
             sensitivity[attribute] = sample_dimension_sensitivity(
                 rng, segment.value_sensitivity, segment.dimension_sensitivity
             )
@@ -241,6 +247,60 @@ def generate_population(spec: PopulationSpec) -> Population:
             )
         )
     return Population(providers, attribute_sensitivities=dict(spec.attributes))
+
+
+#: The cap of a rank whose ladder has no top (:class:`UnboundedRetention`).
+_NO_CAP = np.iinfo(np.int64).max
+
+
+def _draw_plan(
+    spec: PopulationSpec,
+    segment: WestinSegment,
+    purposes: Sequence[str],
+    anchor: Mapping[tuple[str, str], Mapping[Dimension, int]],
+) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """One segment's ``(attribute, lows, highs, caps)`` per attribute.
+
+    The vectors run over the attribute's 3·|purposes| ranks, purpose by
+    purpose and V, G, R within each, and a rank is
+    ``min(integers(low, high), cap)``:
+
+    * a pair the anchor covers is its anchor rank plus a headroom in
+      ``[lo, hi]``, capped at the ladder top (uncapped on an
+      :class:`~repro.core.dimensions.UnboundedRetention` ladder); the
+      anchor rank shifts both bounds, which draws what adding it after
+      the draw would;
+    * any other pair is drawn in ``[0, ceiling]``, the ceiling from
+      :func:`~repro.simulation.sampling.preference_ceilings`.
+    """
+    tops = [spec.taxonomy.domain(dim).max_rank for dim in ORDERED_DIMENSIONS]
+    ceilings = preference_ceilings(spec.taxonomy, segment.tightness)
+    headroom_lo, headroom_hi = segment.headroom
+    plan = []
+    for attribute in spec.attributes:
+        lows: list[int] = []
+        highs: list[int] = []
+        caps: list[int] = []
+        for purpose in purposes:
+            base = anchor.get((attribute, purpose))
+            for dim, top, ceiling in zip(ORDERED_DIMENSIONS, tops, ceilings):
+                if base is None:
+                    lows.append(0)
+                    highs.append(ceiling + 1)
+                    caps.append(ceiling)
+                else:
+                    lows.append(base[dim] + headroom_lo)
+                    highs.append(base[dim] + headroom_hi + 1)
+                    caps.append(_NO_CAP if top is None else top)
+        plan.append(
+            (
+                attribute,
+                np.array(lows, dtype=np.int64),
+                np.array(highs, dtype=np.int64),
+                np.array(caps, dtype=np.int64),
+            )
+        )
+    return plan
 
 
 def _anchor_ranks(
@@ -258,26 +318,8 @@ def _anchor_ranks(
     return ranks
 
 
-def _anchored_preference(
-    rng: np.random.Generator,
-    taxonomy: Taxonomy,
-    purpose: str,
-    base: Mapping[Dimension, int],
-    segment: WestinSegment,
-) -> "PrivacyTuple":
-    """A preference dominating the anchor ranks by a per-dimension headroom draw."""
-    lo, hi = segment.headroom
-    ranks: dict[str, int] = {}
-    for dim in ORDERED_DIMENSIONS:
-        headroom = int(rng.integers(lo, hi + 1))
-        ranks[dim.value] = taxonomy.domain(dim).clamp(base[dim] + headroom)
-    return PrivacyTuple(purpose=purpose, **ranks)
-
-
-def _allocate_segments(
-    rng: np.random.Generator, spec: PopulationSpec
-) -> list[WestinSegment]:
-    """Exact largest-remainder quota allocation of providers to segments."""
+def _allocate_segments(rng: np.random.Generator, spec: PopulationSpec) -> list[int]:
+    """Exact largest-remainder quota allocation: each provider's segment index."""
     n = spec.n_providers
     quotas = [segment.fraction * n for segment in spec.segments]
     counts = [int(q) for q in quotas]
@@ -289,8 +331,8 @@ def _allocate_segments(
     )
     for i in by_fraction[:remainder]:
         counts[i] += 1
-    assignment: list[WestinSegment] = []
-    for segment, count in zip(spec.segments, counts):
-        assignment.extend([segment] * count)
-    rng.shuffle(assignment)  # type: ignore[arg-type]
+    assignment: list[int] = []
+    for segment_index, count in enumerate(counts):
+        assignment.extend([segment_index] * count)
+    rng.shuffle(assignment)
     return assignment

@@ -13,6 +13,8 @@ one population segment's *disposition*:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .._validation import check_real
@@ -30,6 +32,28 @@ def _max_rank(taxonomy: Taxonomy, dimension: Dimension, fallback: int = 6) -> in
     return fallback if top is None else top
 
 
+def preference_ceilings(taxonomy: Taxonomy, tightness: float) -> list[int]:
+    """Per ordered dimension (V, G, R), the top rank a preference of this
+    *tightness* is drawn up to: ``round((1 - tightness) * max_rank)``."""
+    return [
+        int(round((1.0 - tightness) * _max_rank(taxonomy, dimension)))
+        for dimension in ORDERED_DIMENSIONS
+    ]
+
+
+def check_range(bounds: tuple[float, float], name: str) -> tuple[float, float]:
+    """Return sampling *bounds* as floats if finite with ``0 <= lo <= hi``.
+
+    Finite bounds make ``lo + (hi - lo) * rng.random()`` equal
+    ``rng.uniform(lo, hi)`` bit for bit, which is how every uniform
+    value here is drawn.
+    """
+    lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi or lo < 0:
+        raise SimulationError(f"invalid {name} {bounds!r}")
+    return float(lo), float(hi)
+
+
 def sample_preference_tuple(
     rng: np.random.Generator,
     taxonomy: Taxonomy,
@@ -40,17 +64,15 @@ def sample_preference_tuple(
 
     Each ordered rank is uniform on ``[0, ceiling]`` where
     ``ceiling = round((1 - tightness) * max_rank)``: tight segments cluster
-    near "reveal nothing", loose segments roam the whole ladder.
+    near "reveal nothing", loose segments roam the whole ladder.  The
+    three ranks come from one broadcast draw, V first.
     """
     tightness = check_real(tightness, "tightness", minimum=0.0)
     if tightness > 1.0:
         raise SimulationError(f"tightness must be <= 1, got {tightness}")
-    ranks: dict[str, int] = {}
-    for dimension in ORDERED_DIMENSIONS:
-        top = _max_rank(taxonomy, dimension)
-        ceiling = int(round((1.0 - tightness) * top))
-        ranks[dimension.value] = int(rng.integers(0, ceiling + 1))
-    return PrivacyTuple(purpose=purpose, **ranks)
+    highs = [ceiling + 1 for ceiling in preference_ceilings(taxonomy, tightness)]
+    visibility, granularity, retention = rng.integers(0, highs).tolist()
+    return PrivacyTuple(purpose, visibility, granularity, retention)
 
 
 def sample_dimension_sensitivity(
@@ -61,19 +83,17 @@ def sample_dimension_sensitivity(
     """Draw one per-datum sensitivity record (Eq. 11).
 
     ``value_range`` bounds the data-value sensitivity ``s``;
-    ``weight_range`` bounds each of the three dimension weights.
+    ``weight_range`` bounds each of the three dimension weights.  The four
+    values come from one draw of four doubles, ``s`` first.
     """
-    lo, hi = value_range
-    if lo > hi or lo < 0:
-        raise SimulationError(f"invalid value_range {value_range!r}")
-    wlo, whi = weight_range
-    if wlo > whi or wlo < 0:
-        raise SimulationError(f"invalid weight_range {weight_range!r}")
+    lo, hi = check_range(value_range, "value_range")
+    wlo, whi = check_range(weight_range, "weight_range")
+    value, visibility, granularity, retention = rng.random(4).tolist()
     return DimensionSensitivity(
-        value=float(rng.uniform(lo, hi)),
-        visibility=float(rng.uniform(wlo, whi)),
-        granularity=float(rng.uniform(wlo, whi)),
-        retention=float(rng.uniform(wlo, whi)),
+        value=lo + (hi - lo) * value,
+        visibility=wlo + (whi - wlo) * visibility,
+        granularity=wlo + (whi - wlo) * granularity,
+        retention=wlo + (whi - wlo) * retention,
     )
 
 
@@ -81,7 +101,5 @@ def sample_threshold(
     rng: np.random.Generator, threshold_range: tuple[float, float]
 ) -> float:
     """Draw one default tolerance ``v_i`` uniformly within bounds."""
-    lo, hi = threshold_range
-    if lo > hi or lo < 0:
-        raise SimulationError(f"invalid threshold_range {threshold_range!r}")
-    return float(rng.uniform(lo, hi))
+    lo, hi = check_range(threshold_range, "threshold_range")
+    return lo + (hi - lo) * rng.random()

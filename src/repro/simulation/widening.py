@@ -93,6 +93,11 @@ def widen(
         obs.inc("widening.applications")
     attribute_filter = None if attributes is None else set(attributes)
     purpose_filter = None if purposes is None else set(purposes)
+    moves = [
+        (dimension.value, taxonomy.domain(dimension), delta)
+        for dimension, delta in step.deltas.items()
+        if delta
+    ]
     new_entries: list[PolicyEntry] = []
     for entry in policy:
         in_scope = (
@@ -102,14 +107,11 @@ def widen(
         if not in_scope:
             new_entries.append(entry)
             continue
-        new_tuple = entry.tuple
-        for dimension, delta in step.deltas.items():
-            if not delta:
-                continue
-            domain = taxonomy.domain(dimension)
-            moved = domain.clamp(new_tuple.rank(dimension) + delta)
-            new_tuple = new_tuple.replace(**{dimension.value: moved})
-        new_entries.append(PolicyEntry(entry.attribute, new_tuple))
+        ranks = {
+            axis: domain.clamp(getattr(entry.tuple, axis) + delta)
+            for axis, domain, delta in moves
+        }
+        new_entries.append(PolicyEntry(entry.attribute, entry.tuple.replace(**ranks)))
     return HousePolicy(
         new_entries,
         name=name if name is not None else f"{policy.name}+step",

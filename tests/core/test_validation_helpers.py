@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from repro._validation import (
@@ -57,9 +60,20 @@ class TestCheckInt:
         assert check_int(5, "x") == 5
 
     def test_accepts_numpy_integers(self):
-        import numpy as np
-
         assert check_int(np.int64(5), "x") == 5
+
+    def test_exact_int_returned_unchanged(self):
+        value = 10**30
+        assert check_int(value, "x") is value
+        assert check_int(value, "x", minimum=0) is value
+
+    def test_numpy_integer_returned_as_int(self):
+        result = check_int(np.int64(7), "x", minimum=7)
+        assert type(result) is int and result == 7
+
+    def test_rejects_numpy_bool(self):
+        with pytest.raises(ValidationError):
+            check_int(np.bool_(True), "x")
 
     def test_rejects_bool(self):
         with pytest.raises(ValidationError):
@@ -84,9 +98,27 @@ class TestCheckReal:
         with pytest.raises(ValidationError):
             check_real(True, "x")
 
+    def test_rejects_numpy_bool(self):
+        with pytest.raises(ValidationError):
+            check_real(np.bool_(False), "x")
+
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             check_real(float("nan"), "x")
+
+    def test_rejects_numpy_nan(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            check_real(np.float64("nan"), "x")
+
+    def test_exact_float_returned_unchanged(self):
+        value = 0.1 + 0.2
+        assert check_real(value, "x") is value
+        assert check_real(value, "x", minimum=0.0) is value
+
+    def test_accepts_numpy_float_and_fraction(self):
+        result = check_real(np.float64(2.5), "x", minimum=2.5)
+        assert type(result) is float and result == 2.5
+        assert check_real(Fraction(1, 4), "x") == 0.25
 
     def test_minimum(self):
         with pytest.raises(ValidationError):
