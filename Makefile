@@ -19,11 +19,13 @@ chaos:
 		tests/storage/test_hardening.py \
 		tests/cli/test_cli_errors.py
 
-# The incremental-engine suite CI runs in the delta-parity job:
-# randomized mutation sequences bit-for-bit against fresh compiles,
-# the exactly-one-compile churn regression, the shared column diff and
-# chained-delta exactness, the mutation-epoch resume contract, and a
-# smoke-size run of the delta dynamics bench.
+# The population-churn suite CI runs in the delta-parity job: the one
+# batch engine's remove/append/update (BatchViolationEngine over an
+# in-place CompiledPopulation) in randomized mutation sequences
+# bit-for-bit against fresh compiles, the exactly-one-compile churn
+# regression, the shared column diff and chained-delta exactness, the
+# mutation-epoch resume contract, and a smoke-size run of the delta
+# dynamics bench.
 delta-parity:
 	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
 		tests/properties/test_mutation_parity.py \
@@ -41,12 +43,15 @@ delta-parity:
 obs:
 	REPRO_TEST_TIMEOUT=60 $(PYTHON) -m pytest -q tests/obs
 
-# The repository benchmark's own tests and its inputs check: generation
+# The repository benchmark's own tests, its inputs check (generation
 # and widening must still give the seeded inputs perfbench/workloads.py
-# pins.  What CI's perfbench job runs.
+# pins), and its output checks: every workload at 100 ops, untraced and
+# traced, must report correct=true and failed=0 on the JSON line it
+# prints last.  What CI's perfbench job runs.
 perfbench-check:
 	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
 	PYTHONPATH=src $(PYTHON) -c "import sys; sys.path.insert(0, 'perfbench'); import workloads; p = workloads.check_inputs(); print(p or 'inputs digest ok'); sys.exit(bool(p))"
+	$(PYTHON) perfbench/run.py --seconds 1 --trace 1 | tail -n 1 | $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('perfbench correct=%s failed=%s' % (r['correct'], r['failed'])); sys.exit(not (r['correct'] is True and r['failed'] == 0))"
 
 # Full benchmark run; machine-readable timings (including the sweep
 # speedup of the batch engine vs the reference engine, of column-delta

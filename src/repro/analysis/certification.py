@@ -89,36 +89,27 @@ def batch_certification_document(
 ) -> CertificationDocument:
     """Produce the publishable document from a batch engine.
 
-    Accepts anything with the batch evaluation surface — the
-    :class:`~repro.perf.batch.BatchViolationEngine` or the
-    :class:`~repro.perf.delta.MutableBatchEngine` — both cache per-policy
-    reports, so certifying several candidate policies against one
-    compiled population reuses each evaluation; the certificate and the
-    contextual metrics come from the same cached report, keeping them
-    consistent by construction (the same guarantee
-    :meth:`~repro.core.engine.ViolationEngine.certify` makes).
+    The engine caches per-policy reports, so certifying several
+    candidate policies against one compiled population reuses each
+    evaluation; the certificate and the contextual metrics come from the
+    same cached report, keeping them consistent by construction (the
+    same guarantee :meth:`~repro.core.engine.ViolationEngine.certify`
+    makes).
 
     With ``static=True`` nothing is evaluated: the certificate comes
     from the engine's static path (``certify(..., static=True)``) and
     the contextual metrics from the same provider-exact severity
-    intervals (:mod:`repro.lint.intervals`), which determine
-    ``P(Default)`` and Eq. 16's total exactly.  The verdict is identical
-    to the evaluated document's; the floating-point metrics are computed
-    by the static summation order.
+    intervals (:meth:`~repro.perf.batch.BatchViolationEngine.static_intervals`,
+    computed once and cached), which determine ``P(Default)`` and
+    Eq. 16's total exactly.  The verdict is identical to the evaluated
+    document's; the floating-point metrics are computed by the static
+    summation order.
     """
     if static:
-        from ..lint.intervals import interval_analysis
-
-        intervals = interval_analysis(
-            policy,
-            engine.compiled.population,
-            sensitivities=engine.compiled.sensitivities,
-            default_model=engine.compiled.default_model,
-            implicit_zero=engine.implicit_zero,
-            weight_bounds="provider",
-        )
+        certificate = engine.certify(policy, alpha, static=True)
+        intervals = engine.static_intervals(policy)
         return CertificationDocument(
-            certificate=engine.certify(policy, alpha, static=True),
+            certificate=certificate,
             default_probability=intervals.default_probability_bounds().lower,
             total_violations=intervals.house.lower,
         )

@@ -196,10 +196,10 @@ class Population:
     def extended(self, providers: Iterable[Provider]) -> "Population":
         """A new population with the given providers appended at the end.
 
-        The incremental engine's ``append`` mutation produces exactly
-        this population's compiled form: survivors first, in order, new
-        providers after them.  Duplicate ids are rejected by the
-        constructor.
+        :meth:`repro.perf.batch.BatchViolationEngine.append` produces
+        exactly this population's compiled form: survivors first, in
+        order, new providers after them.  Duplicate ids are rejected by
+        the constructor.
         """
         return Population(
             (*self._providers, *providers), self._attribute_sensitivities
@@ -209,8 +209,9 @@ class Population:
         """A new population with the given providers replaced in place.
 
         Each provider substitutes the existing one with the same id —
-        order is preserved, which is what keeps the incremental engine's
-        ``update`` mutation bit-for-bit against a fresh compile.
+        order is preserved, which is what keeps
+        :meth:`repro.perf.batch.BatchViolationEngine.update` bit-for-bit
+        against a fresh compile.
         """
         replacements = {}
         for provider in providers:

@@ -27,7 +27,7 @@ from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..exceptions import GameError
 from ..obs import active_observer
-from ..perf import MutableBatchEngine
+from ..perf import BatchViolationEngine
 from ..simulation.widening import policy_delta_columns, widen
 from ..taxonomy.builder import Taxonomy
 from .players import HouseStrategy
@@ -101,7 +101,6 @@ def play_widening_game(
     check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
     check_real(extra_utility_per_round, "extra_utility_per_round", minimum=0.0)
     rounds: list[GameRound] = []
-    current_population = population
     current_policy = HousePolicy(
         base_policy.entries, name=f"{base_policy.name}@g0"
     )
@@ -111,12 +110,13 @@ def play_widening_game(
     # the single compilation survives every round.  Strategies that
     # revisit a policy (or widen within a single column) hit the batch
     # engine's cache and delta paths.
-    engine = MutableBatchEngine(current_population, implicit_zero=implicit_zero)
+    engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+    n_remaining = len(population)
     try:
-        while len(current_population) > 0:
+        while n_remaining > 0:
             report = engine.evaluate(current_policy)
             defaulted = report.defaulted_ids()
-            n_start = len(current_population)
+            n_start = report.n_providers
             n_remaining = n_start - len(defaulted)
             utility = n_remaining * (
                 per_provider_utility + extra_utility_per_round * round_index
@@ -134,7 +134,6 @@ def play_widening_game(
                 )
             )
             if defaulted:
-                current_population = current_population.without(defaulted)
                 engine.remove(defaulted)
             next_step = strategy.propose(rounds)
             if next_step is None:

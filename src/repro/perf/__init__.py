@@ -6,25 +6,24 @@ evaluates one policy over one population with a per-provider Python loop
 path.  This package is the production path:
 
 * :class:`~repro.perf.compiled.CompiledPopulation` — a one-time
-  compilation of a population (plus its sensitivity and default models)
-  into dense NumPy arrays;
+  compilation of a population (plus any sensitivity and default model
+  overrides) into dense NumPy arrays, which also takes population churn
+  in place: removals tombstone rows, appends and updates touch only
+  their own rows;
 * :class:`~repro.perf.batch.BatchViolationEngine` — vectorized
   Definition 1 / Eqs. 12-16 / Definitions 2-5 over those arrays, with
-  policy fingerprinting, report caching, and incremental re-evaluation
-  of single-rule policy deltas;
+  policy fingerprinting, report caching, incremental re-evaluation of
+  single-rule policy deltas, and ``remove`` / ``append`` / ``update``,
+  so one engine survives a whole dynamics, equilibrium, or widening run;
 * :func:`~repro.perf.sweep.batch_assess_expansion` — Section 9 economics
-  read directly off a batch report;
-* :class:`~repro.perf.delta.MutableBatchEngine` — the batch engine over
-  a :class:`~repro.perf.delta.MutableCompiledPopulation`: population
-  churn (remove / append / update) mutates the compilation in place
-  instead of rebuilding it, so one engine survives a whole dynamics,
-  equilibrium, or widening run.
+  read directly off a batch report.
 
 Evaluation is serial: a house's Eq. 16 total is a sum of independent
 per-provider terms that the batch engine already computes in a few
 milliseconds per policy at 100k providers.  The batch engine matches the
 reference engine exactly (see ``tests/properties/test_batch_parity.py``),
-and the mutable engine matches a fresh compile bit-for-bit
+and after any mutation sequence it matches a fresh compile of the
+providers still present bit-for-bit
 (``tests/properties/test_mutation_parity.py``); ``docs/performance.md``
 describes the compile/evaluate/sweep lifecycle and when to prefer which
 engine.
@@ -42,7 +41,6 @@ from .batch import (
     sum_column_arrays,
 )
 from .compiled import CompiledColumn, CompiledPopulation, RANK_AXES
-from .delta import MutableBatchEngine, MutableCompiledPopulation
 from .sweep import batch_assess_expansion
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "BatchViolationEngine",
     "CompiledColumn",
     "CompiledPopulation",
-    "MutableBatchEngine",
-    "MutableCompiledPopulation",
     "RANK_AXES",
     "assemble_report",
     "batch_assess_expansion",

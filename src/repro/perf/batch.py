@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Hashable, Iterable, Mapping, Protocol, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,11 +44,11 @@ from ..obs import active_observer
 from ..core.default import DefaultModel
 from ..core.engine import ViolationEngine
 from ..core.policy import HousePolicy
-from ..core.population import Population
+from ..core.population import Population, Provider
 from ..core.ppdb import PPDBCertificate
 from ..core.sensitivity import SensitivityModel
 from ..exceptions import UnknownProviderError, ValidationError
-from .compiled import CompiledColumn, CompiledPopulation
+from .compiled import CompiledPopulation
 
 #: A policy fingerprint: the entry set rendered as plain tuples.
 PolicyFingerprint = frozenset[tuple[str, str, int, int, int]]
@@ -127,33 +127,8 @@ def changed_column_keys(
     )
 
 
-class CompiledLike(Protocol):
-    """What the batch kernels need from a compiled population.
-
-    :class:`~repro.perf.compiled.CompiledPopulation` is the canonical
-    implementation; :class:`~repro.perf.delta.MutableCompiledPopulation`
-    implements the same surface over its churn-capable stores.
-    """
-
-    def __len__(self) -> int: ...
-
-    def column(self, attribute: str, purpose: str) -> CompiledColumn: ...
-
-    @property
-    def ids(self) -> tuple[Hashable, ...]: ...
-
-    @property
-    def segments(self) -> tuple[str | None, ...]: ...
-
-    @property
-    def thresholds(self) -> np.ndarray: ...
-
-    @property
-    def strict(self) -> bool: ...
-
-
 def column_contribution(
-    compiled: CompiledLike,
+    compiled: CompiledPopulation,
     key: tuple[str, str],
     entries: _ColumnEntries,
     *,
@@ -217,7 +192,7 @@ def sum_column_arrays(
 
 
 def row_contribution(
-    compiled: CompiledLike,
+    compiled: CompiledPopulation,
     key: tuple[str, str],
     entries: _ColumnEntries,
     rows: np.ndarray,
@@ -232,9 +207,9 @@ def row_contribution(
     full kernel would put at ``rows[i]``: the per-entry accumulation
     runs in the same order over the same selected preference rows, so
     patching a cached total with these values is bit-for-bit identical
-    to a fresh full evaluation.  The incremental engine
-    (:mod:`repro.perf.delta`) uses this to re-score only the providers
-    an in-place mutation touched.
+    to a fresh full evaluation.  :meth:`BatchViolationEngine.append`
+    and :meth:`~BatchViolationEngine.update` use this to re-score only
+    the providers they touched.
     """
     column = compiled.column(*key)
     k = int(rows.shape[0])
@@ -283,8 +258,8 @@ def assemble_report(
 ) -> BatchReport:
     """A :class:`BatchReport` from raw severity/count arrays.
 
-    The single place the aggregate arithmetic lives: the batch engine
-    and the mutable engine's alive-row reports both build their reports
+    The single place the aggregate arithmetic lives: every report the
+    batch engine hands out, tombstoned rows left out or not, is built
     here, so every evaluation path derives ``P(W)``, ``P(Default)``, and
     the Eq. 16 total identically.
     """
@@ -380,12 +355,11 @@ class BatchReport:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """Cached per-policy arrays: severity and finding counts per provider.
+    """Cached per-policy arrays: severity and finding counts per row.
 
     ``columns`` records the policy's column decomposition at evaluation
-    time so :meth:`BatchViolationEngine.rescore_rows` can re-derive any
-    provider's totals for this policy after an in-place population
-    mutation without re-fingerprinting the policy.
+    time so an append or update can re-derive any row's totals for this
+    policy without re-fingerprinting the policy.
     """
 
     violations: np.ndarray  # (N,) float64
@@ -393,17 +367,27 @@ class _Evaluation:
     columns: dict[tuple[str, str], _ColumnEntries]
 
 
+#: Tombstoned fraction of the rows above which :meth:`BatchViolationEngine.remove`
+#: compacts: the survivors are compiled afresh and the caches start over.
+COMPACT_THRESHOLD = 0.5
+
+
 class BatchViolationEngine:
     """Vectorized multi-policy evaluation over one compiled population.
+
+    The engine also takes population churn — :meth:`remove`,
+    :meth:`append`, :meth:`update` — without recompiling, so one engine
+    serves a whole dynamics or widening-game run.  After any sequence of
+    mutations every result equals that of a fresh engine over the
+    providers still present, bit for bit.
 
     Parameters
     ----------
     population:
         A :class:`~repro.core.population.Population` (compiled on the
-        spot), an existing :class:`CompiledPopulation` to share the
-        compilation across engines, or any other :class:`CompiledLike`
-        store (:class:`~repro.perf.delta.MutableBatchEngine` evaluates
-        its mutable compilation this way).
+        spot) or an existing :class:`CompiledPopulation`.  A mutation
+        changes the compilation the engine evaluates, so a compilation
+        is not to be shared with another engine once either mutates.
     sensitivities, default_model:
         Optional overrides, honoured exactly like the reference engine's.
         Only valid when *population* is not already compiled (a compiled
@@ -421,6 +405,7 @@ class BatchViolationEngine:
         "_compiled",
         "_implicit_zero",
         "_max_cached",
+        "_epoch",
         "_cache",
         "_base_fingerprint",
         "_base_columns",
@@ -430,23 +415,14 @@ class BatchViolationEngine:
 
     def __init__(
         self,
-        population: Population | CompiledLike,
+        population: Population | CompiledPopulation,
         *,
         sensitivities: SensitivityModel | None = None,
         default_model: DefaultModel | None = None,
         implicit_zero: bool = True,
         max_cached_reports: int = 128,
     ) -> None:
-        if isinstance(population, Population):
-            self._compiled = CompiledPopulation(
-                population,
-                sensitivities=sensitivities,
-                default_model=default_model,
-            )
-        elif all(
-            hasattr(population, attr)
-            for attr in ("column", "ids", "thresholds", "strict")
-        ):
+        if isinstance(population, CompiledPopulation):
             if sensitivities is not None or default_model is not None:
                 raise ValidationError(
                     "model overrides must be given when compiling, not when "
@@ -454,13 +430,19 @@ class BatchViolationEngine:
                 )
             self._compiled = population
         else:
-            raise ValidationError(
-                f"population must be a Population, got {type(population).__name__}"
+            self._compiled = CompiledPopulation(
+                population,
+                sensitivities=sensitivities,
+                default_model=default_model,
             )
         self._implicit_zero = bool(implicit_zero)
         if max_cached_reports < 1:
             raise ValidationError("max_cached_reports must be >= 1")
         self._max_cached = int(max_cached_reports)
+        self._epoch = 0
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
         self._cache: dict[PolicyFingerprint, _Evaluation] = {}
         # Delta-evaluation base: the most recent fully decomposed policy.
         self._base_fingerprint: PolicyFingerprint | None = None
@@ -476,13 +458,14 @@ class BatchViolationEngine:
     # ------------------------------------------------------------------
 
     @property
-    def compiled(self) -> CompiledLike:
+    def compiled(self) -> CompiledPopulation:
         """The compiled population this engine evaluates against."""
         return self._compiled
 
     @property
     def population(self) -> Population:
-        """The underlying population."""
+        """The providers still present (the given population until the
+        first mutation)."""
         return self._compiled.population
 
     @property
@@ -495,12 +478,23 @@ class BatchViolationEngine:
         """Number of memoised per-policy evaluations."""
         return len(self._cache)
 
+    @property
+    def epoch(self) -> int:
+        """Mutation counter, part of journal resume identity.
+
+        +1 for each non-empty :meth:`remove`, :meth:`append` or
+        :meth:`update`, and +1 more for each compaction.
+        """
+        return self._epoch
+
+    @property
+    def tombstones(self) -> int:
+        """Removed providers whose rows await compaction."""
+        return self._compiled.dead_count
+
     def evaluate(self, policy: HousePolicy) -> BatchReport:
         """The full :class:`BatchReport` for *policy* (cached by content)."""
-        if not isinstance(policy, HousePolicy):
-            raise ValidationError(
-                f"policy must be a HousePolicy, got {type(policy).__name__}"
-            )
+        _check_policy(policy)
         evaluation = self._evaluate(policy)
         return self._to_report(policy.name, evaluation)
 
@@ -510,27 +504,11 @@ class BatchViolationEngine:
         """Alias of :meth:`evaluate`."""
         return self.evaluate(policy)
 
-    def evaluate_arrays(self, policy: HousePolicy) -> tuple[np.ndarray, np.ndarray]:
-        """Raw per-provider ``(violations, counts)`` arrays for *policy*.
-
-        :class:`~repro.perf.delta.MutableBatchEngine` calls this instead
-        of :meth:`evaluate` once rows are tombstoned: it restricts the
-        capacity arrays to the alive rows and assembles its own report.
-        Served from the same cache and delta paths as :meth:`evaluate` —
-        the returned arrays may be cached state and must not be mutated.
-        """
-        if not isinstance(policy, HousePolicy):
-            raise ValidationError(
-                f"policy must be a HousePolicy, got {type(policy).__name__}"
-            )
-        evaluation = self._evaluate(policy)
-        return evaluation.violations, evaluation.counts
-
     def close(self) -> None:
         """Release resources.  A no-op: the engine holds only arrays.
 
-        Exists so the engine supports the context-manager protocol like
-        :class:`~repro.perf.delta.MutableBatchEngine`.
+        Exists so the engine supports the context-manager protocol and
+        the ``try``/``finally`` pattern of the round loops.
         """
 
     def __enter__(self) -> "BatchViolationEngine":
@@ -551,118 +529,30 @@ class BatchViolationEngine:
         """
         return [self.evaluate(policy) for policy in policies]
 
-    def rescore_rows(self, rows: Iterable[int]) -> tuple[int, int]:
-        """Re-score the given provider *rows* across every cached evaluation.
-
-        The incremental engine (:mod:`repro.perf.delta`) calls this after
-        an in-place population mutation: the compiled stores already
-        describe the new provider state, so each memoised evaluation's
-        totals for the affected rows are recomputed from the *current*
-        columns (:func:`row_contribution`) while every other provider's
-        totals are reused untouched.  Rows at or past the old array
-        length (appended providers) grow the cached arrays with zeros
-        before patching.  Per-column restricted contributions are
-        memoised by ``(column key, entry ranks)`` across all cached
-        evaluations, so overlapping policies (a widening path) pay each
-        column's gather once per mutation, not once per policy.
-
-        Cached arrays are **replaced, never mutated** — previously
-        returned :class:`BatchReport`\\ s alias them and keep their
-        pre-mutation values.  The static-interval cache is cleared: those
-        intervals were derived from the pre-mutation population.
-
-        Returns ``(rescored, reused)``: the number of
-        ``(provider, policy)`` pairs recomputed and carried over.
-        """
-        row_array = np.array(sorted({int(row) for row in rows}), dtype=np.int64)
-        self._interval_cache.clear()
-        if row_array.size == 0 or not self._cache:
-            return 0, 0
-        n = len(self._compiled)
-        if int(row_array[0]) < 0 or int(row_array[-1]) >= n:
-            raise ValidationError(
-                f"rescore rows must lie in [0, {n}), got "
-                f"[{int(row_array[0])}, {int(row_array[-1])}]"
-            )
-        memo: dict[
-            tuple[tuple[str, str], _ColumnEntries],
-            tuple[np.ndarray, np.ndarray],
-        ] = {}
-
-        def restricted(
-            key: tuple[str, str], entries: _ColumnEntries
-        ) -> tuple[np.ndarray, np.ndarray]:
-            token = (key, entries)
-            contribution = memo.get(token)
-            if contribution is None:
-                contribution = row_contribution(
-                    self._compiled,
-                    key,
-                    entries,
-                    row_array,
-                    implicit_zero=self._implicit_zero,
-                )
-                memo[token] = contribution
-            return contribution
-
-        def patched(array: np.ndarray, contribution: np.ndarray) -> np.ndarray:
-            grown = np.zeros(n, dtype=np.float64)
-            grown[: array.shape[0]] = array
-            grown[row_array] = contribution
-            return grown
-
-        rescored = 0
-        for fingerprint, evaluation in list(self._cache.items()):
-            patch_violations = np.zeros(row_array.shape[0], dtype=np.float64)
-            patch_counts = np.zeros(row_array.shape[0], dtype=np.float64)
-            # Same sorted order as sum_column_arrays, so the patched rows
-            # equal what a fresh full evaluation would put there.
-            for key in sorted(evaluation.columns):
-                contribution = restricted(key, evaluation.columns[key])
-                patch_violations += contribution[0]
-                patch_counts += contribution[1]
-            self._cache[fingerprint] = _Evaluation(
-                violations=patched(evaluation.violations, patch_violations),
-                counts=patched(evaluation.counts, patch_counts),
-                columns=evaluation.columns,
-            )
-            rescored += int(row_array.size)
-        base_arrays = {}
-        for key, (violations, counts) in self._base_column_arrays.items():
-            contribution = restricted(key, self._base_columns[key])
-            base_arrays[key] = (
-                patched(violations, contribution[0]),
-                patched(counts, contribution[1]),
-            )
-        self._base_column_arrays = base_arrays
-        reused = (n - int(row_array.size)) * len(self._cache)
-        return rescored, reused
-
     def static_intervals(self, policy: HousePolicy):
         """The lint layer's severity intervals for *policy* (cached).
 
-        Runs :func:`repro.lint.intervals.interval_analysis` over this
-        engine's population with the engine's own sensitivity/default
+        Runs :func:`repro.lint.intervals.interval_analysis` over the
+        providers still present with the engine's own sensitivity/default
         models and implicit-zero setting, in ``"provider"`` weight-bounds
         mode — the intervals are then point-exact per provider, which is
         what lets :meth:`certify` answer statically with a certificate
-        identical to the evaluated one.  Cached per policy fingerprint.
+        identical to the evaluated one.  Cached per policy fingerprint
+        until the next mutation.
         """
         from ..lint.intervals import interval_analysis
 
-        if not isinstance(policy, HousePolicy):
-            raise ValidationError(
-                f"policy must be a HousePolicy, got {type(policy).__name__}"
-            )
+        _check_policy(policy)
         fingerprint = policy_fingerprint(policy)
         cached = self._interval_cache.get(fingerprint)
         if cached is not None:
             return cached
+        compiled = self._compiled
         intervals = interval_analysis(
             policy,
-            self._compiled.population,
-            sensitivities=self._compiled.sensitivities,
-            default_model=self._compiled.default_model,
+            compiled.population,
+            sensitivities=compiled.sensitivities,
+            default_model=compiled.default_model,
             implicit_zero=self._implicit_zero,
             weight_bounds="provider",
         )
@@ -693,34 +583,18 @@ class BatchViolationEngine:
         identical to the evaluated one — a property the parity suite
         holds over randomized populations.  ``static`` and
         ``early_exit`` are mutually exclusive.
+
+        ``N`` counts the providers still present, so every path agrees
+        with a fresh engine over them.
         """
-        if static:
-            if early_exit:
-                raise ValidationError(
-                    "static certification never evaluates, so early_exit "
-                    "does not apply; pass one or the other"
-                )
-            alpha = check_probability(alpha, "alpha")
-            if len(self._compiled) == 0:
-                return PPDBCertificate(
-                    alpha=alpha,
-                    violation_probability=0.0,
-                    satisfied=True,
-                    n_providers=0,
-                    violated_providers=(),
-                    policy_name=policy.name,
-                )
-            certificate = self.static_intervals(policy).certificate(alpha)
-            obs = active_observer()
-            if obs is not None:
-                obs.inc("engine.batch.static_certifications")
-                obs.inc(
-                    "engine.batch.static_skipped_providers",
-                    len(self._compiled),
-                )
-            return certificate
+        _check_policy(policy)
+        if static and early_exit:
+            raise ValidationError(
+                "static certification never evaluates, so early_exit "
+                "does not apply; pass one or the other"
+            )
         alpha = check_probability(alpha, "alpha")
-        n = len(self._compiled)
+        n = self._compiled.alive_count
         if n == 0:
             return PPDBCertificate(
                 alpha=alpha,
@@ -730,17 +604,19 @@ class BatchViolationEngine:
                 violated_providers=(),
                 policy_name=policy.name,
             )
-        fingerprint = policy_fingerprint(policy)
-        if early_exit and fingerprint not in self._cache:
+        if static:
+            certificate = self.static_intervals(policy).certificate(alpha)
+            obs = active_observer()
+            if obs is not None:
+                obs.inc("engine.batch.static_certifications")
+                obs.inc("engine.batch.static_skipped_providers", n)
+            return certificate
+        if early_exit and policy_fingerprint(policy) not in self._cache:
             certificate = self._certify_early_exit(policy, alpha)
             if certificate is not None:
                 return certificate
-        evaluation = self._evaluate(policy)
-        violated = tuple(
-            pid
-            for pid, count in zip(self._compiled.ids, evaluation.counts)
-            if count > 0
-        )
+        counts = self._alive_array(self._evaluate(policy).counts)
+        violated = _violated_ids(self._compiled.alive_ids, counts)
         p_w = len(violated) / n
         return PPDBCertificate(
             alpha=alpha,
@@ -757,13 +633,152 @@ class BatchViolationEngine:
         Used by the parity suite and available for spot-checking a batch
         result against the slow-but-simple implementation.
         """
+        compiled = self._compiled
         return ViolationEngine(
             policy,
-            self._compiled.population,
-            sensitivities=self._compiled.sensitivities,
-            default_model=self._compiled.default_model,
+            compiled.population,
+            sensitivities=compiled.sensitivities,
+            default_model=compiled.default_model,
             implicit_zero=self._implicit_zero,
         )
+
+    # ------------------------------------------------------------------
+    # mutation
+    # ------------------------------------------------------------------
+
+    def remove(self, provider_ids: Iterable[Hashable]) -> None:
+        """Remove providers without recompiling.
+
+        Their rows are tombstoned.  No row moves and per-provider sums
+        are independent, so cached evaluations stay valid; reports leave
+        the tombstoned rows out when they are assembled.  Once more than
+        :data:`COMPACT_THRESHOLD` of the rows are tombstoned, the
+        survivors are compiled afresh and the caches start over.
+        """
+        ids = tuple(provider_ids)
+        if not ids:
+            return
+        compiled = self._compiled
+        rows = compiled.remove(ids)
+        self._mutated()
+        obs = active_observer()
+        if obs is not None:
+            obs.inc("delta.removals", int(rows.size))
+            obs.inc("delta.reused", compiled.alive_count)
+            obs.set_gauge("delta.tombstones", compiled.dead_count)
+            obs.set_gauge("delta.epoch", self._epoch)
+        if compiled.dead_count > COMPACT_THRESHOLD * len(compiled):
+            self._compiled = compiled.compacted()
+            self._reset_caches()
+            self._epoch += 1
+            if obs is not None:
+                obs.inc("delta.compactions")
+                obs.set_gauge("delta.tombstones", 0)
+                obs.set_gauge("delta.epoch", self._epoch)
+
+    def append(self, providers: Iterable[Provider]) -> None:
+        """Add providers after the last row; re-scores only their rows."""
+        added = tuple(providers)
+        if not added:
+            return
+        rows = self._compiled.append(added)
+        self._mutated()
+        obs = active_observer()
+        if obs is not None:
+            obs.inc("delta.appends", int(rows.size))
+        self._rescore_rows(rows)
+
+    def update(self, providers: Iterable[Provider]) -> None:
+        """Replace providers in place (matched by id); re-scores only
+        their rows."""
+        updates = tuple(providers)
+        if not updates:
+            return
+        rows = self._compiled.update(updates)
+        self._mutated()
+        obs = active_observer()
+        if obs is not None:
+            obs.inc("delta.updates", int(rows.size))
+        self._rescore_rows(rows)
+
+    def _mutated(self) -> None:
+        self._epoch += 1
+        # The intervals were derived from the providers present before.
+        self._interval_cache.clear()
+
+    def _rescore_rows(self, rows: np.ndarray) -> None:
+        """Re-score the sorted, distinct *rows* in every cached evaluation.
+
+        The compiled stores already describe the new provider state, so
+        each memoised evaluation's totals for *rows* are recomputed from
+        the *current* columns (:func:`row_contribution`) while every
+        other row's totals are reused untouched.  Rows past the old array
+        length (appended providers) grow the cached arrays first.
+        Restricted contributions are memoised by ``(column key, entry
+        ranks)``, so overlapping policies (a widening path) pay each
+        column's gather once per mutation, not once per policy.
+
+        Cached arrays are **replaced, never mutated** — previously
+        returned :class:`BatchReport`\\ s alias them and keep their
+        pre-mutation values.
+        """
+        n = len(self._compiled)
+        memo: dict[
+            tuple[tuple[str, str], _ColumnEntries],
+            tuple[np.ndarray, np.ndarray],
+        ] = {}
+
+        def restricted(
+            key: tuple[str, str], entries: _ColumnEntries
+        ) -> tuple[np.ndarray, np.ndarray]:
+            token = (key, entries)
+            contribution = memo.get(token)
+            if contribution is None:
+                contribution = row_contribution(
+                    self._compiled,
+                    key,
+                    entries,
+                    rows,
+                    implicit_zero=self._implicit_zero,
+                )
+                memo[token] = contribution
+            return contribution
+
+        def patched(array: np.ndarray, contribution: np.ndarray) -> np.ndarray:
+            grown = np.zeros(n, dtype=np.float64)
+            grown[: array.shape[0]] = array
+            grown[rows] = contribution
+            return grown
+
+        for fingerprint, evaluation in list(self._cache.items()):
+            patch_violations = np.zeros(rows.shape[0], dtype=np.float64)
+            patch_counts = np.zeros(rows.shape[0], dtype=np.float64)
+            # Same sorted order as sum_column_arrays, so the patched rows
+            # equal what a fresh full evaluation would put there.
+            for key in sorted(evaluation.columns):
+                contribution = restricted(key, evaluation.columns[key])
+                patch_violations += contribution[0]
+                patch_counts += contribution[1]
+            self._cache[fingerprint] = _Evaluation(
+                violations=patched(evaluation.violations, patch_violations),
+                counts=patched(evaluation.counts, patch_counts),
+                columns=evaluation.columns,
+            )
+        base_arrays = {}
+        for key, (violations, counts) in self._base_column_arrays.items():
+            contribution = restricted(key, self._base_columns[key])
+            base_arrays[key] = (
+                patched(violations, contribution[0]),
+                patched(counts, contribution[1]),
+            )
+        self._base_column_arrays = base_arrays
+        obs = active_observer()
+        if obs is not None:
+            cached = len(self._cache)
+            obs.inc("delta.rescored", int(rows.size) * cached)
+            obs.inc("delta.reused", (n - int(rows.size)) * cached)
+            obs.set_gauge("delta.tombstones", self._compiled.dead_count)
+            obs.set_gauge("delta.epoch", self._epoch)
 
     # ------------------------------------------------------------------
     # evaluation core
@@ -877,15 +892,20 @@ class BatchViolationEngine:
             del self._cache[next(iter(self._cache))]
         self._cache[fingerprint] = evaluation
 
+    def _alive_array(self, array: np.ndarray) -> np.ndarray:
+        """*array* restricted to the rows of the providers still present."""
+        compiled = self._compiled
+        return array[compiled.alive_rows] if compiled.dead_count else array
+
     def _to_report(self, policy_name: str, evaluation: _Evaluation) -> BatchReport:
         compiled = self._compiled
         return assemble_report(
             policy_name,
-            evaluation.violations,
-            evaluation.counts,
-            ids=compiled.ids,
-            segments=compiled.segments,
-            thresholds=compiled.thresholds,
+            self._alive_array(evaluation.violations),
+            self._alive_array(evaluation.counts),
+            ids=compiled.alive_ids,
+            segments=compiled.alive_segments,
+            thresholds=self._alive_array(compiled.thresholds),
             strict=compiled.strict,
         )
 
@@ -895,36 +915,45 @@ class BatchViolationEngine:
         """Stop counting once the ``alpha x N`` violation budget is blown.
 
         Walks the policy's columns, accumulating per-provider finding
-        counts; as soon as the number of violated providers exceeds the
-        budget, Definition 3 is already refuted and a non-exhaustive
-        certificate is returned.  Returns ``None`` when the walk finishes
-        within budget — the caller then produces the exact certificate
-        (and the full evaluation lands in the cache, so nothing is wasted).
+        counts; as soon as the number of violated providers still present
+        exceeds the budget, Definition 3 is already refuted and a
+        non-exhaustive certificate is returned.  Returns ``None`` when
+        the walk finishes within budget — the caller then produces the
+        exact certificate (and the full evaluation lands in the cache, so
+        nothing is wasted).
         """
         compiled = self._compiled
-        n = len(compiled)
+        n = compiled.alive_count
         budget = alpha * n
-        counts = np.zeros(n, dtype=np.float64)
+        counts = np.zeros(len(compiled), dtype=np.float64)
         for key, entries in policy_columns(policy).items():
-            contribution = self._column_contribution(key, entries)
-            counts += contribution[1]
-            n_violated = int((counts > 0).sum())
+            counts += self._column_contribution(key, entries)[1]
+            present = self._alive_array(counts)
+            n_violated = int((present > 0).sum())
             if n_violated > budget:
                 obs = active_observer()
                 if obs is not None:
                     obs.inc("engine.batch.early_exits")
-                violated = tuple(
-                    pid
-                    for pid, count in zip(compiled.ids, counts)
-                    if count > 0
-                )
                 return PPDBCertificate(
                     alpha=alpha,
                     violation_probability=n_violated / n,
                     satisfied=False,
                     n_providers=n,
-                    violated_providers=violated,
+                    violated_providers=_violated_ids(compiled.alive_ids, present),
                     policy_name=policy.name,
                     exhaustive=False,
                 )
         return None
+
+
+def _check_policy(policy: object) -> None:
+    if not isinstance(policy, HousePolicy):
+        raise ValidationError(
+            f"policy must be a HousePolicy, got {type(policy).__name__}"
+        )
+
+
+def _violated_ids(
+    ids: tuple[Hashable, ...], counts: np.ndarray
+) -> tuple[Hashable, ...]:
+    return tuple(pid for pid, count in zip(ids, counts) if count > 0)

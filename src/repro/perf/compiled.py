@@ -21,19 +21,29 @@ default to the population's own models).  It is policy-independent:
 columns are materialised lazily for whatever ``(attribute, purpose)``
 pairs the evaluated policies mention, then cached, so a widening sweep
 touching the same columns repeatedly pays the gather cost once.
+
+A compilation also takes population churn in place, which is what lets
+one :class:`~repro.perf.batch.BatchViolationEngine` serve a whole
+dynamics or widening-game run: :meth:`CompiledPopulation.remove`
+tombstones rows in an alive mask (no array is rebuilt and no row moves),
+:meth:`~CompiledPopulation.append` adds rows at the end, and
+:meth:`~CompiledPopulation.update` splices a provider's new entries into
+its row.  Rows keep their order, so every per-provider sum accumulates
+exactly as it would in a fresh compile of the providers still present.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Hashable
+from typing import Hashable, Iterable
 
 import numpy as np
 
 from ..core.default import DefaultModel
-from ..core.population import Population
-from ..core.sensitivity import SensitivityModel
+from ..core.population import Population, Provider
+from ..core.sensitivity import NEUTRAL_SENSITIVITY, SensitivityModel
 from ..exceptions import UnknownProviderError, ValidationError
 from ..obs import active_observer
 
@@ -78,6 +88,12 @@ class CompiledColumn:
 class CompiledPopulation:
     """A :class:`~repro.core.population.Population` flattened for batch use.
 
+    The arrays span every **row**, tombstoned ones included:
+    ``len(compiled)``, :attr:`ids`, :attr:`thresholds` and every column
+    are row-aligned.  The providers still present are the rows of
+    :attr:`alive_rows`; :attr:`population` is them as a
+    :class:`~repro.core.population.Population`.
+
     Parameters
     ----------
     population:
@@ -85,17 +101,29 @@ class CompiledPopulation:
     sensitivities, default_model:
         Optional overrides, defaulting to the population's own models —
         the same contract as :class:`~repro.core.engine.ViolationEngine`.
+        Without overrides, thresholds and weights are read from the
+        :class:`~repro.core.population.Provider` objects, the same
+        arithmetic the population's own models perform, and those models
+        are built only when :attr:`sensitivities` or
+        :attr:`default_model` is read.
     """
 
     __slots__ = (
         "_population",
+        "_sigma",
+        "_sensitivity_override",
+        "_default_override",
         "_sensitivities",
         "_default_model",
+        "_providers",
         "_ids",
         "_index",
         "_segments",
         "_thresholds",
         "_strict",
+        "_alive",
+        "_dead",
+        "_alive_view",
         "_explicit_rows",
         "_explicit_providers",
         "_provided",
@@ -114,44 +142,45 @@ class CompiledPopulation:
             raise ValidationError(
                 f"population must be a Population, got {type(population).__name__}"
             )
-        self._population = population
-        self._sensitivities = (
-            sensitivities
-            if sensitivities is not None
-            else population.sensitivity_model()
-        )
-        self._default_model = (
-            default_model
-            if default_model is not None
-            else population.default_model()
-        )
         obs = active_observer()
         start = perf_counter() if obs is not None else 0.0
+        self._population: Population | None = population
+        self._sigma = population.attribute_sensitivities
+        self._sensitivity_override = sensitivities
+        self._default_override = default_model
+        self._sensitivities = sensitivities
+        self._default_model = default_model
+        providers = population.providers
+        self._providers: tuple[Provider, ...] = providers
         ids = population.ids()
         self._ids: tuple[Hashable, ...] = ids
         self._index: dict[Hashable, int] = {pid: i for i, pid in enumerate(ids)}
-        self._segments = tuple(p.segment for p in population)
+        self._segments = tuple(p.segment for p in providers)
         self._thresholds = np.array(
-            [self._default_model.threshold(pid) for pid in ids], dtype=np.float64
+            self._threshold_values(range(len(ids))), dtype=np.float64
         )
-        self._strict = self._default_model.strict
+        self._strict = default_model.strict if default_model is not None else True
+        self._alive = np.ones(len(ids), dtype=bool)
+        self._dead = 0
+        self._alive_view: tuple | None = None
 
         # Group every explicit preference entry by (attribute, purpose):
         # column key -> ([provider row], [(V, G, R)]).  Also track which
         # providers supplied which attributes (the implicit-zero rule only
         # applies to supplied attributes) and which providers already hold
         # an explicit entry for a column (they are never completed).
+        # Rows are visited in order, so every list stays sorted.
         explicit_rows: dict[tuple[str, str], tuple[list[int], list[tuple[int, int, int]]]] = {}
         explicit_providers: dict[tuple[str, str], set[int]] = {}
         provided: dict[str, list[int]] = {}
-        for row, provider in enumerate(population):
+        for row, provider in enumerate(providers):
             preferences = provider.preferences
             for attribute in preferences.attributes_provided:
                 provided.setdefault(attribute, []).append(row)
             for entry in preferences.entries:
                 key = (entry.attribute, entry.purpose)
-                providers, ranks = explicit_rows.setdefault(key, ([], []))
-                providers.append(row)
+                rows, ranks = explicit_rows.setdefault(key, ([], []))
+                rows.append(row)
                 ranks.append(
                     (
                         entry.tuple.visibility,
@@ -162,10 +191,7 @@ class CompiledPopulation:
                 explicit_providers.setdefault(key, set()).add(row)
         self._explicit_rows = explicit_rows
         self._explicit_providers = explicit_providers
-        self._provided = {
-            attribute: np.array(sorted(rows), dtype=np.int64)
-            for attribute, rows in provided.items()
-        }
+        self._provided = provided
         self._weights_by_attribute: dict[str, np.ndarray] = {}
         self._columns: dict[tuple[str, str], CompiledColumn] = {}
         if obs is not None:
@@ -179,22 +205,37 @@ class CompiledPopulation:
 
     @property
     def population(self) -> Population:
-        """The population this compilation was built from."""
+        """The providers still present, in row order.
+
+        The compiled population itself until the first mutation; after
+        one, rebuilt on first read.
+        """
+        if self._population is None:
+            providers = self._providers
+            self._population = Population(
+                (providers[row] for row in self.alive_rows.tolist()), self._sigma
+            )
         return self._population
 
     @property
     def sensitivities(self) -> SensitivityModel:
-        """The sensitivity model baked into the weight tensors."""
+        """The sensitivity model in force: the override, or the present
+        providers' own (built on first read)."""
+        if self._sensitivities is None:
+            self._sensitivities = self.population.sensitivity_model()
         return self._sensitivities
 
     @property
     def default_model(self) -> DefaultModel:
-        """The default-threshold model baked into ``thresholds``."""
+        """The default model in force: the override, or the present
+        providers' own (built on first read)."""
+        if self._default_model is None:
+            self._default_model = self.population.default_model()
         return self._default_model
 
     @property
     def ids(self) -> tuple[Hashable, ...]:
-        """Provider ids, in population order (the array row order)."""
+        """Provider ids, one per row (the population order)."""
         return self._ids
 
     @property
@@ -217,8 +258,8 @@ class CompiledPopulation:
 
     def __repr__(self) -> str:
         return (
-            f"CompiledPopulation({len(self._ids)} providers, "
-            f"{len(self._explicit_rows)} explicit columns)"
+            f"CompiledPopulation({self.alive_count} providers, "
+            f"{self._dead} tombstoned, {len(self._explicit_rows)} explicit columns)"
         )
 
     def row_of(self, provider_id: Hashable) -> int:
@@ -227,12 +268,58 @@ class CompiledPopulation:
         Raises
         ------
         UnknownProviderError
-            If the provider is not in the compiled population.
+            If the provider is not present.
         """
         try:
             return self._index[provider_id]
         except KeyError:
             raise UnknownProviderError(provider_id) from None
+
+    # ------------------------------------------------------------------
+    # the providers still present
+    # ------------------------------------------------------------------
+
+    @property
+    def dead_count(self) -> int:
+        """Tombstoned rows (removed providers awaiting compaction)."""
+        return self._dead
+
+    @property
+    def alive_count(self) -> int:
+        """Providers still present."""
+        return len(self._ids) - self._dead
+
+    @property
+    def alive_rows(self) -> np.ndarray:
+        """Sorted rows of the providers still present."""
+        return self._alive_rows_ids_segments()[0]
+
+    @property
+    def alive_ids(self) -> tuple[Hashable, ...]:
+        """Ids of the providers still present, in row order."""
+        return self._alive_rows_ids_segments()[1]
+
+    @property
+    def alive_segments(self) -> tuple[str | None, ...]:
+        """Segment labels of the providers still present, in row order."""
+        return self._alive_rows_ids_segments()[2]
+
+    def _alive_rows_ids_segments(self) -> tuple:
+        view = self._alive_view
+        if view is None:
+            rows = np.flatnonzero(self._alive)
+            if self._dead:
+                listed = rows.tolist()
+                ids, segments = self._ids, self._segments
+                view = (
+                    rows,
+                    tuple(ids[row] for row in listed),
+                    tuple(segments[row] for row in listed),
+                )
+            else:
+                view = (rows, self._ids, self._segments)
+            self._alive_view = view
+        return view
 
     # ------------------------------------------------------------------
     # compiled tensors
@@ -246,25 +333,17 @@ class CompiledPopulation:
         Eq. 12's exceedance in Eq. 14.  Computed on first request, cached.
         """
         cached = self._weights_by_attribute.get(attribute)
-        if cached is not None:
-            return cached
-        model = self._sensitivities
-        attribute_weight = model.attribute_weight(attribute)
-        weights = np.empty((len(self._ids), 3), dtype=np.float64)
-        for row, pid in enumerate(self._ids):
-            datum = model.datum(pid, attribute)
-            base = attribute_weight * datum.value
-            weights[row, 0] = base * datum.visibility
-            weights[row, 1] = base * datum.granularity
-            weights[row, 2] = base * datum.retention
-        self._weights_by_attribute[attribute] = weights
-        return weights
+        if cached is None:
+            cached = self._row_weights(range(len(self._ids)), attribute)
+            self._weights_by_attribute[attribute] = cached
+        return cached
 
     def column(self, attribute: str, purpose: str) -> CompiledColumn:
         """The compiled column for ``(attribute, purpose)``.
 
         Materialised lazily and cached — the set of relevant columns is
         driven by the policies being evaluated, not by the population.
+        Removals keep it; appends and updates drop it.
         """
         key = (attribute, purpose)
         cached = self._columns.get(key)
@@ -279,18 +358,13 @@ class CompiledPopulation:
             row_providers = np.empty(0, dtype=np.int64)
             row_ranks = np.empty((0, 3), dtype=np.int64)
         row_weights = weights[row_providers]
-        supplied = self._provided.get(attribute)
-        if supplied is None or supplied.size == 0:
-            implicit_providers = np.empty(0, dtype=np.int64)
+        supplied = np.array(self._provided.get(attribute, ()), dtype=np.int64)
+        holders = self._explicit_providers.get(key)
+        if holders and supplied.size:
+            mask = np.isin(supplied, np.fromiter(holders, dtype=np.int64), invert=True)
+            implicit_providers = supplied[mask]
         else:
-            holders = self._explicit_providers.get(key)
-            if holders:
-                mask = np.isin(
-                    supplied, np.fromiter(holders, dtype=np.int64), invert=True
-                )
-                implicit_providers = supplied[mask]
-            else:
-                implicit_providers = supplied
+            implicit_providers = supplied
         implicit_weights = weights[implicit_providers]
         column = CompiledColumn(
             attribute=attribute,
@@ -303,3 +377,203 @@ class CompiledPopulation:
         )
         self._columns[key] = column
         return column
+
+    # ------------------------------------------------------------------
+    # mutation
+    # ------------------------------------------------------------------
+
+    def remove(self, provider_ids: Iterable[Hashable]) -> np.ndarray:
+        """Tombstone the given present providers; returns their sorted rows.
+
+        Only the alive mask changes: arrays, columns and weight tensors
+        keep every row, so a departure round recompiles nothing.  An
+        unknown or already removed id raises before anything changes;
+        a repeated id counts once.
+        """
+        unique = list(dict.fromkeys(provider_ids))
+        for pid in unique:
+            if pid not in self._index:
+                raise UnknownProviderError(pid)
+        if not unique:
+            return np.empty(0, dtype=np.int64)
+        rows = np.array(sorted(self._index.pop(pid) for pid in unique), dtype=np.int64)
+        self._alive[rows] = False
+        self._dead += len(unique)
+        self._mutated()
+        return rows
+
+    def append(self, providers: Iterable[Provider]) -> np.ndarray:
+        """Add new providers after the last row; returns their rows.
+
+        Cached weight tensors grow by the new rows, computed as a fresh
+        compile would; materialised columns are dropped.
+        """
+        added = list(providers)
+        seen: set[Hashable] = set()
+        for provider in added:
+            _check_provider(provider)
+            pid = provider.provider_id
+            if pid in self._index or pid in seen:
+                raise ValidationError(f"duplicate provider id {pid!r}")
+            seen.add(pid)
+        if not added:
+            return np.empty(0, dtype=np.int64)
+        start = len(self._ids)
+        self._providers = (*self._providers, *added)
+        self._ids = (*self._ids, *(p.provider_id for p in added))
+        self._segments = (*self._segments, *(p.segment for p in added))
+        rows = np.arange(start, len(self._ids), dtype=np.int64)
+        for row, provider in enumerate(added, start):
+            self._index[provider.provider_id] = row
+            self._insert_preferences(row, provider)
+        self._thresholds = np.concatenate(
+            [self._thresholds, np.array(self._threshold_values(rows), dtype=np.float64)]
+        )
+        self._alive = np.concatenate([self._alive, np.ones(len(added), dtype=bool)])
+        for attribute, weights in self._weights_by_attribute.items():
+            self._weights_by_attribute[attribute] = np.concatenate(
+                [weights, self._row_weights(rows, attribute)]
+            )
+        self._columns.clear()
+        self._mutated()
+        return rows
+
+    def update(self, providers: Iterable[Provider]) -> np.ndarray:
+        """Replace present providers (matched by id) in place; returns
+        their sorted rows.
+
+        A provider's old entries leave the column stores and the new ones
+        go in at the row's sorted position — ``bisect_right`` keeps one
+        provider's entries in their preference order, as a fresh compile
+        does.  The threshold vector is copied before it is patched, so
+        reports assembled earlier keep their values.
+        """
+        updates = list(providers)
+        for provider in updates:
+            _check_provider(provider)
+            if provider.provider_id not in self._index:
+                raise UnknownProviderError(provider.provider_id)
+        if not updates:
+            return np.empty(0, dtype=np.int64)
+        present = list(self._providers)
+        segments = list(self._segments)
+        changed: set[int] = set()
+        for provider in updates:
+            row = self._index[provider.provider_id]
+            self._unindex_preferences(row, present[row])
+            present[row] = provider
+            segments[row] = provider.segment
+            self._insert_preferences(row, provider)
+            changed.add(row)
+        self._providers = tuple(present)
+        self._segments = tuple(segments)
+        rows = np.array(sorted(changed), dtype=np.int64)
+        self._thresholds = self._thresholds.copy()
+        self._thresholds[rows] = self._threshold_values(rows)
+        for attribute, weights in self._weights_by_attribute.items():
+            weights[rows] = self._row_weights(rows, attribute)
+        self._columns.clear()
+        self._mutated()
+        return rows
+
+    def compacted(self) -> "CompiledPopulation":
+        """A fresh compilation of the present providers, same overrides."""
+        return CompiledPopulation(
+            self.population,
+            sensitivities=self._sensitivity_override,
+            default_model=self._default_override,
+        )
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+
+    def _threshold_values(self, rows: Iterable[int]) -> list[float]:
+        model = self._default_override
+        if model is not None:
+            return [model.threshold(self._ids[row]) for row in rows]
+        return [self._providers[row].threshold for row in rows]
+
+    def _row_weights(self, rows: Iterable[int], attribute: str) -> np.ndarray:
+        """The ``(len(rows), 3)`` weights of one attribute for *rows*.
+
+        Without an override, a provider's datum is read from its own
+        record, which is what the population's sensitivity model returns
+        for it, so the multiplications are the same, in the same order.
+        """
+        model = self._sensitivity_override
+        if model is None:
+            attribute_weight = self._sigma.weight(attribute)
+            providers = self._providers
+            data = [
+                providers[row].sensitivity.get(attribute, NEUTRAL_SENSITIVITY)
+                for row in rows
+            ]
+        else:
+            attribute_weight = model.attribute_weight(attribute)
+            ids = self._ids
+            data = [model.datum(ids[row], attribute) for row in rows]
+        flat: list[float] = []
+        for datum in data:
+            base = attribute_weight * datum.value
+            flat += (
+                base * datum.visibility,
+                base * datum.granularity,
+                base * datum.retention,
+            )
+        return np.array(flat, dtype=np.float64).reshape(-1, 3)
+
+    def _insert_preferences(self, row: int, provider: Provider) -> None:
+        """Insert a row's preference entries at their sorted positions."""
+        preferences = provider.preferences
+        for attribute in preferences.attributes_provided:
+            bisect.insort(self._provided.setdefault(attribute, []), row)
+        for entry in preferences.entries:
+            key = (entry.attribute, entry.purpose)
+            rows, ranks = self._explicit_rows.setdefault(key, ([], []))
+            position = bisect.bisect_right(rows, row)
+            rows.insert(position, row)
+            ranks.insert(
+                position,
+                (
+                    entry.tuple.visibility,
+                    entry.tuple.granularity,
+                    entry.tuple.retention,
+                ),
+            )
+            self._explicit_providers.setdefault(key, set()).add(row)
+
+    def _unindex_preferences(self, row: int, old: Provider) -> None:
+        """Strip a row's preference entries from the stores."""
+        for key in {
+            (entry.attribute, entry.purpose) for entry in old.preferences.entries
+        }:
+            rows, ranks = self._explicit_rows[key]
+            keep = [i for i, r in enumerate(rows) if r != row]
+            if keep:
+                self._explicit_rows[key] = ([rows[i] for i in keep], [ranks[i] for i in keep])
+            else:
+                del self._explicit_rows[key]
+            holders = self._explicit_providers[key]
+            holders.discard(row)
+            if not holders:
+                del self._explicit_providers[key]
+        for attribute in old.preferences.attributes_provided:
+            rows = self._provided[attribute]
+            del rows[bisect.bisect_left(rows, row)]
+            if not rows:
+                del self._provided[attribute]
+
+    def _mutated(self) -> None:
+        """Drop what was derived from the providers present before."""
+        self._population = None
+        self._sensitivities = self._sensitivity_override
+        self._default_model = self._default_override
+        self._alive_view = None
+
+
+def _check_provider(provider: object) -> None:
+    if not isinstance(provider, Provider):
+        raise ValidationError(
+            f"population members must be Provider, got {type(provider).__name__}"
+        )

@@ -23,8 +23,9 @@ analyzer emits) record exactly what was caught and where.
 The sampling oracle is deliberately *not* the batch engine's own parity
 harness: it recomputes from the population's raw preferences and
 sensitivities, sharing no intermediate state with the code under guard.
-The wrapped engine is a :class:`~repro.perf.delta.MutableBatchEngine`,
-so guarded dynamics runs tombstone departures in place.
+The wrapped engine is a :class:`~repro.perf.batch.BatchViolationEngine`,
+whose ``remove`` tombstones departures in place, so a guarded dynamics
+run compiles once like an unguarded one.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from ..core.sensitivity import SensitivityModel
 from ..core.violation import find_violations
 from ..lint.diagnostics import Diagnostic
 from ..obs import active_observer
-from ..perf.batch import BatchReport
-from ..perf.delta import MutableBatchEngine
+from ..perf.batch import BatchReport, BatchViolationEngine
 from .diagnostics import (
     GUARDRAIL_DEGRADED,
     GUARDRAIL_DIVERGENCE,
@@ -86,7 +86,7 @@ class GuardedBatchEngine:
         tolerance: float = SEVERITY_TOLERANCE,
         seed: int = 0,
     ) -> None:
-        self._batch = MutableBatchEngine(
+        self._batch = BatchViolationEngine(
             population,
             sensitivities=sensitivities,
             default_model=default_model,
@@ -137,7 +137,7 @@ class GuardedBatchEngine:
     def remove(self, provider_ids) -> None:
         """Tombstone departed providers in the wrapped engine.
 
-        Delegates to :meth:`~repro.perf.delta.MutableBatchEngine.remove`;
+        Delegates to :meth:`~repro.perf.batch.BatchViolationEngine.remove`;
         subsequent evaluations (and degraded-mode reference evaluations,
         which read :attr:`population`) see only the survivors.
         """

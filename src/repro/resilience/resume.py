@@ -39,7 +39,7 @@ from ..estimation.observation import (
 from ..estimation.thresholds import ThresholdEstimator
 from ..exceptions import JournalMismatchError, ResilienceError
 from ..obs import active_observer, span
-from ..perf import BatchViolationEngine, MutableBatchEngine
+from ..perf import BatchViolationEngine
 from ..policy_lang.serializer import policy_to_dict, preferences_to_dict
 from ..policy_lang.serializer import sensitivities_to_dict
 from ..simulation.dynamics import (
@@ -102,7 +102,7 @@ def journal_fingerprint(
     Hashes the run kind, the population fingerprint, every input policy
     (serialized with raw ranks, so taxonomy level names cannot alias),
     the run parameters, and the **mutation epoch** — the
-    :attr:`~repro.perf.delta.MutableBatchEngine.epoch` the population
+    :attr:`~repro.perf.batch.BatchViolationEngine.epoch` the population
     corresponds to.  A population snapshot taken after in-place engine
     mutations carries a different epoch than the run start, so a journal
     recorded against one cannot silently resume against the other even
@@ -364,7 +364,7 @@ def resumable_dynamics(
     engine whose departures are tombstoned in place — the compilation
     survives the whole run.  ``mutation_epoch`` is part of the journal
     fingerprint: pass the
-    :attr:`~repro.perf.delta.MutableBatchEngine.epoch` the input
+    :attr:`~repro.perf.batch.BatchViolationEngine.epoch` the input
     population was snapshotted at (0 for a run-start population), and a
     journal recorded at a different epoch refuses to resume instead of
     silently mixing two mutation histories.
@@ -423,7 +423,7 @@ def resumable_dynamics(
                             current_population, implicit_zero=implicit_zero
                         )
                         if guarded
-                        else MutableBatchEngine(
+                        else BatchViolationEngine(
                             current_population, implicit_zero=implicit_zero
                         )
                     )

@@ -23,7 +23,7 @@ from .._validation import check_int, check_real
 from ..obs import active_observer, span
 from ..core.policy import HousePolicy
 from ..core.population import Population
-from ..perf import BatchReport, MutableBatchEngine
+from ..perf import BatchReport, BatchViolationEngine
 from ..taxonomy.builder import Taxonomy
 from .widening import WideningStep, policy_delta_columns, widen
 
@@ -124,19 +124,19 @@ def run_dynamics(
     if step is None:
         step = WideningStep.uniform(1)
     outcomes: list[RoundOutcome] = []
-    current_population = population
     current_policy = round_policy(base_policy, base_policy.name, step, taxonomy, 0)
     previous_policy: HousePolicy | None = None
     # One engine — one compilation — serves every round: departures are
     # tombstoned in place rather than triggering a rebuild, and
     # consecutive round policies recompute only their changed columns
     # (the batch engine's delta path; docs/performance.md).
-    engine = MutableBatchEngine(current_population, implicit_zero=implicit_zero)
+    engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+    n_remaining = len(population)
     obs = active_observer()
     try:
         with span("dynamics.run", providers=len(population), rounds=rounds):
             for round_index in range(rounds):
-                if len(current_population) == 0:
+                if n_remaining == 0:
                     break
                 if round_index > 0:
                     previous_policy = current_policy
@@ -156,13 +156,11 @@ def run_dynamics(
                     extra_utility_per_round=extra_utility_per_round,
                 )
                 outcomes.append(outcome)
+                n_remaining = outcome.n_remaining
                 if obs is not None:
                     obs.inc("dynamics.rounds")
                     obs.inc("dynamics.departures", outcome.n_defaulted)
                 if outcome.defaulted_providers:
-                    current_population = current_population.without(
-                        outcome.defaulted_providers
-                    )
                     engine.remove(outcome.defaulted_providers)
     finally:
         engine.close()

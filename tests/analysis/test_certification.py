@@ -54,3 +54,28 @@ class TestCertificationDocument:
     def test_margin_in_document(self, paper_engine):
         payload = certification_document(paper_engine, alpha=0.5).as_dict()
         assert payload["margin"] == pytest.approx(0.5 - 2 / 3)
+
+
+class TestBatchCertificationDocument:
+    def test_static_document_runs_the_interval_analysis_once(self, monkeypatch):
+        import repro.lint.intervals as intervals
+        from repro.analysis import batch_certification_document
+        from repro.datasets import healthcare_scenario
+        from repro.perf import BatchViolationEngine
+
+        calls = []
+        analysis = intervals.interval_analysis
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return analysis(*args, **kwargs)
+
+        monkeypatch.setattr(intervals, "interval_analysis", counting)
+        scenario = healthcare_scenario(40, seed=3)
+        engine = BatchViolationEngine(scenario.population)
+        document = batch_certification_document(
+            engine, scenario.policy, 0.5, static=True
+        )
+        assert len(calls) == 1
+        evaluated = batch_certification_document(engine, scenario.policy, 0.5)
+        assert document.certificate == evaluated.certificate

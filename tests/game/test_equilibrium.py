@@ -33,6 +33,53 @@ def _play(scenario, strategy):
 
 
 class TestGamePlay:
+    def test_empty_population_has_no_rounds(self, scenario):
+        from repro.core import Population
+
+        empty = Population([], scenario.population.attribute_sensitivities)
+        trace = play_widening_game(
+            empty,
+            scenario.policy,
+            scenario.taxonomy,
+            FixedWidening(WideningStep.uniform(1), 3),
+        )
+        assert trace.rounds == ()
+        assert not trace.stopped_by_strategy
+
+    def test_everyone_defaulting_in_round_zero_ends_the_game(self):
+        import dataclasses
+
+        from repro.core import Population
+        from repro.datasets import crm_scenario
+        from repro.simulation.widening import widen
+
+        scenario = crm_scenario(60, seed=5)
+        intolerant = Population(
+            [dataclasses.replace(p, threshold=0.0) for p in scenario.population],
+            scenario.population.attribute_sensitivities,
+        )
+        wide = widen(scenario.policy, WideningStep.uniform(10), scenario.taxonomy)
+        proposals = []
+
+        class Recording(FixedWidening):
+            def propose(self, history):
+                proposals.append(len(history))
+                return super().propose(history)
+
+        trace = play_widening_game(
+            intolerant,
+            wide,
+            scenario.taxonomy,
+            Recording(WideningStep.uniform(1), 3),
+        )
+        assert [(r.n_start, r.n_defaulted, r.n_remaining) for r in trace.rounds] == [
+            (60, 60, 0)
+        ]
+        # The strategy is still consulted after the last round, and the
+        # game ends on the empty population, not on the strategy.
+        assert proposals == [1]
+        assert not trace.stopped_by_strategy
+
     def test_fixed_strategy_round_count(self, scenario):
         trace = _play(scenario, FixedWidening(WideningStep.uniform(1), 3))
         assert [r.round_index for r in trace.rounds] == [0, 1, 2, 3]

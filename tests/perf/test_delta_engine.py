@@ -1,4 +1,6 @@
-"""Unit tests for the incremental population engine (``repro.perf.delta``).
+"""Unit tests for population churn: ``CompiledPopulation``'s row
+operations and ``BatchViolationEngine``'s ``remove`` / ``append`` /
+``update``.
 
 The property suite (``tests/properties/test_mutation_parity.py``) holds
 the bit-for-bit contract over randomized mutation sequences; these tests
@@ -14,14 +16,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import Population
 from repro.exceptions import UnknownProviderError, ValidationError
 from repro.obs import observed
-from repro.perf import (
-    BatchViolationEngine,
-    MutableBatchEngine,
-    MutableCompiledPopulation,
-)
+from repro.perf import BatchViolationEngine, CompiledPopulation
 from repro.simulation.widening import policy_delta_columns
 
 from tests.properties.test_batch_parity import (
@@ -61,12 +58,12 @@ class TestMutableCompiledPopulation:
     def test_remove_is_tombstone_only(self):
         rng = random.Random(1)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
-        capacity = compiled.capacity
+        compiled = CompiledPopulation(population)
+        capacity = len(compiled)
         victim = population.providers[0].provider_id
         compiled.remove([victim])
-        # Capacity is unchanged: the row is masked, not deleted.
-        assert compiled.capacity == capacity
+        # The row count is unchanged: the row is masked, not deleted.
+        assert len(compiled) == capacity
         assert compiled.dead_count == 1
         assert compiled.alive_count == capacity - 1
         assert victim not in compiled.alive_ids
@@ -75,7 +72,7 @@ class TestMutableCompiledPopulation:
     def test_remove_unknown_id_is_atomic(self):
         rng = random.Random(2)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
+        compiled = CompiledPopulation(population)
         known = population.providers[0].provider_id
         with pytest.raises(UnknownProviderError):
             compiled.remove([known, "no-such-provider"])
@@ -86,7 +83,7 @@ class TestMutableCompiledPopulation:
     def test_remove_duplicate_ids_tombstone_once(self):
         rng = random.Random(3)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
+        compiled = CompiledPopulation(population)
         victim = population.providers[0].provider_id
         rows = compiled.remove([victim, victim])
         assert rows.shape == (1,)
@@ -95,19 +92,19 @@ class TestMutableCompiledPopulation:
     def test_append_rejects_duplicate_ids(self):
         rng = random.Random(4)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
+        compiled = CompiledPopulation(population)
         existing = population.providers[0]
         with pytest.raises(ValidationError):
             compiled.append([existing])
         fresh = _random_provider(rng, 500)
         with pytest.raises(ValidationError):
             compiled.append([fresh, fresh])
-        assert compiled.capacity == len(population)
+        assert len(compiled) == len(population)
 
     def test_update_unknown_id_rejected(self):
         rng = random.Random(5)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
+        compiled = CompiledPopulation(population)
         stranger = _random_provider(rng, 900)
         with pytest.raises(UnknownProviderError):
             compiled.update([stranger])
@@ -115,29 +112,57 @@ class TestMutableCompiledPopulation:
     def test_epoch_advances_on_every_mutation(self):
         rng = random.Random(6)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
-        epochs = [compiled.epoch]
-        compiled.remove([population.providers[0].provider_id])
-        epochs.append(compiled.epoch)
-        compiled.append([_random_provider(rng, 600)])
-        epochs.append(compiled.epoch)
-        compiled.compact()
-        epochs.append(compiled.epoch)
-        assert epochs == sorted(set(epochs))  # strictly increasing
+        engine = BatchViolationEngine(population)
+        epochs = [engine.epoch]
+        engine.remove([population.providers[0].provider_id])
+        epochs.append(engine.epoch)
+        engine.append([_random_provider(rng, 600)])
+        epochs.append(engine.epoch)
+        # Past half the rows tombstoned: the removal compacts, which
+        # advances the epoch once more.
+        engine.remove([p.provider_id for p in population.providers[1:6]])
+        assert engine.tombstones == 0
+        epochs.append(engine.epoch)
+        assert epochs == [0, 1, 2, 4]
 
     def test_alive_population_preserves_order(self):
         rng = random.Random(7)
         population = _random_population(rng)
-        compiled = MutableCompiledPopulation(population)
+        compiled = CompiledPopulation(population)
         victims = [p.provider_id for p in population.providers[1::2]]
         compiled.remove(victims)
         survivors = population.without(victims)
         assert compiled.alive_ids == survivors.ids()
         assert compiled.population.ids() == survivors.ids()
 
+    def test_models_describe_the_present_providers(self):
+        rng = random.Random(8)
+        population = _random_population(rng)
+        compiled = CompiledPopulation(population)
+        # Read the models once, so the mutations below must drop them.
+        before = (compiled.sensitivities, compiled.default_model)
+        victims = [p.provider_id for p in population.providers[::2]]
+        compiled.remove(victims)
+        added = _random_provider(rng, 650)
+        compiled.append([added])
+        present = population.without(victims).extended([added])
+        expected = present.sensitivity_model()
+        assert compiled.sensitivities is not before[0]
+        assert compiled.default_model is not before[1]
+        assert compiled.sensitivities.explicit_providers() == (
+            expected.explicit_providers()
+        )
+        assert compiled.default_model.known_providers() == (
+            present.default_model().known_providers()
+        )
+        for pid in present.ids():
+            assert compiled.default_model.threshold(pid) == (
+                present.default_model().threshold(pid)
+            )
+
 
 # ---------------------------------------------------------------------------
-# the facade: masked evaluation, caches, compaction
+# the engine: masked evaluation, caches, compaction
 # ---------------------------------------------------------------------------
 
 
@@ -147,7 +172,7 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="masked")
         victims = [p.provider_id for p in population.providers[:2]]
-        with MutableBatchEngine(population) as engine:
+        with BatchViolationEngine(population) as engine:
             engine.remove(victims)
             report = engine.evaluate(policy)
         expected = _fresh_report(population.without(victims), policy)
@@ -157,18 +182,23 @@ class TestMutableBatchEngine:
         rng = random.Random(11)
         population = _random_population(rng)
         policy = _random_policy(rng, name="cached")
+        victims = [p.provider_id for p in population.providers[:2]]
         with observed() as obs:
-            with MutableBatchEngine(population) as engine:
-                engine.remove([population.providers[0].provider_id])
+            with BatchViolationEngine(population) as engine:
+                engine.remove(victims[:1])
                 first = engine.evaluate(policy)
                 second = engine.evaluate(policy)
-                assert first is second
-                engine.remove([population.providers[1].provider_id])
+                engine.remove(victims[1:])
                 third = engine.evaluate(policy)
-                assert third is not first
             counters = _counters(obs.snapshot())
-        assert counters["delta.cache_hits"] == 1.0
-        assert counters["delta.masked_evaluations"] == 2.0
+        _assert_reports_identical(second, first)
+        # A removal moves no row, so the one evaluation serves every
+        # later call, across removals too.
+        assert counters["engine.batch.full_evaluations"] == 1.0
+        assert counters["engine.batch.cache_hits"] == 2.0
+        _assert_reports_identical(
+            third, _fresh_report(population.without(victims), policy)
+        )
 
     def test_removals_never_recompile_below_threshold(self):
         rng = random.Random(12)
@@ -177,7 +207,7 @@ class TestMutableBatchEngine:
         n = len(population)
         victims = [p.provider_id for p in population.providers[: n // 3]]
         with observed() as obs:
-            with MutableBatchEngine(population) as engine:
+            with BatchViolationEngine(population) as engine:
                 engine.evaluate(policy)
                 for victim in victims:
                     engine.remove([victim])
@@ -193,25 +223,12 @@ class TestMutableBatchEngine:
         n = len(population)
         victims = [p.provider_id for p in population.providers[: n // 2 + 1]]
         with observed() as obs:
-            with MutableBatchEngine(population) as engine:
+            with BatchViolationEngine(population) as engine:
                 engine.remove(victims)
                 assert engine.tombstones == 0  # compaction just ran
             counters = _counters(obs.snapshot())
         assert counters["delta.compactions"] == 1.0
         assert counters["perf.compilations"] == 2.0
-
-    def test_compact_threshold_none_disables_compaction(self):
-        rng = random.Random(14)
-        population = _random_population(rng)
-        n = len(population)
-        victims = [p.provider_id for p in population.providers[: n - 1]]
-        with observed() as obs:
-            engine = MutableBatchEngine(population, compact_threshold=None)
-            engine.remove(victims)
-            assert engine.tombstones == len(victims)
-            engine.close()
-            counters = _counters(obs.snapshot())
-        assert counters.get("delta.compactions", 0.0) == 0.0
 
     def test_append_rescores_only_new_rows_serially(self):
         rng = random.Random(15)
@@ -219,7 +236,7 @@ class TestMutableBatchEngine:
         policy = _random_policy(rng, name="append")
         added = [_random_provider(rng, 700), _random_provider(rng, 701)]
         with observed() as obs:
-            with MutableBatchEngine(population) as engine:
+            with BatchViolationEngine(population) as engine:
                 engine.evaluate(policy)
                 engine.append(added)
                 report = engine.evaluate(policy)
@@ -238,7 +255,7 @@ class TestMutableBatchEngine:
 
         target = population.providers[0]
         replacement = dataclasses.replace(target, threshold=0.0)
-        with MutableBatchEngine(population) as engine:
+        with BatchViolationEngine(population) as engine:
             before = engine.evaluate(policy)
             thresholds_before = before.thresholds.copy()
             engine.update([replacement])
@@ -254,7 +271,7 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="certify")
         victims = [p.provider_id for p in population.providers[:1]]
-        with MutableBatchEngine(population) as engine:
+        with BatchViolationEngine(population) as engine:
             engine.remove(victims)
             exact = engine.certify(policy, 0.5)
             static = engine.certify(policy, 0.5, static=True)
@@ -276,33 +293,94 @@ class TestMutableBatchEngine:
         rng = random.Random(18)
         population = _random_population(rng)
         policy = _random_policy(rng, name="exclusive")
-        with MutableBatchEngine(population) as engine:
+        with BatchViolationEngine(population) as engine:
             engine.remove([population.providers[0].provider_id])
             with pytest.raises(ValidationError):
                 engine.certify(policy, 0.5, static=True, early_exit=True)
 
-    def test_evaluate_arrays_masked_to_alive_rows(self):
-        rng = random.Random(19)
-        population = _random_population(rng)
-        policy = _random_policy(rng, name="arrays")
-        victims = [p.provider_id for p in population.providers[:2]]
-        with MutableBatchEngine(population) as engine:
-            engine.remove(victims)
-            violations, counts = engine.evaluate_arrays(policy)
-        survivors = population.without(victims)
-        expected = _fresh_report(survivors, policy)
-        assert violations.shape == (len(survivors),)
-        assert np.array_equal(violations, expected.violations)
+    def test_certify_early_exit_after_removal_matches_fresh_engine(self):
+        # Early exit spends the alpha x N budget on the providers still
+        # present only, so it stops where a fresh engine over them stops.
+        checked = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            population = _random_population(rng)
+            if len(population) < 3:
+                continue
+            policy = _random_policy(rng, name=f"early-{seed}")
+            count = rng.randrange(1, len(population) // 2 + 1)
+            victims = [
+                p.provider_id for p in rng.sample(population.providers, count)
+            ]
+            survivors = population.without(victims)
+            for alpha in (0.0, 0.3, 1.0):
+                with BatchViolationEngine(population) as engine:
+                    engine.remove(victims)
+                    certificate = engine.certify(policy, alpha, early_exit=True)
+                expected = BatchViolationEngine(survivors).certify(
+                    policy, alpha, early_exit=True
+                )
+                assert certificate == expected
+                checked += 1
+        assert checked > 100
 
     def test_empty_mutations_are_noops(self):
         rng = random.Random(21)
         population = _random_population(rng)
-        with MutableBatchEngine(population) as engine:
+        with BatchViolationEngine(population) as engine:
             epoch = engine.epoch
             engine.remove([])
             engine.append([])
             engine.update([])
             assert engine.epoch == epoch
+
+    def test_mutations_under_model_overrides_match_fresh_engine(self):
+        # With overrides, mutated rows take their weights and thresholds
+        # from the override models, as a fresh compile with them does.
+        import dataclasses
+
+        from repro.core.default import DefaultModel
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            population = _random_population(rng)
+            sensitivities = population.sensitivity_model()
+            default_model = DefaultModel(
+                {
+                    p.provider_id: rng.choice([0.0, 0.5, 2.0])
+                    for p in population.providers[::2]
+                },
+                strict=False,
+            )
+            policy = _random_policy(rng, name=f"override-{seed}")
+            present = population
+            engine = BatchViolationEngine(
+                population, sensitivities=sensitivities, default_model=default_model
+            )
+            engine.evaluate(policy)
+            for step in range(3):
+                if step == 0 and len(present) > 1:
+                    victims = [present.providers[0].provider_id]
+                    engine.remove(victims)
+                    present = present.without(victims)
+                elif step == 1:
+                    added = [_random_provider(rng, 2000 + seed)]
+                    engine.append(added)
+                    present = present.extended(added)
+                else:
+                    replacement = dataclasses.replace(
+                        present.providers[-1], threshold=0.25, segment="edited"
+                    )
+                    engine.update([replacement])
+                    present = present.updated([replacement])
+                fresh = BatchViolationEngine(
+                    present, sensitivities=sensitivities, default_model=default_model
+                )
+                _assert_reports_identical(engine.evaluate(policy), fresh.evaluate(policy))
+                for static in (False, True):
+                    assert engine.certify(policy, 0.5, static=static) == (
+                        fresh.certify(policy, 0.5, static=static)
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +391,8 @@ class TestMutableBatchEngine:
 class TestLifecycle:
     @pytest.mark.parametrize(
         "factory",
-        [
-            lambda population: MutableBatchEngine(population),
-            lambda population: BatchViolationEngine(population),
-        ],
-        ids=["facade-serial", "bare-serial"],
+        [lambda population: BatchViolationEngine(population)],
+        ids=["bare-serial"],
     )
     def test_close_is_idempotent(self, factory):
         rng = random.Random(30)

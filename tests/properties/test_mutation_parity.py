@@ -1,6 +1,6 @@
 """Parity: the incremental engine must equal a fresh compile, bit for bit.
 
-The :class:`~repro.perf.delta.MutableBatchEngine` mutates its compiled
+The :class:`~repro.perf.batch.BatchViolationEngine` mutates its compiled
 population in place — removals tombstone rows, appends extend the
 stores, edits splice entries — instead of recompiling.  These tests
 drive randomized mutation sequences (add / remove / edit, interleaved
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import Population, PreferenceEntry, ProviderPreferences
-from repro.perf import BatchViolationEngine, MutableBatchEngine
+from repro.perf import BatchViolationEngine
 
 from tests.properties.test_batch_parity import (
     _random_policy,
@@ -110,7 +110,7 @@ def _drive(seed: int) -> None:
     ]
     cached = rng.random() < 0.5  # half the corpus pre-populates caches
     next_id = 10_000
-    engine = MutableBatchEngine(population)
+    engine = BatchViolationEngine(population)
     try:
         if cached:
             for policy in policies:

@@ -110,3 +110,28 @@ class TestDynamicsEdgeCases:
                 + scenario.extra_utility_per_step * outcome.round_index
             )
             assert outcome.utility == pytest.approx(expected)
+
+    def test_empty_population_has_no_rounds(self, scenario):
+        from repro.core import Population
+
+        empty = Population([], scenario.population.attribute_sensitivities)
+        assert run_dynamics(empty, scenario.policy, scenario.taxonomy, rounds=3) == []
+
+    def test_everyone_defaulting_in_round_zero_ends_the_run(self):
+        import dataclasses
+
+        from repro.core import Population
+        from repro.datasets import healthcare_scenario
+        from repro.simulation import WideningStep
+        from repro.simulation.widening import widen
+
+        scenario = healthcare_scenario(60, seed=5)
+        intolerant = Population(
+            [dataclasses.replace(p, threshold=0.0) for p in scenario.population],
+            scenario.population.attribute_sensitivities,
+        )
+        wide = widen(scenario.policy, WideningStep.uniform(10), scenario.taxonomy)
+        outcomes = run_dynamics(intolerant, wide, scenario.taxonomy, rounds=5)
+        assert [(o.n_start, o.n_defaulted, o.n_remaining) for o in outcomes] == [
+            (60, 60, 0)
+        ]

@@ -106,8 +106,6 @@ class TestPublicSurface:
             "BatchViolationEngine",
             "CompiledColumn",
             "CompiledPopulation",
-            "MutableBatchEngine",
-            "MutableCompiledPopulation",
             "RANK_AXES",
             "assemble_report",
             "batch_assess_expansion",
