@@ -11,13 +11,16 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The chaos suite CI runs in the chaos-smoke job: fault injection,
-# crash recovery, storage hardening, and the CLI error contract, under
-# a tight per-test timeout.  Deterministic — fault plans are seeded.
+# crash recovery, storage hardening, the CLI error contract, and the
+# document error contract (which fault a malformed document reports,
+# with which message), under a tight per-test timeout.  Deterministic —
+# fault plans are seeded.
 chaos:
 	REPRO_TEST_TIMEOUT=60 $(PYTHON) -m pytest -q \
 		tests/resilience \
 		tests/storage/test_hardening.py \
-		tests/cli/test_cli_errors.py
+		tests/cli/test_cli_errors.py \
+		tests/policy_lang/test_error_contract.py
 
 # The population-churn suite CI runs in the delta-parity job: the one
 # batch engine's remove/append/update (BatchViolationEngine over an

@@ -15,6 +15,13 @@ from numbers import Integral, Real
 
 from .exceptions import ValidationError
 
+#: The exact types of an ordered value as a document spells it: a level
+#: name or an integer rank.  Subclasses are left out on purpose: ``True``
+#: and ``np.int64(1)`` compare equal to ``1`` but must be checked as what
+#: they are, so code that tests ``type(value) in EXACT_LEVEL_TYPES`` to
+#: skip a check sends them down the checked path.
+EXACT_LEVEL_TYPES = frozenset((str, int))
+
 
 def check_type(value: object, expected: type | tuple[type, ...], name: str) -> object:
     """Return *value* if it is an instance of *expected*, else raise."""

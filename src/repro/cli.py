@@ -110,17 +110,20 @@ def _parse(kind: str, parser, *args, **kwargs):
         raise ValidationError(f"malformed {kind} document: {error}") from error
 
 
-def _export(args: argparse.Namespace, payload: object) -> None:
-    """Atomically write a command's JSON payload to ``--output``.
+def _render(payload: object) -> str:
+    """A command's JSON payload as the text ``--json`` prints."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
-    The document appears complete or not at all: a crash (or an injected
-    disk-full fault) mid-export never leaves a truncated file behind.
+
+def _export(args: argparse.Namespace, text: str) -> None:
+    """Atomically write a command's rendered JSON payload to ``--output``.
+
+    The file holds the bytes ``--json`` prints.  The document appears
+    complete or not at all: a crash (or an injected disk-full fault)
+    mid-export never leaves a truncated file behind.
     """
-    output = getattr(args, "output", None)
-    if output:
-        atomic_write_text(
-            output, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+    if args.output:
+        atomic_write_text(args.output, text + "\n")
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[Taxonomy, HousePolicy, Population]:
@@ -163,9 +166,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """Full model evaluation over the documents."""
     _, policy, population = _load_inputs(args)
     engine = ViolationEngine(policy, population)
-    _export(args, _report_payload(engine))
+    text = _render(_report_payload(engine)) if args.json or args.output else ""
+    _export(args, text)
     if args.json:
-        print(json.dumps(_report_payload(engine), indent=2, sort_keys=True))
+        print(text)
         return 0
     report = engine.report()
     rows = [
@@ -213,14 +217,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
             ViolationEngine(policy, population), args.alpha
         )
     certificate = document.certificate
-    if args.json or getattr(args, "output", None):
-        _export(args, json.loads(document.to_json()))
-        if args.json:
-            print(document.to_json())
-        else:
-            print(certificate)
-    else:
-        print(certificate)
+    text = document.to_json() if args.json or args.output else ""
+    _export(args, text)
+    print(text if args.json else certificate)
     return 0 if certificate.satisfied else 1
 
 
@@ -279,9 +278,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             extra_utility_per_step=args.extra_per_step,
             guarded=args.guarded,
         )
-    _export(args, _sweep_payload(sweep))
+    text = _render(_sweep_payload(sweep)) if args.json or args.output else ""
+    _export(args, text)
     if args.json:
-        print(json.dumps(_sweep_payload(sweep), indent=2, sort_keys=True))
+        print(text)
         return 0
     rows = [
         [

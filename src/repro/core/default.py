@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from .._validation import check_real
 from ..exceptions import ValidationError
@@ -21,6 +21,9 @@ from .policy import HousePolicy
 from .preferences import ProviderPreferences
 from .sensitivity import SensitivityModel
 from .severity import provider_violation
+
+if TYPE_CHECKING:
+    from .population import Provider
 
 
 def provider_default(violation: float, threshold: float, *, strict: bool = True) -> int:
@@ -81,6 +84,24 @@ class DefaultModel:
         if not isinstance(strict, bool):
             raise ValidationError("strict must be a bool")
         self._strict = strict
+
+    @classmethod
+    def from_providers(
+        cls, providers: Iterable[Provider], *, strict: bool = True
+    ) -> "DefaultModel":
+        """The thresholds ``v_i`` that *providers* carry.
+
+        A provider whose threshold is ``inf`` (never defaults) is left to
+        the default threshold, which is ``inf`` too.
+        """
+        return cls(
+            {
+                p.provider_id: p.threshold
+                for p in providers
+                if p.threshold != math.inf
+            },
+            strict=strict,
+        )
 
     @property
     def strict(self) -> bool:

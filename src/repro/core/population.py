@@ -158,25 +158,13 @@ class Population:
 
     def sensitivity_model(self) -> SensitivityModel:
         """The population's full :class:`SensitivityModel` (Eq. 10)."""
-        return SensitivityModel(
-            self._attribute_sensitivities,
-            {
-                p.provider_id: p.provider_sensitivity()
-                for p in self._providers
-                if p.sensitivity
-            },
+        return SensitivityModel.from_providers(
+            self._attribute_sensitivities, self._providers
         )
 
     def default_model(self, *, strict: bool = True) -> DefaultModel:
         """The population's :class:`DefaultModel` from per-provider thresholds."""
-        return DefaultModel(
-            {
-                p.provider_id: p.threshold
-                for p in self._providers
-                if p.threshold != math.inf
-            },
-            strict=strict,
-        )
+        return DefaultModel.from_providers(self._providers, strict=strict)
 
     def without(self, provider_ids: Iterable[Hashable]) -> "Population":
         """A new population with the given providers removed.

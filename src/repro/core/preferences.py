@@ -21,7 +21,13 @@ from typing import Hashable
 
 from ..exceptions import ValidationError
 from .policy import HousePolicy
-from .tuples import PreferenceEntry, PrivacyTuple
+from .tuples import PreferenceEntry, PrivacyTuple, check_attributed_tuple
+
+#: Trusted :class:`PreferenceEntry` construction: the fields' slot
+#: setters, which skip the frozen ``__setattr__`` and ``__post_init__``.
+_set_provider_id = PreferenceEntry.__dict__["provider_id"].__set__
+_set_attribute = PreferenceEntry.__dict__["attribute"].__set__
+_set_tuple = PreferenceEntry.__dict__["tuple"].__set__
 
 
 class ProviderPreferences:
@@ -54,17 +60,14 @@ class ProviderPreferences:
     ) -> None:
         if provider_id is None:
             raise ValidationError("provider_id must not be None")
-        normalized: list[PreferenceEntry] = []
-        seen: set[PreferenceEntry] = set()
+        pairs: list[tuple[str, PrivacyTuple]] = []
         for entry in entries:
             if isinstance(entry, tuple):
                 attribute, privacy_tuple = entry
-                entry = PreferenceEntry(
-                    provider_id=provider_id,
-                    attribute=attribute,
-                    tuple=privacy_tuple,
-                )
-            elif not isinstance(entry, PreferenceEntry):
+                check_attributed_tuple(attribute, privacy_tuple)
+                pairs.append((attribute, privacy_tuple))
+                continue
+            if not isinstance(entry, PreferenceEntry):
                 raise ValidationError(
                     f"preference entries must be PreferenceEntry or "
                     f"(attribute, PrivacyTuple) pairs, got {type(entry).__name__}"
@@ -74,23 +77,62 @@ class ProviderPreferences:
                     f"entry provider {entry.provider_id!r} does not match "
                     f"preference-set provider {provider_id!r}"
                 )
-            if entry not in seen:
-                seen.add(entry)
-                normalized.append(entry)
-        self._provider_id = provider_id
-        self._entries = tuple(normalized)
+            pairs.append((entry.attribute, entry.tuple))
+        self._fill(provider_id, pairs, attributes_provided)
+
+    @classmethod
+    def _from_pairs(
+        cls,
+        provider_id: Hashable,
+        pairs: Iterable[tuple[str, PrivacyTuple]],
+        attributes_provided: Iterable[str] | None = None,
+    ) -> "ProviderPreferences":
+        """The internal constructor, for inputs validated by the caller.
+
+        *provider_id* is not None and every pair is a non-empty attribute
+        string with a validated :class:`PrivacyTuple`; the
+        :class:`PreferenceEntry` objects are built without checking them
+        again.  Duplicate pairs are dropped, entries are grouped by
+        attribute, and *attributes_provided* must cover them, exactly as
+        in the public constructor, which ends here after validating.
+        The document parser and the population generator call it
+        directly.
+        """
+        preferences = cls.__new__(cls)
+        preferences._fill(provider_id, pairs, attributes_provided)
+        return preferences
+
+    def _fill(
+        self,
+        provider_id: Hashable,
+        pairs: Iterable[tuple[str, PrivacyTuple]],
+        attributes_provided: Iterable[str] | None,
+    ) -> None:
+        entries: list[PreferenceEntry] = []
         by_attribute: dict[str, list[PreferenceEntry]] = {}
-        for entry in self._entries:
-            by_attribute.setdefault(entry.attribute, []).append(entry)
+        new_entry = PreferenceEntry.__new__
+        # dict.fromkeys drops duplicate pairs, keeping the first of each.
+        for attribute, privacy_tuple in dict.fromkeys(pairs):
+            entry = new_entry(PreferenceEntry)
+            _set_provider_id(entry, provider_id)
+            _set_attribute(entry, attribute)
+            _set_tuple(entry, privacy_tuple)
+            entries.append(entry)
+            group = by_attribute.get(attribute)
+            if group is None:
+                by_attribute[attribute] = [entry]
+            else:
+                group.append(entry)
+        self._provider_id = provider_id
+        self._entries = tuple(entries)
         self._by_attribute = {
-            attribute: tuple(attr_entries)
-            for attribute, attr_entries in by_attribute.items()
+            attribute: tuple(group) for attribute, group in by_attribute.items()
         }
         if attributes_provided is None:
-            self._attributes_provided = frozenset(self._by_attribute)
+            self._attributes_provided = frozenset(by_attribute)
         else:
             provided = frozenset(attributes_provided)
-            missing = set(self._by_attribute) - provided
+            missing = by_attribute.keys() - provided
             if missing:
                 raise ValidationError(
                     f"preferences mention attributes not in "
@@ -184,26 +226,23 @@ def effective_preferences(
     """
     if not implicit_zero:
         return preferences
-    additions: list[PreferenceEntry] = []
-    seen: set[tuple[str, str]] = set()
+    provided = preferences.attributes_provided
+    covered = {
+        (entry.attribute, entry.tuple.purpose) for entry in preferences.entries
+    }
+    additions: list[tuple[str, PrivacyTuple]] = []
     for entry in policy:
         attribute = entry.attribute
-        purpose = entry.purpose
-        if attribute not in preferences.attributes_provided:
+        key = (attribute, entry.tuple.purpose)
+        if attribute not in provided or key in covered:
             continue
-        if purpose in preferences.purposes_for(attribute):
-            continue
-        key = (attribute, purpose)
-        if key in seen:
-            continue
-        seen.add(key)
-        additions.append(
-            PreferenceEntry(
-                provider_id=preferences.provider_id,
-                attribute=attribute,
-                tuple=PrivacyTuple.zero(purpose),
-            )
-        )
+        covered.add(key)
+        additions.append((attribute, PrivacyTuple.zero(key[1])))
     if not additions:
         return preferences
-    return preferences.with_entries(additions)
+    return ProviderPreferences._from_pairs(
+        preferences.provider_id,
+        [(entry.attribute, entry.tuple) for entry in preferences.entries]
+        + additions,
+        provided,
+    )

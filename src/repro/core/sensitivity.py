@@ -21,13 +21,19 @@ exceedance when no survey data is available.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from .._validation import check_real
 from ..exceptions import ValidationError
-from .dimensions import Dimension
+from .dimensions import ORDERED_DIMENSIONS, Dimension
+
+if TYPE_CHECKING:
+    from .population import Provider
+
+#: The ordered dimensions bound once (see :meth:`PrivacyTuple.rank`).
+_VISIBILITY, _GRANULARITY, _RETENTION = ORDERED_DIMENSIONS
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,16 +51,22 @@ class DimensionSensitivity:
     retention: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("value", "visibility", "granularity", "retention"):
-            check_real(getattr(self, name), name, minimum=0.0)
+        check_real(self.value, "value", minimum=0.0)
+        check_real(self.visibility, "visibility", minimum=0.0)
+        check_real(self.granularity, "granularity", minimum=0.0)
+        check_real(self.retention, "retention", minimum=0.0)
 
     def dimension_weight(self, dimension: Dimension) -> float:
         """The paper's ``s_i^a[dim]`` for an ordered dimension."""
-        if not dimension.is_ordered:
-            raise ValidationError(
-                "purpose has no dimension sensitivity; it is categorical"
-            )
-        return float(getattr(self, dimension.value))
+        if dimension is _VISIBILITY:
+            return float(self.visibility)
+        if dimension is _GRANULARITY:
+            return float(self.granularity)
+        if dimension is _RETENTION:
+            return float(self.retention)
+        raise ValidationError(
+            "purpose has no dimension sensitivity; it is categorical"
+        )
 
     def __getitem__(self, dimension: Dimension) -> float:
         return self.dimension_weight(dimension)
@@ -220,6 +232,25 @@ class SensitivityModel:
         providers = dict(self._providers)
         providers[sensitivity.provider_id] = sensitivity
         return SensitivityModel(self._attributes, providers)
+
+    @classmethod
+    def from_providers(
+        cls,
+        attributes: AttributeSensitivities | Mapping[str, float] | None,
+        providers: Iterable[Provider],
+    ) -> "SensitivityModel":
+        """``Sigma`` plus the ``sigma_i`` that *providers* carry.
+
+        A provider without sensitivity records keeps the neutral default.
+        """
+        return cls(
+            attributes,
+            {
+                p.provider_id: p.provider_sensitivity()
+                for p in providers
+                if p.sensitivity
+            },
+        )
 
     @classmethod
     def neutral(cls) -> "SensitivityModel":

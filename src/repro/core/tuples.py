@@ -19,6 +19,11 @@ from .._validation import check_int, check_non_empty_str
 from ..exceptions import ValidationError
 from .dimensions import Dimension, ORDERED_DIMENSIONS
 
+#: The ordered dimensions bound once: reading ``Dimension.X`` off the
+#: enum class goes through its metaclass, several times slower than
+#: the identity tests of :meth:`PrivacyTuple.rank`.
+_VISIBILITY, _GRANULARITY, _RETENTION = ORDERED_DIMENSIONS
+
 
 @dataclass(frozen=True, slots=True)
 class PrivacyTuple:
@@ -60,9 +65,13 @@ class PrivacyTuple:
         ValidationError
             If called with :attr:`Dimension.PURPOSE`.
         """
-        if not dimension.is_ordered:
-            raise ValidationError("purpose has no rank; it is categorical")
-        return getattr(self, dimension.value)
+        if dimension is _VISIBILITY:
+            return self.visibility
+        if dimension is _GRANULARITY:
+            return self.granularity
+        if dimension is _RETENTION:
+            return self.retention
+        raise ValidationError("purpose has no rank; it is categorical")
 
     def replace(
         self,
@@ -131,6 +140,15 @@ class PrivacyTuple:
         )
 
 
+def check_attributed_tuple(attribute: object, privacy_tuple: object) -> None:
+    """Check an ``<a, p>`` pair: a non-empty attribute and a :class:`PrivacyTuple`."""
+    check_non_empty_str(attribute, "attribute")
+    if not isinstance(privacy_tuple, PrivacyTuple):
+        raise ValidationError(
+            f"tuple must be a PrivacyTuple, got {type(privacy_tuple).__name__}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class PolicyEntry:
     """One house-policy element ``<a, p>`` (Eq. 2)."""
@@ -139,11 +157,7 @@ class PolicyEntry:
     tuple: PrivacyTuple
 
     def __post_init__(self) -> None:
-        check_non_empty_str(self.attribute, "attribute")
-        if not isinstance(self.tuple, PrivacyTuple):
-            raise ValidationError(
-                f"tuple must be a PrivacyTuple, got {type(self.tuple).__name__}"
-            )
+        check_attributed_tuple(self.attribute, self.tuple)
 
     @property
     def purpose(self) -> str:
@@ -165,11 +179,7 @@ class PreferenceEntry:
     def __post_init__(self) -> None:
         if self.provider_id is None:
             raise ValidationError("provider_id must not be None")
-        check_non_empty_str(self.attribute, "attribute")
-        if not isinstance(self.tuple, PrivacyTuple):
-            raise ValidationError(
-                f"tuple must be a PrivacyTuple, got {type(self.tuple).__name__}"
-            )
+        check_attributed_tuple(self.attribute, self.tuple)
 
     @property
     def purpose(self) -> str:

@@ -162,13 +162,17 @@ def find_violations(
     )
     findings: list[ViolationFinding] = []
     for pref in completed.entries:
-        attribute_weight = model.attribute_weight(pref.attribute)
-        datum = model.datum(pref.provider_id, pref.attribute)
-        for pol in policy.for_attribute(pref.attribute):
-            if pref.purpose != pol.purpose:
+        attribute = pref.attribute
+        purpose = pref.purpose
+        pref_tuple = pref.tuple
+        attribute_weight = model.attribute_weight(attribute)
+        datum = model.datum(pref.provider_id, attribute)
+        for pol in policy.for_attribute(attribute):
+            if purpose != pol.purpose:
                 continue
+            pol_tuple = pol.tuple
             for dim in ORDERED_DIMENSIONS:
-                amount = diff(pref.tuple.rank(dim), pol.tuple.rank(dim))
+                amount = diff(pref_tuple.rank(dim), pol_tuple.rank(dim))
                 if not amount:
                     continue
                 weighted = (
@@ -180,15 +184,14 @@ def find_violations(
                 findings.append(
                     ViolationFinding(
                         provider_id=pref.provider_id,
-                        attribute=pref.attribute,
-                        purpose=pref.purpose,
+                        attribute=attribute,
+                        purpose=purpose,
                         dimension=dim,
-                        preference_value=pref.tuple.rank(dim),
-                        policy_value=pol.tuple.rank(dim),
+                        preference_value=pref_tuple.rank(dim),
+                        policy_value=pol_tuple.rank(dim),
                         amount=amount,
                         weighted=weighted,
-                        implicit=(pref.attribute, pref.purpose)
-                        not in explicit_keys,
+                        implicit=(attribute, purpose) not in explicit_keys,
                     )
                 )
     return findings

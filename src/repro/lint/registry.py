@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .._validation import check_probability, check_real
 from ..core.policy import HousePolicy
@@ -22,6 +23,7 @@ from ..exceptions import LintConfigurationError
 from ..policy_lang.ast import PolicyDocument, PreferenceDocument, TupleSpec
 from ..taxonomy.builder import Taxonomy
 from .diagnostics import Diagnostic, Severity, SourceLocation, sort_key
+from .intervals import PopulationIntervals, interval_analysis
 
 
 class Layer(enum.Enum):
@@ -90,6 +92,14 @@ class LintContext:
     candidate: HousePolicy | None = None
     attribute_sensitivities: Mapping[str, float] = field(default_factory=dict)
     config: LintConfig = field(default_factory=LintConfig)
+
+    @cached_property
+    def population_intervals(self) -> PopulationIntervals:
+        """The static severity intervals of ``policy`` against
+        ``population`` (population weight bounds), computed once per
+        context for every rule that reads them.  Only read when both
+        were lowered."""
+        return interval_analysis(self.policy, self.population)
 
     def iter_policy_specs(self) -> Iterator[tuple[SourceLocation, TupleSpec]]:
         """Every policy/candidate rule spec with its location."""

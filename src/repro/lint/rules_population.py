@@ -136,7 +136,7 @@ def check_vacuous_policy(ctx: LintContext, emit: Callable[..., None]) -> None:
         or not len(ctx.population)
     ):
         return
-    intervals = interval_analysis(ctx.policy, ctx.population)
+    intervals = ctx.population_intervals
     if any(not bounds.provably_safe for bounds in intervals):
         return
     emit(
@@ -172,7 +172,7 @@ def check_statically_certifiable(
         or not len(ctx.population)
     ):
         return
-    intervals = interval_analysis(ctx.policy, ctx.population)
+    intervals = ctx.population_intervals
     certificate = intervals.certificate(ctx.config.alpha)
     if not certificate.satisfied:
         return  # the failing direction is PVL110's business

@@ -37,7 +37,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -113,8 +113,7 @@ class CompiledPopulation:
         "_sigma",
         "_sensitivity_override",
         "_default_override",
-        "_sensitivities",
-        "_default_model",
+        "_models",
         "_providers",
         "_ids",
         "_index",
@@ -148,8 +147,7 @@ class CompiledPopulation:
         self._sigma = population.attribute_sensitivities
         self._sensitivity_override = sensitivities
         self._default_override = default_model
-        self._sensitivities = sensitivities
-        self._default_model = default_model
+        self._models: tuple[SensitivityModel, DefaultModel] | None = None
         providers = population.providers
         self._providers: tuple[Provider, ...] = providers
         ids = population.ids()
@@ -219,24 +217,48 @@ class CompiledPopulation:
 
     @property
     def sensitivities(self) -> SensitivityModel:
-        """The sensitivity model in force: the override, or the present
-        providers' own (built on first read)."""
-        if self._sensitivities is None:
-            self._sensitivities = self.population.sensitivity_model()
-        return self._sensitivities
+        """The sensitivity model in force for the present providers
+        (built on first read, see :meth:`models_for`)."""
+        return self._present_models()[0]
 
     @property
     def default_model(self) -> DefaultModel:
-        """The default model in force: the override, or the present
-        providers' own (built on first read)."""
-        if self._default_model is None:
-            self._default_model = self.population.default_model()
-        return self._default_model
+        """The default model in force for the present providers
+        (built on first read, see :meth:`models_for`)."""
+        return self._present_models()[1]
+
+    def models_for(
+        self, providers: Sequence[Provider]
+    ) -> tuple[SensitivityModel, DefaultModel]:
+        """The sensitivity and default models in force for *providers*.
+
+        Each is the override given at compile time, or else built from
+        *providers*' own records, which is what the present population's
+        model holds for them.  A caller that needs the models for a few
+        rows passes just their providers and pays for those alone.
+        """
+        sensitivities = self._sensitivity_override
+        if sensitivities is None:
+            sensitivities = SensitivityModel.from_providers(self._sigma, providers)
+        default_model = self._default_override
+        if default_model is None:
+            default_model = DefaultModel.from_providers(providers)
+        return sensitivities, default_model
+
+    def _present_models(self) -> tuple[SensitivityModel, DefaultModel]:
+        models = self._models
+        if models is None:
+            models = self._models = self.models_for(self.population.providers)
+        return models
 
     @property
     def ids(self) -> tuple[Hashable, ...]:
         """Provider ids, one per row (the population order)."""
         return self._ids
+
+    def provider(self, row: int) -> Provider:
+        """The :class:`Provider` compiled at *row* (tombstoned or not)."""
+        return self._providers[row]
 
     @property
     def segments(self) -> tuple[str | None, ...]:
@@ -567,8 +589,7 @@ class CompiledPopulation:
     def _mutated(self) -> None:
         """Drop what was derived from the providers present before."""
         self._population = None
-        self._sensitivities = self._sensitivity_override
-        self._default_model = self._default_override
+        self._models = None
         self._alive_view = None
 
 

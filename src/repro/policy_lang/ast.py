@@ -45,8 +45,47 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from .._validation import check_non_empty_str
+from .._validation import EXACT_LEVEL_TYPES, check_non_empty_str
 from ..exceptions import PolicyDocumentError
+
+
+def check_spec_values(
+    attribute: object,
+    purpose: object,
+    visibility: object,
+    granularity: object,
+    retention: object,
+) -> None:
+    """Check one rule/preference line's five values.
+
+    The one value rule for :class:`TupleSpec` and for the parser's
+    direct lowering of preference specs.  The common spelling —
+    non-blank ``str`` attribute and purpose, ordered values of exact
+    type ``str`` or ``int`` — passes every check below, so it is
+    accepted before them; any other spelling gets the checks, in
+    order, and the first fault is raised.
+    """
+    if (
+        type(attribute) is str
+        and type(purpose) is str
+        and attribute.strip()
+        and purpose.strip()
+        and type(visibility) in EXACT_LEVEL_TYPES
+        and type(granularity) in EXACT_LEVEL_TYPES
+        and type(retention) in EXACT_LEVEL_TYPES
+    ):
+        return
+    check_non_empty_str(attribute, "attribute")
+    check_non_empty_str(purpose, "purpose")
+    for name, value in (
+        ("visibility", visibility),
+        ("granularity", granularity),
+        ("retention", retention),
+    ):
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
+            raise PolicyDocumentError(
+                f"{name} must be a level name or integer rank, got {value!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,14 +103,13 @@ class TupleSpec:
     retention: str | int
 
     def __post_init__(self) -> None:
-        check_non_empty_str(self.attribute, "attribute")
-        check_non_empty_str(self.purpose, "purpose")
-        for name in ("visibility", "granularity", "retention"):
-            value = getattr(self, name)
-            if not isinstance(value, (str, int)) or isinstance(value, bool):
-                raise PolicyDocumentError(
-                    f"{name} must be a level name or integer rank, got {value!r}"
-                )
+        check_spec_values(
+            self.attribute,
+            self.purpose,
+            self.visibility,
+            self.granularity,
+            self.retention,
+        )
 
     def as_dict(self) -> dict[str, str | int]:
         """The spec as a plain dict (the document form)."""

@@ -6,14 +6,21 @@ Two layers:
 * ``parse_*`` functions — dict (or AST) + taxonomy to core model objects,
   resolving level names to ranks and validating purposes.
 
+A preference document (and each provider entry of a population
+document) is lowered straight from its dict by :func:`_lower_preferences`,
+without building the AST: the checks are the AST's, in the same order,
+with the same messages.
+
 ``*_from_json`` variants accept a JSON string.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
+from operator import itemgetter
 
+from .._validation import check_non_empty_str
 from ..core.policy import HousePolicy
 from ..core.preferences import ProviderPreferences
 from ..core.sensitivity import (
@@ -24,9 +31,18 @@ from ..core.sensitivity import (
 )
 from ..exceptions import PolicyDocumentError
 from ..taxonomy.builder import Taxonomy
-from .ast import PolicyDocument, PreferenceDocument, SensitivityDocument, TupleSpec
+from .ast import (
+    PolicyDocument,
+    PreferenceDocument,
+    SensitivityDocument,
+    TupleSpec,
+    check_spec_values,
+)
 
 _TUPLE_KEYS = ("purpose", "visibility", "granularity", "retention")
+
+#: A spec's five values, in ``(attribute, purpose, V, G, R)`` order.
+_spec_values = itemgetter("attribute", *_TUPLE_KEYS)
 
 
 def _tuple_spec(raw: Mapping, *, context: str) -> TupleSpec:
@@ -54,6 +70,76 @@ def _tuple_spec(raw: Mapping, *, context: str) -> TupleSpec:
     )
 
 
+def _checked_spec(raw: object, provider: object) -> tuple:
+    """One raw preference spec as ``(attribute, purpose, V, G, R)``.
+
+    Checked as :func:`_tuple_spec` checks it, without building the
+    :class:`TupleSpec`: a ``dict`` of exactly the five keys passes every
+    structural check, so only its values are checked
+    (:func:`~repro.policy_lang.ast.check_spec_values`, the rule
+    :class:`TupleSpec` applies); anything else goes through
+    :func:`_tuple_spec`, which reports its first fault or accepts
+    another Mapping.
+    """
+    if type(raw) is dict and len(raw) == 5:
+        try:
+            values = _spec_values(raw)
+        except KeyError:
+            pass
+        else:
+            check_spec_values(*values)
+            return values
+    spec = _tuple_spec(raw, context=f"preferences of {provider!r}")
+    return (
+        spec.attribute,
+        spec.purpose,
+        spec.visibility,
+        spec.granularity,
+        spec.retention,
+    )
+
+
+def _lower_preferences(
+    provider: object,
+    specs: Iterable,
+    attributes_provided: Iterable | None,
+    taxonomy: Taxonomy,
+) -> ProviderPreferences:
+    """Lower one provider's raw preference specs, without building an AST.
+
+    The one spec-lowering path of :func:`parse_preferences` and
+    :func:`~repro.policy_lang.population_doc.parse_population`.  Faults
+    are reported in the order the AST path reports them: every spec's
+    structure and types, spec by spec, and the iterability of
+    *attributes_provided*; then the provider id; then taxonomy
+    resolution, spec by spec (memoized per spelling by
+    :meth:`Taxonomy.tuple`); then *attributes_provided* covering the
+    attributes the specs name, checked by the trusted
+    :meth:`ProviderPreferences._from_pairs`.
+    """
+    checked = [_checked_spec(spec, provider) for spec in specs]
+    if attributes_provided is not None:
+        attributes_provided = tuple(attributes_provided)
+    check_non_empty_str(provider, "provider")
+    resolve = taxonomy.tuple
+    pairs = [
+        (attribute, resolve(purpose, visibility, granularity, retention))
+        for attribute, purpose, visibility, granularity, retention in checked
+    ]
+    return ProviderPreferences._from_pairs(provider, pairs, attributes_provided)
+
+
+def _check_preference_mapping(raw: object) -> None:
+    """The checks every raw preference document gets before its specs."""
+    if not isinstance(raw, Mapping):
+        raise PolicyDocumentError(
+            f"preference document must be a mapping, got {type(raw).__name__}"
+        )
+    for key in ("provider", "preferences"):
+        if key not in raw:
+            raise PolicyDocumentError(f"preference document missing {key!r}")
+
+
 def policy_document(raw: Mapping) -> PolicyDocument:
     """Raw dict to :class:`PolicyDocument` (structural checks only)."""
     if not isinstance(raw, Mapping):
@@ -71,13 +157,7 @@ def policy_document(raw: Mapping) -> PolicyDocument:
 
 def preference_document(raw: Mapping) -> PreferenceDocument:
     """Raw dict to :class:`PreferenceDocument` (structural checks only)."""
-    if not isinstance(raw, Mapping):
-        raise PolicyDocumentError(
-            f"preference document must be a mapping, got {type(raw).__name__}"
-        )
-    for key in ("provider", "preferences"):
-        if key not in raw:
-            raise PolicyDocumentError(f"preference document missing {key!r}")
+    _check_preference_mapping(raw)
     provider = raw["provider"]
     specs = tuple(
         _tuple_spec(spec, context=f"preferences of {provider!r}")
@@ -132,23 +212,24 @@ def parse_policy(raw: Mapping | PolicyDocument, taxonomy: Taxonomy) -> HousePoli
 def parse_preferences(
     raw: Mapping | PreferenceDocument, taxonomy: Taxonomy
 ) -> ProviderPreferences:
-    """Lower a preference document onto a :class:`ProviderPreferences`."""
-    document = (
-        raw if isinstance(raw, PreferenceDocument) else preference_document(raw)
-    )
-    entries = [
-        (
-            spec.attribute,
-            taxonomy.tuple(
-                spec.purpose, spec.visibility, spec.granularity, spec.retention
-            ),
+    """Lower a preference document onto a :class:`ProviderPreferences`.
+
+    A dict is lowered directly (:func:`_lower_preferences`), and so are
+    an AST's specs, in their dict form.
+    """
+    if isinstance(raw, PreferenceDocument):
+        return _lower_preferences(
+            raw.provider,
+            [spec.as_dict() for spec in raw.preferences],
+            raw.attributes_provided,
+            taxonomy,
         )
-        for spec in document.preferences
-    ]
-    return ProviderPreferences(
-        document.provider,
-        entries,
-        attributes_provided=document.attributes_provided,
+    _check_preference_mapping(raw)
+    return _lower_preferences(
+        raw["provider"],
+        raw["preferences"],
+        raw.get("attributes_provided"),
+        taxonomy,
     )
 
 

@@ -33,7 +33,7 @@ from ..core.sensitivity import DimensionSensitivity
 from ..exceptions import PolicyDocumentError
 from ..taxonomy.builder import Taxonomy
 from .ast import PreferenceDocument
-from .parser import parse_preferences, preference_document
+from .parser import _lower_preferences, preference_document
 
 _PROVIDER_KEYS = {
     "provider",
@@ -46,11 +46,14 @@ _PROVIDER_KEYS = {
 _RECORD_KEYS = {"value", "visibility", "granularity", "retention"}
 
 
-def _parse_sensitivity_record(raw: Mapping, *, context: str) -> DimensionSensitivity:
+def _parse_sensitivity_record(
+    raw: Mapping, provider: object, attribute: object
+) -> DimensionSensitivity:
     unknown = set(raw) - _RECORD_KEYS
     if unknown:
         raise PolicyDocumentError(
-            f"{context}: unknown sensitivity keys {sorted(unknown)}"
+            f"provider {provider!r}/{attribute!r}: unknown sensitivity keys "
+            f"{sorted(unknown)}"
         )
     return DimensionSensitivity(
         value=raw.get("value", 1.0),
@@ -100,7 +103,14 @@ def preference_documents(raw: Mapping) -> tuple[PreferenceDocument, ...]:
 
 
 def parse_population(raw: Mapping, taxonomy: Taxonomy) -> Population:
-    """Build a :class:`Population` from a population document dict."""
+    """Build a :class:`Population` from a population document dict.
+
+    Each provider entry is lowered straight from its dict (no
+    :class:`PreferenceDocument` is built): its preference specs, then
+    its sensitivities, then its threshold.  Each distinct spec spelling
+    is resolved once per taxonomy (:meth:`Taxonomy.tuple`).  Duplicate
+    provider ids are reported after every entry is lowered.
+    """
     if not isinstance(raw, Mapping):
         raise PolicyDocumentError(
             f"population document must be a mapping, got {type(raw).__name__}"
@@ -123,14 +133,15 @@ def parse_population(raw: Mapping, taxonomy: Taxonomy) -> Population:
             raise PolicyDocumentError(
                 f"provider entry has unknown keys {sorted(unknown)}"
             )
-        preferences = parse_preferences(
-            _entry_preference_document(entry), taxonomy
+        provider = entry.get("provider")
+        preferences = _lower_preferences(
+            provider,
+            entry.get("preferences", []),
+            entry.get("attributes_provided"),
+            taxonomy,
         )
         sensitivities = {
-            attribute: _parse_sensitivity_record(
-                record,
-                context=f"provider {entry.get('provider')!r}/{attribute!r}",
-            )
+            attribute: _parse_sensitivity_record(record, provider, attribute)
             for attribute, record in entry.get("sensitivities", {}).items()
         }
         threshold = entry.get("threshold")

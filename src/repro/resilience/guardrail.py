@@ -44,6 +44,7 @@ from ..core.violation import find_violations
 from ..lint.diagnostics import Diagnostic
 from ..obs import active_observer
 from ..perf.batch import BatchReport, BatchViolationEngine
+from ..perf.compiled import CompiledPopulation
 from .diagnostics import (
     GUARDRAIL_DEGRADED,
     GUARDRAIL_DIVERGENCE,
@@ -77,7 +78,7 @@ class GuardedBatchEngine:
 
     def __init__(
         self,
-        population: Population,
+        population: Population | CompiledPopulation,
         *,
         sensitivities: SensitivityModel | None = None,
         default_model: DefaultModel | None = None,
@@ -233,13 +234,11 @@ class GuardedBatchEngine:
                 payload={"providers": [repr(pid) for pid in bad[:8]]},
             )
         compiled = self._batch.compiled
-        sensitivities = compiled.sensitivities
-        default_model = compiled.default_model
-        providers = self.population.providers
-        n = len(providers)
-        rows = self._sample_rows(n)
-        for row in rows:
-            provider = providers[row]
+        rows = self._sample_rows(compiled.alive_count)
+        present = compiled.alive_rows
+        providers = [compiled.provider(int(present[row])) for row in rows]
+        sensitivities, default_model = compiled.models_for(providers)
+        for row, provider in zip(rows, providers):
             findings = find_violations(
                 provider.preferences,
                 policy,

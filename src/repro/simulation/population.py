@@ -212,7 +212,9 @@ def generate_population(spec: PopulationSpec) -> Population:
     Batching stops at the attribute because PCG64 keeps the spare 32-bit
     half of a word for the next integer draw, across the doubles drawn in
     between.  Equal tuples are built (and validated) once per call and
-    shared: they are immutable.
+    shared: they are immutable.  Attribute names are checked once, so
+    each provider's preferences are built by the trusted
+    :meth:`ProviderPreferences._from_pairs`.
     """
     rng = np.random.default_rng(spec.seed)
     segment_of = _allocate_segments(rng, spec)
@@ -221,6 +223,9 @@ def generate_population(spec: PopulationSpec) -> Population:
     plans = [
         _draw_plan(spec, segment, purposes, anchor) for segment in spec.segments
     ]
+    if purposes:
+        for attribute in spec.attributes:
+            check_non_empty_str(attribute, "attribute")
     shared: dict[tuple[str, int, int, int], PrivacyTuple] = {}
     providers: list[Provider] = []
     for index, segment_index in enumerate(segment_of):
@@ -240,7 +245,7 @@ def generate_population(spec: PopulationSpec) -> Population:
             )
         providers.append(
             Provider(
-                preferences=ProviderPreferences(provider_id, entries),
+                preferences=ProviderPreferences._from_pairs(provider_id, entries),
                 sensitivity=sensitivity,
                 threshold=sample_threshold(rng, segment.threshold),
                 segment=segment.name,

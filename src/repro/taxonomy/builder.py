@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+from .._validation import EXACT_LEVEL_TYPES
 from ..core.dimensions import (
     Dimension,
     ORDERED_DIMENSIONS,
@@ -27,6 +28,10 @@ from .levels import granularity_domain, retention_domain, visibility_domain
 
 #: Either kind of domain a taxonomy may hold for an ordered dimension.
 DomainLike = OrderedDomain | UnboundedRetention
+
+#: The most spellings one taxonomy's :meth:`Taxonomy.tuple` memo holds;
+#: past it a new spelling is still validated, just not remembered.
+TUPLE_MEMO_LIMIT = 65536
 
 
 class Taxonomy:
@@ -44,7 +49,7 @@ class Taxonomy:
         When present, its purposes must match the registry.
     """
 
-    __slots__ = ("_purposes", "_domains", "_lattice")
+    __slots__ = ("_purposes", "_domains", "_lattice", "_tuples")
 
     def __init__(
         self,
@@ -80,6 +85,7 @@ class Taxonomy:
                     "purpose lattice and registry cover different purposes"
                 )
         self._lattice = purpose_lattice
+        self._tuples: dict[tuple, PrivacyTuple] = {}
 
     @property
     def purposes(self) -> PurposeRegistry:
@@ -113,14 +119,37 @@ class Taxonomy:
         rank-based arithmetic: each ordered value may be a level name
         (resolved through the taxonomy's ladder) or a raw integer rank
         (validated against the ladder's range).
+
+        A document repeats a few hundred distinct specs, so the result is
+        memoized per spelling.  Only exact ``str`` / ``int`` arguments
+        are keys: ``True``, ``1.0`` and ``np.int64(1)`` compare and hash
+        equal to ``1``, so they are validated afresh and never served
+        ``1``'s tuple.  A spelling that fails validation is not
+        remembered.
         """
-        self._purposes.validate(purpose)
-        return PrivacyTuple(
-            purpose=purpose,
-            visibility=self._domains[Dimension.VISIBILITY].rank_of(visibility),
-            granularity=self._domains[Dimension.GRANULARITY].rank_of(granularity),
-            retention=self._domains[Dimension.RETENTION].rank_of(retention),
+        key = (purpose, visibility, granularity, retention)
+        exact = (
+            type(purpose) is str
+            and type(visibility) in EXACT_LEVEL_TYPES
+            and type(granularity) in EXACT_LEVEL_TYPES
+            and type(retention) in EXACT_LEVEL_TYPES
         )
+        if exact:
+            cached = self._tuples.get(key)
+            if cached is not None:
+                return cached
+        self._purposes.validate(purpose)
+        # _domains is keyed in ORDERED_DIMENSIONS order: V, G, R.
+        v_ladder, g_ladder, r_ladder = self._domains.values()
+        result = PrivacyTuple(
+            purpose=purpose,
+            visibility=v_ladder.rank_of(visibility),
+            granularity=g_ladder.rank_of(granularity),
+            retention=r_ladder.rank_of(retention),
+        )
+        if exact and len(self._tuples) < TUPLE_MEMO_LIMIT:
+            self._tuples[key] = result
+        return result
 
     def describe(self, privacy_tuple: PrivacyTuple) -> dict[str, str]:
         """Render a tuple's ranks back to level names for reports."""

@@ -104,3 +104,46 @@ def test_incremental_matches_golden(name, tmp_path):
         )
         assert render_json(report) + "\n" == golden
     assert cache.hits > 0
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_population_bounds_analysed_once(name, tmp_path, monkeypatch):
+    """PVL212 and PVL213 share one population-bounds interval analysis.
+
+    Counted on the plain and the incremental (cached) paths, whose
+    output must still be the golden bytes.  PVL214's provider-bounds
+    analysis is a different question and keeps its own run.
+    """
+    import repro.lint.intervals as intervals
+
+    calls: list[str] = []
+    original = intervals.interval_analysis
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("weight_bounds", "population"))
+        return original(*args, **kwargs)
+
+    for module in ("registry", "rules_population"):
+        monkeypatch.setattr(
+            f"repro.lint.{module}.interval_analysis", counted, raising=False
+        )
+    taxonomy, documents = dataset_report(name)
+    golden = (GOLDEN_DIR / f"{name}.json").read_text()
+    plain = lint_documents(
+        taxonomy,
+        policy=documents["policy"],
+        population=documents["population"],
+        config=CONFIG,
+    )
+    assert render_json(plain) + "\n" == golden
+    assert calls.count("population") == 1
+    calls.clear()
+    cached = incremental_lint(
+        taxonomy,
+        policy=documents["policy"],
+        population=documents["population"],
+        config=CONFIG,
+        cache=LintCache(tmp_path / "cache.json"),
+    )
+    assert render_json(cached) + "\n" == golden
+    assert calls.count("population") == 1

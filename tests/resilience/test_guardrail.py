@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.default import DefaultModel
+from repro.core.dimensions import Dimension
+from repro.core.population import Population
+from repro.core.sensitivity import SensitivityModel
 from repro.datasets import healthcare_scenario
-from repro.perf import BatchViolationEngine
+from repro.perf import BatchViolationEngine, CompiledPopulation
 from repro.resilience import FaultPlan, FaultSpec, GuardedBatchEngine
 
 
@@ -120,3 +124,114 @@ class TestDegradation:
         assert divergence.payload["batch_violation"] != pytest.approx(
             divergence.payload["reference_violation"]
         )
+
+
+class TestAfterRemoval:
+    """Spot checks read only the sampled providers, so a guarded round
+    costs O(sample) after a removal, not a rebuild of the survivors."""
+
+    @pytest.fixture(scope="class")
+    def wide_policy(self, scenario):
+        """A widening every provider feels (the scenario's own policy
+        violates no one, so model overrides would change nothing)."""
+        return scenario.policy.widened(
+            {
+                Dimension.VISIBILITY: 1,
+                Dimension.GRANULARITY: 1,
+                Dimension.RETENTION: 1,
+            }
+        )
+
+    def test_check_builds_no_population_models(
+        self, scenario, wide_policy, monkeypatch
+    ):
+        guarded = GuardedBatchEngine(
+            scenario.population, sample_size=len(scenario.population)
+        )
+        guarded.evaluate(wide_policy)
+        removed = scenario.population.ids()[::3]
+        guarded.remove(removed)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the guardrail rebuilt a population model")
+
+        monkeypatch.setattr(Population, "sensitivity_model", forbidden)
+        monkeypatch.setattr(Population, "default_model", forbidden)
+        report = guarded.evaluate(wide_policy)
+        monkeypatch.undo()
+        survivors = scenario.population.without(removed)
+        expected = BatchViolationEngine(survivors).evaluate(wide_policy)
+        assert not guarded.degraded
+        assert report.provider_ids == expected.provider_ids
+        assert np.array_equal(report.violations, expected.violations)
+
+    def test_overrides_are_the_oracle_models(self, scenario, wide_policy):
+        population = scenario.population
+        own = population.sensitivity_model()
+        sensitivities = SensitivityModel(
+            {attribute: 2.5 for attribute in own.attributes.as_dict()},
+            own.explicit_providers(),
+        )
+        default_model = population.default_model(strict=False)
+        guarded = GuardedBatchEngine(
+            population,
+            sensitivities=sensitivities,
+            default_model=default_model,
+            sample_size=len(population),
+        )
+        plain = BatchViolationEngine(
+            population, sensitivities=sensitivities, default_model=default_model
+        )
+        removed = population.ids()[1::4]
+        guarded.remove(removed)
+        plain.remove(removed)
+        report = guarded.evaluate(wide_policy)
+        assert not guarded.degraded
+        assert np.array_equal(
+            report.violations, plain.evaluate(wide_policy).violations
+        )
+
+    def test_guards_a_population_compiled_with_overrides(
+        self, scenario, wide_policy
+    ):
+        population = scenario.population
+        own = population.sensitivity_model()
+        sensitivities = SensitivityModel(
+            {attribute: 2.5 for attribute in own.attributes.as_dict()}, {}
+        )
+        default_model = DefaultModel(
+            {pid: 1.0 for pid in population.ids()}, strict=False
+        )
+        compiled = CompiledPopulation(
+            population, sensitivities=sensitivities, default_model=default_model
+        )
+        guarded = GuardedBatchEngine(compiled, sample_size=len(population))
+        plain = BatchViolationEngine(
+            population, sensitivities=sensitivities, default_model=default_model
+        )
+        removed = population.ids()[::3]
+        for mutate in (None, removed):
+            if mutate is not None:
+                guarded.remove(mutate)
+                plain.remove(mutate)
+            report = guarded.evaluate(wide_policy)
+            expected = plain.evaluate(wide_policy)
+            assert guarded.diagnostics == ()
+            assert np.array_equal(report.violations, expected.violations)
+            assert np.array_equal(report.defaulted, expected.defaulted)
+
+    def test_divergence_after_removal_is_caught(self, scenario):
+        guarded = GuardedBatchEngine(
+            scenario.population, sample_size=len(scenario.population)
+        )
+        removed = scenario.population.ids()[::2]
+        guarded.remove(removed)
+        plan = FaultPlan(
+            [FaultSpec(site="engine.violations", kind="scale", at=0)]
+        )
+        with plan.activate():
+            report = guarded.evaluate(scenario.policy)
+        survivors = scenario.population.without(removed)
+        expected = BatchViolationEngine(survivors).evaluate(scenario.policy)
+        assert [d.code for d in guarded.diagnostics] == ["PVL301", "PVL303"]
+        assert np.array_equal(report.violations, expected.violations)
