@@ -23,12 +23,12 @@ chaos:
 		tests/policy_lang/test_error_contract.py
 
 # The population-churn suite CI runs in the delta-parity job: the one
-# batch engine's remove/append/update (BatchViolationEngine over an
-# in-place CompiledPopulation) in randomized mutation sequences
-# bit-for-bit against fresh compiles, the exactly-one-compile churn
-# regression, the shared column diff and chained-delta exactness, the
-# mutation-epoch resume contract, and a smoke-size run of the delta
-# dynamics bench.
+# batch engine's removals (BatchViolationEngine tombstoning rows of an
+# in-place CompiledPopulation, compacting past half) in randomized
+# removal sequences bit-for-bit against fresh compiles, the
+# exactly-one-compile churn regression, the shared column diff and
+# chained-delta exactness, the mutation-epoch resume contract, and a
+# smoke-size run of the delta dynamics bench.
 delta-parity:
 	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
 		tests/properties/test_mutation_parity.py \

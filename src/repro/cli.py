@@ -46,6 +46,7 @@ Example
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -586,8 +587,13 @@ def _obs_options() -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser."""
+    """The CLI's argument parser, built once per process.
+
+    ``parse_args`` leaves a parser unchanged, so every :func:`main` call
+    shares this one instead of rebuilding the tree of subcommands.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Quantify privacy violations (Banerjee et al., SDM 2011).",

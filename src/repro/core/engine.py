@@ -20,7 +20,7 @@ from ..obs import active_observer
 from .default import DefaultModel
 from .policy import HousePolicy
 from .population import Population
-from .ppdb import PPDBCertificate, certify_alpha_ppdb
+from .ppdb import PPDBCertificate
 from .sensitivity import SensitivityModel
 from .severity import SeverityBreakdown
 from .violation import ViolationFinding, find_violations
@@ -225,7 +225,7 @@ class ViolationEngine:
             outcomes=outcomes,
         )
 
-    def certify(self, alpha: float, *, early_exit: bool = False) -> PPDBCertificate:
+    def certify(self, alpha: float) -> PPDBCertificate:
         """Definition 3's alpha-PPDB certificate under the current policy.
 
         The certificate is derived from this engine's own evaluation state
@@ -239,22 +239,7 @@ class ViolationEngine:
         the models from the new population, and the free function
         :func:`~repro.core.ppdb.certify_alpha_ppdb`, which recomputes the
         indicators from raw preferences.
-
-        With ``early_exit=True`` and no evaluation cached yet, the
-        provider walk stops as soon as the ``alpha x N`` violation budget
-        is exceeded; the resulting certificate is marked non-exhaustive
-        (see :class:`~repro.core.ppdb.PPDBCertificate`).  When outcomes
-        are already cached the flags are free and the exact certificate is
-        returned regardless.
         """
-        if early_exit and self._outcomes is None:
-            return certify_alpha_ppdb(
-                self._population,
-                self._policy,
-                alpha,
-                implicit_zero=self._implicit_zero,
-                early_exit=True,
-            )
         alpha = check_probability(alpha, "alpha")
         outcomes = self.outcomes()
         violated = tuple(o.provider_id for o in outcomes if o.violated)

@@ -181,41 +181,6 @@ class Population:
             self._attribute_sensitivities,
         )
 
-    def extended(self, providers: Iterable[Provider]) -> "Population":
-        """A new population with the given providers appended at the end.
-
-        :meth:`repro.perf.batch.BatchViolationEngine.append` produces
-        exactly this population's compiled form: survivors first, in
-        order, new providers after them.  Duplicate ids are rejected by
-        the constructor.
-        """
-        return Population(
-            (*self._providers, *providers), self._attribute_sensitivities
-        )
-
-    def updated(self, providers: Iterable[Provider]) -> "Population":
-        """A new population with the given providers replaced in place.
-
-        Each provider substitutes the existing one with the same id —
-        order is preserved, which is what keeps
-        :meth:`repro.perf.batch.BatchViolationEngine.update` bit-for-bit
-        against a fresh compile.
-        """
-        replacements = {}
-        for provider in providers:
-            if not isinstance(provider, Provider):
-                raise ValidationError(
-                    f"population members must be Provider, got "
-                    f"{type(provider).__name__}"
-                )
-            if provider.provider_id not in self._by_id:
-                raise UnknownProviderError(provider.provider_id)
-            replacements[provider.provider_id] = provider
-        return Population(
-            (replacements.get(p.provider_id, p) for p in self._providers),
-            self._attribute_sensitivities,
-        )
-
     def subset(self, provider_ids: Iterable[Hashable]) -> "Population":
         """A new population restricted to the given providers (order kept)."""
         wanted = set(provider_ids)

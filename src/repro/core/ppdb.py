@@ -26,12 +26,6 @@ class PPDBCertificate:
     ``violated_providers`` lists the ids with ``w_i = 1`` so an auditor can
     recompute ``violation_probability = len(violated_providers) / n_providers``
     and verify ``satisfied == (violation_probability <= alpha)``.
-
-    ``exhaustive`` is False when the check stopped early: the counting was
-    abandoned as soon as the ``alpha x N`` violation budget was exceeded,
-    so ``violation_probability`` is a *lower bound* (sufficient to prove
-    the check failed) and ``violated_providers`` may be incomplete.  The
-    auditor identity above still holds for the partial list.
     """
 
     alpha: float
@@ -40,7 +34,6 @@ class PPDBCertificate:
     n_providers: int
     violated_providers: tuple[Hashable, ...]
     policy_name: str
-    exhaustive: bool = True
 
     @property
     def margin(self) -> float:
@@ -77,18 +70,12 @@ def certify_alpha_ppdb(
     alpha: float,
     *,
     implicit_zero: bool = True,
-    early_exit: bool = False,
 ) -> PPDBCertificate:
     """Check Definition 3 and return the full certificate.
 
     The violation indicators are re-derived from each provider's
     preferences; ``w_i`` is purely geometric (Definition 1), so no
     sensitivity or default model enters the computation.
-
-    With ``early_exit=True`` the provider walk stops as soon as more than
-    ``alpha x N`` providers are violated: Definition 3 is already refuted
-    at that point, and the returned certificate is marked
-    ``exhaustive=False`` with ``violation_probability`` a lower bound.
     """
     alpha = check_probability(alpha, "alpha")
     n = len(population)
@@ -102,23 +89,12 @@ def certify_alpha_ppdb(
             violated_providers=(),
             policy_name=policy.name,
         )
-    budget = alpha * n
     violated: list[Hashable] = []
     for provider in population:
         if violation_indicator(
             provider.preferences, policy, implicit_zero=implicit_zero
         ):
             violated.append(provider.provider_id)
-            if early_exit and len(violated) > budget:
-                return PPDBCertificate(
-                    alpha=alpha,
-                    violation_probability=len(violated) / n,
-                    satisfied=False,
-                    n_providers=n,
-                    violated_providers=tuple(violated),
-                    policy_name=policy.name,
-                    exhaustive=False,
-                )
     p_w = len(violated) / n
     return PPDBCertificate(
         alpha=alpha,

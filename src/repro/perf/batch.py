@@ -44,7 +44,7 @@ from ..obs import active_observer
 from ..core.default import DefaultModel
 from ..core.engine import ViolationEngine
 from ..core.policy import HousePolicy
-from ..core.population import Population, Provider
+from ..core.population import Population
 from ..core.ppdb import PPDBCertificate
 from ..core.sensitivity import SensitivityModel
 from ..exceptions import UnknownProviderError, ValidationError
@@ -191,61 +191,6 @@ def sum_column_arrays(
     return violations, counts
 
 
-def row_contribution(
-    compiled: CompiledPopulation,
-    key: tuple[str, str],
-    entries: _ColumnEntries,
-    rows: np.ndarray,
-    *,
-    implicit_zero: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`column_contribution` restricted to the given provider *rows*.
-
-    *rows* must be a sorted ``int64`` array of distinct provider rows;
-    the returned ``(violations, counts)`` vectors have shape
-    ``(len(rows),)`` and position ``i`` carries exactly the value the
-    full kernel would put at ``rows[i]``: the per-entry accumulation
-    runs in the same order over the same selected preference rows, so
-    patching a cached total with these values is bit-for-bit identical
-    to a fresh full evaluation.  :meth:`BatchViolationEngine.append`
-    and :meth:`~BatchViolationEngine.update` use this to re-score only
-    the providers they touched.
-    """
-    column = compiled.column(*key)
-    k = int(rows.shape[0])
-    violations = np.zeros(k, dtype=np.float64)
-    counts = np.zeros(k, dtype=np.float64)
-    if column.n_rows:
-        keep = np.isin(column.row_providers, rows)
-        sub_providers = np.searchsorted(rows, column.row_providers[keep])
-        sub_ranks = column.row_ranks[keep]
-        sub_weights = column.row_weights[keep]
-        any_rows = bool(sub_providers.size)
-    else:
-        any_rows = False
-    if implicit_zero and column.n_implicit:
-        imp_keep = np.isin(column.implicit_providers, rows)
-        imp_rows = np.searchsorted(rows, column.implicit_providers[imp_keep])
-        imp_weights = column.implicit_weights[imp_keep]
-        any_implicit = bool(imp_rows.size)
-    else:
-        any_implicit = False
-    for ranks in entries:
-        policy_ranks = np.array(ranks, dtype=np.int64)
-        if any_rows:
-            exceed = np.maximum(policy_ranks - sub_ranks, 0)
-            weighted = (exceed * sub_weights).sum(axis=1)
-            found = (exceed > 0).sum(axis=1).astype(np.float64)
-            violations += np.bincount(sub_providers, weights=weighted, minlength=k)
-            counts += np.bincount(sub_providers, weights=found, minlength=k)
-        if any_implicit:
-            weighted = (policy_ranks * imp_weights).sum(axis=1)
-            found = float((policy_ranks > 0).sum())
-            violations[imp_rows] += weighted
-            counts[imp_rows] += found
-    return violations, counts
-
-
 def assemble_report(
     policy_name: str,
     violations: np.ndarray,
@@ -355,39 +300,38 @@ class BatchReport:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """Cached per-policy arrays: severity and finding counts per row.
-
-    ``columns`` records the policy's column decomposition at evaluation
-    time so an append or update can re-derive any row's totals for this
-    policy without re-fingerprinting the policy.
-    """
+    """Cached per-policy arrays: severity and finding counts per row."""
 
     violations: np.ndarray  # (N,) float64
     counts: np.ndarray  # (N,) float64 (integer-valued)
-    columns: dict[tuple[str, str], _ColumnEntries]
 
 
 #: Tombstoned fraction of the rows above which :meth:`BatchViolationEngine.remove`
 #: compacts: the survivors are compiled afresh and the caches start over.
 COMPACT_THRESHOLD = 0.5
 
+#: Memoised per-policy evaluations an engine keeps; the oldest is evicted
+#: first.  Each holds two ``float64[N]`` arrays.
+MAX_CACHED_REPORTS = 128
+
 
 class BatchViolationEngine:
     """Vectorized multi-policy evaluation over one compiled population.
 
-    The engine also takes population churn — :meth:`remove`,
-    :meth:`append`, :meth:`update` — without recompiling, so one engine
-    serves a whole dynamics or widening-game run.  After any sequence of
-    mutations every result equals that of a fresh engine over the
-    providers still present, bit for bit.
+    The engine also takes the paper's one kind of population churn —
+    defaulting providers leave (Definition 4) — through :meth:`remove`,
+    without recompiling, so one engine serves a whole dynamics or
+    widening-game run.  After any sequence of removals every result
+    equals that of a fresh engine over the providers still present, bit
+    for bit.
 
     Parameters
     ----------
     population:
         A :class:`~repro.core.population.Population` (compiled on the
-        spot) or an existing :class:`CompiledPopulation`.  A mutation
+        spot) or an existing :class:`CompiledPopulation`.  A removal
         changes the compilation the engine evaluates, so a compilation
-        is not to be shared with another engine once either mutates.
+        is not to be shared with another engine once either removes.
     sensitivities, default_model:
         Optional overrides, honoured exactly like the reference engine's.
         Only valid when *population* is not already compiled (a compiled
@@ -395,16 +339,14 @@ class BatchViolationEngine:
     implicit_zero:
         Whether Section 5's implicit-zero completion applies
         (default True, as in the paper).
-    max_cached_reports:
-        Upper bound on memoised per-policy evaluations; the oldest entry
-        is evicted first.  Each cached evaluation holds two ``float64[N]``
-        arrays.
+
+    At most :data:`MAX_CACHED_REPORTS` per-policy evaluations are
+    memoised.
     """
 
     __slots__ = (
         "_compiled",
         "_implicit_zero",
-        "_max_cached",
         "_epoch",
         "_cache",
         "_base_fingerprint",
@@ -420,7 +362,6 @@ class BatchViolationEngine:
         sensitivities: SensitivityModel | None = None,
         default_model: DefaultModel | None = None,
         implicit_zero: bool = True,
-        max_cached_reports: int = 128,
     ) -> None:
         if isinstance(population, CompiledPopulation):
             if sensitivities is not None or default_model is not None:
@@ -436,9 +377,6 @@ class BatchViolationEngine:
                 default_model=default_model,
             )
         self._implicit_zero = bool(implicit_zero)
-        if max_cached_reports < 1:
-            raise ValidationError("max_cached_reports must be >= 1")
-        self._max_cached = int(max_cached_reports)
         self._epoch = 0
         self._reset_caches()
 
@@ -465,7 +403,7 @@ class BatchViolationEngine:
     @property
     def population(self) -> Population:
         """The providers still present (the given population until the
-        first mutation)."""
+        first removal)."""
         return self._compiled.population
 
     @property
@@ -482,8 +420,8 @@ class BatchViolationEngine:
     def epoch(self) -> int:
         """Mutation counter, part of journal resume identity.
 
-        +1 for each non-empty :meth:`remove`, :meth:`append` or
-        :meth:`update`, and +1 more for each compaction.
+        +1 for each non-empty :meth:`remove`, and +1 more for each
+        compaction.
         """
         return self._epoch
 
@@ -497,12 +435,6 @@ class BatchViolationEngine:
         _check_policy(policy)
         evaluation = self._evaluate(policy)
         return self._to_report(policy.name, evaluation)
-
-    # ``report`` mirrors ViolationEngine.report()'s name for callers that
-    # hold a policy-bound pair (engine, policy).
-    def report(self, policy: HousePolicy) -> BatchReport:
-        """Alias of :meth:`evaluate`."""
-        return self.evaluate(policy)
 
     def close(self) -> None:
         """Release resources.  A no-op: the engine holds only arrays.
@@ -538,7 +470,7 @@ class BatchViolationEngine:
         mode — the intervals are then point-exact per provider, which is
         what lets :meth:`certify` answer statically with a certificate
         identical to the evaluated one.  Cached per policy fingerprint
-        until the next mutation.
+        until the next removal.
         """
         from ..lint.intervals import interval_analysis
 
@@ -564,16 +496,9 @@ class BatchViolationEngine:
         policy: HousePolicy,
         alpha: float,
         *,
-        early_exit: bool = False,
         static: bool = False,
     ) -> PPDBCertificate:
         """Definition 3's alpha-PPDB certificate under *policy*.
-
-        With ``early_exit=True`` and an uncached policy, evaluation stops
-        as soon as the violated-provider count exceeds the budget
-        ``alpha x N`` — the certificate is then marked non-exhaustive and
-        its ``violation_probability`` is a lower bound (sufficient to
-        prove the check failed).
 
         With ``static=True`` the verdict is derived from the lint
         layer's severity intervals (:meth:`static_intervals`) without
@@ -581,18 +506,12 @@ class BatchViolationEngine:
         decide each provider's ``w_i`` exactly (Definition 1 is
         weight-independent), so the certificate is field-for-field
         identical to the evaluated one — a property the parity suite
-        holds over randomized populations.  ``static`` and
-        ``early_exit`` are mutually exclusive.
+        holds over randomized populations.
 
         ``N`` counts the providers still present, so every path agrees
         with a fresh engine over them.
         """
         _check_policy(policy)
-        if static and early_exit:
-            raise ValidationError(
-                "static certification never evaluates, so early_exit "
-                "does not apply; pass one or the other"
-            )
         alpha = check_probability(alpha, "alpha")
         n = self._compiled.alive_count
         if n == 0:
@@ -611,10 +530,6 @@ class BatchViolationEngine:
                 obs.inc("engine.batch.static_certifications")
                 obs.inc("engine.batch.static_skipped_providers", n)
             return certificate
-        if early_exit and policy_fingerprint(policy) not in self._cache:
-            certificate = self._certify_early_exit(policy, alpha)
-            if certificate is not None:
-                return certificate
         counts = self._alive_array(self._evaluate(policy).counts)
         violated = _violated_ids(self._compiled.alive_ids, counts)
         p_w = len(violated) / n
@@ -660,7 +575,9 @@ class BatchViolationEngine:
             return
         compiled = self._compiled
         rows = compiled.remove(ids)
-        self._mutated()
+        self._epoch += 1
+        # The intervals were derived from the providers present before.
+        self._interval_cache.clear()
         obs = active_observer()
         if obs is not None:
             obs.inc("delta.removals", int(rows.size))
@@ -675,110 +592,6 @@ class BatchViolationEngine:
                 obs.inc("delta.compactions")
                 obs.set_gauge("delta.tombstones", 0)
                 obs.set_gauge("delta.epoch", self._epoch)
-
-    def append(self, providers: Iterable[Provider]) -> None:
-        """Add providers after the last row; re-scores only their rows."""
-        added = tuple(providers)
-        if not added:
-            return
-        rows = self._compiled.append(added)
-        self._mutated()
-        obs = active_observer()
-        if obs is not None:
-            obs.inc("delta.appends", int(rows.size))
-        self._rescore_rows(rows)
-
-    def update(self, providers: Iterable[Provider]) -> None:
-        """Replace providers in place (matched by id); re-scores only
-        their rows."""
-        updates = tuple(providers)
-        if not updates:
-            return
-        rows = self._compiled.update(updates)
-        self._mutated()
-        obs = active_observer()
-        if obs is not None:
-            obs.inc("delta.updates", int(rows.size))
-        self._rescore_rows(rows)
-
-    def _mutated(self) -> None:
-        self._epoch += 1
-        # The intervals were derived from the providers present before.
-        self._interval_cache.clear()
-
-    def _rescore_rows(self, rows: np.ndarray) -> None:
-        """Re-score the sorted, distinct *rows* in every cached evaluation.
-
-        The compiled stores already describe the new provider state, so
-        each memoised evaluation's totals for *rows* are recomputed from
-        the *current* columns (:func:`row_contribution`) while every
-        other row's totals are reused untouched.  Rows past the old array
-        length (appended providers) grow the cached arrays first.
-        Restricted contributions are memoised by ``(column key, entry
-        ranks)``, so overlapping policies (a widening path) pay each
-        column's gather once per mutation, not once per policy.
-
-        Cached arrays are **replaced, never mutated** — previously
-        returned :class:`BatchReport`\\ s alias them and keep their
-        pre-mutation values.
-        """
-        n = len(self._compiled)
-        memo: dict[
-            tuple[tuple[str, str], _ColumnEntries],
-            tuple[np.ndarray, np.ndarray],
-        ] = {}
-
-        def restricted(
-            key: tuple[str, str], entries: _ColumnEntries
-        ) -> tuple[np.ndarray, np.ndarray]:
-            token = (key, entries)
-            contribution = memo.get(token)
-            if contribution is None:
-                contribution = row_contribution(
-                    self._compiled,
-                    key,
-                    entries,
-                    rows,
-                    implicit_zero=self._implicit_zero,
-                )
-                memo[token] = contribution
-            return contribution
-
-        def patched(array: np.ndarray, contribution: np.ndarray) -> np.ndarray:
-            grown = np.zeros(n, dtype=np.float64)
-            grown[: array.shape[0]] = array
-            grown[rows] = contribution
-            return grown
-
-        for fingerprint, evaluation in list(self._cache.items()):
-            patch_violations = np.zeros(rows.shape[0], dtype=np.float64)
-            patch_counts = np.zeros(rows.shape[0], dtype=np.float64)
-            # Same sorted order as sum_column_arrays, so the patched rows
-            # equal what a fresh full evaluation would put there.
-            for key in sorted(evaluation.columns):
-                contribution = restricted(key, evaluation.columns[key])
-                patch_violations += contribution[0]
-                patch_counts += contribution[1]
-            self._cache[fingerprint] = _Evaluation(
-                violations=patched(evaluation.violations, patch_violations),
-                counts=patched(evaluation.counts, patch_counts),
-                columns=evaluation.columns,
-            )
-        base_arrays = {}
-        for key, (violations, counts) in self._base_column_arrays.items():
-            contribution = restricted(key, self._base_columns[key])
-            base_arrays[key] = (
-                patched(violations, contribution[0]),
-                patched(counts, contribution[1]),
-            )
-        self._base_column_arrays = base_arrays
-        obs = active_observer()
-        if obs is not None:
-            cached = len(self._cache)
-            obs.inc("delta.rescored", int(rows.size) * cached)
-            obs.inc("delta.reused", (n - int(rows.size)) * cached)
-            obs.set_gauge("delta.tombstones", self._compiled.dead_count)
-            obs.set_gauge("delta.epoch", self._epoch)
 
     # ------------------------------------------------------------------
     # evaluation core
@@ -839,10 +652,9 @@ class BatchViolationEngine:
             for key, entries in columns.items()
         }
         violations, counts = sum_column_arrays(len(self._compiled), column_arrays)
-        column_map = dict(columns)
-        self._base_columns = column_map
+        self._base_columns = dict(columns)
         self._base_column_arrays = column_arrays
-        return _Evaluation(violations=violations, counts=counts, columns=column_map)
+        return _Evaluation(violations=violations, counts=counts)
 
     def _evaluate_delta(
         self,
@@ -869,7 +681,7 @@ class BatchViolationEngine:
         violations, counts = sum_column_arrays(len(self._compiled), new_arrays)
         self._base_columns = new_columns
         self._base_column_arrays = new_arrays
-        return _Evaluation(violations=violations, counts=counts, columns=new_columns)
+        return _Evaluation(violations=violations, counts=counts)
 
     def _column_contribution(
         self, key: tuple[str, str], entries: _ColumnEntries
@@ -885,12 +697,12 @@ class BatchViolationEngine:
     def _remember(
         self, fingerprint: PolicyFingerprint, evaluation: _Evaluation
     ) -> None:
-        if fingerprint not in self._cache and len(self._cache) >= self._max_cached:
-            # Evict the oldest memoised evaluation.  If it happens to be
-            # the delta base, _evaluate_delta notices the missing cache
-            # entry and falls back to a full pass — no state to clean.
-            del self._cache[next(iter(self._cache))]
-        self._cache[fingerprint] = evaluation
+        cache = self._cache
+        if fingerprint not in cache and len(cache) >= MAX_CACHED_REPORTS:
+            # Evict the oldest memoised evaluation.  The delta base keeps
+            # its own column vectors, so evicting it costs nothing there.
+            del cache[next(iter(cache))]
+        cache[fingerprint] = evaluation
 
     def _alive_array(self, array: np.ndarray) -> np.ndarray:
         """*array* restricted to the rows of the providers still present."""
@@ -908,42 +720,6 @@ class BatchViolationEngine:
             thresholds=self._alive_array(compiled.thresholds),
             strict=compiled.strict,
         )
-
-    def _certify_early_exit(
-        self, policy: HousePolicy, alpha: float
-    ) -> PPDBCertificate | None:
-        """Stop counting once the ``alpha x N`` violation budget is blown.
-
-        Walks the policy's columns, accumulating per-provider finding
-        counts; as soon as the number of violated providers still present
-        exceeds the budget, Definition 3 is already refuted and a
-        non-exhaustive certificate is returned.  Returns ``None`` when
-        the walk finishes within budget — the caller then produces the
-        exact certificate (and the full evaluation lands in the cache, so
-        nothing is wasted).
-        """
-        compiled = self._compiled
-        n = compiled.alive_count
-        budget = alpha * n
-        counts = np.zeros(len(compiled), dtype=np.float64)
-        for key, entries in policy_columns(policy).items():
-            counts += self._column_contribution(key, entries)[1]
-            present = self._alive_array(counts)
-            n_violated = int((present > 0).sum())
-            if n_violated > budget:
-                obs = active_observer()
-                if obs is not None:
-                    obs.inc("engine.batch.early_exits")
-                return PPDBCertificate(
-                    alpha=alpha,
-                    violation_probability=n_violated / n,
-                    satisfied=False,
-                    n_providers=n,
-                    violated_providers=_violated_ids(compiled.alive_ids, present),
-                    policy_name=policy.name,
-                    exhaustive=False,
-                )
-        return None
 
 
 def _check_policy(policy: object) -> None:

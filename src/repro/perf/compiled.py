@@ -22,19 +22,16 @@ columns are materialised lazily for whatever ``(attribute, purpose)``
 pairs the evaluated policies mention, then cached, so a widening sweep
 touching the same columns repeatedly pays the gather cost once.
 
-A compilation also takes population churn in place, which is what lets
-one :class:`~repro.perf.batch.BatchViolationEngine` serve a whole
-dynamics or widening-game run: :meth:`CompiledPopulation.remove`
-tombstones rows in an alive mask (no array is rebuilt and no row moves),
-:meth:`~CompiledPopulation.append` adds rows at the end, and
-:meth:`~CompiledPopulation.update` splices a provider's new entries into
-its row.  Rows keep their order, so every per-provider sum accumulates
-exactly as it would in a fresh compile of the providers still present.
+A compilation also takes departures in place, which is what lets one
+:class:`~repro.perf.batch.BatchViolationEngine` serve a whole dynamics
+or widening-game run: :meth:`CompiledPopulation.remove` tombstones rows
+in an alive mask (no array is rebuilt and no row moves).  Survivors keep
+their rows, so every per-provider sum accumulates exactly as it would in
+a fresh compile of the providers still present.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Hashable, Iterable, Sequence
@@ -124,7 +121,6 @@ class CompiledPopulation:
         "_dead",
         "_alive_view",
         "_explicit_rows",
-        "_explicit_providers",
         "_provided",
         "_weights_by_attribute",
         "_columns",
@@ -155,7 +151,10 @@ class CompiledPopulation:
         self._index: dict[Hashable, int] = {pid: i for i, pid in enumerate(ids)}
         self._segments = tuple(p.segment for p in providers)
         self._thresholds = np.array(
-            self._threshold_values(range(len(ids))), dtype=np.float64
+            [default_model.threshold(pid) for pid in ids]
+            if default_model is not None
+            else [p.threshold for p in providers],
+            dtype=np.float64,
         )
         self._strict = default_model.strict if default_model is not None else True
         self._alive = np.ones(len(ids), dtype=bool)
@@ -165,11 +164,9 @@ class CompiledPopulation:
         # Group every explicit preference entry by (attribute, purpose):
         # column key -> ([provider row], [(V, G, R)]).  Also track which
         # providers supplied which attributes (the implicit-zero rule only
-        # applies to supplied attributes) and which providers already hold
-        # an explicit entry for a column (they are never completed).
-        # Rows are visited in order, so every list stays sorted.
+        # applies to supplied attributes).  Rows are visited in order, so
+        # every list stays sorted.
         explicit_rows: dict[tuple[str, str], tuple[list[int], list[tuple[int, int, int]]]] = {}
-        explicit_providers: dict[tuple[str, str], set[int]] = {}
         provided: dict[str, list[int]] = {}
         for row, provider in enumerate(providers):
             preferences = provider.preferences
@@ -186,9 +183,7 @@ class CompiledPopulation:
                         entry.tuple.retention,
                     )
                 )
-                explicit_providers.setdefault(key, set()).add(row)
         self._explicit_rows = explicit_rows
-        self._explicit_providers = explicit_providers
         self._provided = provided
         self._weights_by_attribute: dict[str, np.ndarray] = {}
         self._columns: dict[tuple[str, str], CompiledColumn] = {}
@@ -205,7 +200,7 @@ class CompiledPopulation:
     def population(self) -> Population:
         """The providers still present, in row order.
 
-        The compiled population itself until the first mutation; after
+        The compiled population itself until the first removal; after
         one, rebuilt on first read.
         """
         if self._population is None:
@@ -353,11 +348,34 @@ class CompiledPopulation:
         ``weights[i, d] = Sigma^a x s_i^a x s_i^a[dim_d]`` with ``dim_d``
         running over :data:`RANK_AXES` — exactly the factor multiplying
         Eq. 12's exceedance in Eq. 14.  Computed on first request, cached.
+
+        Without an override, a provider's datum is read from its own
+        record, which is what the population's sensitivity model returns
+        for it, so the multiplications are the same, in the same order.
         """
         cached = self._weights_by_attribute.get(attribute)
-        if cached is None:
-            cached = self._row_weights(range(len(self._ids)), attribute)
-            self._weights_by_attribute[attribute] = cached
+        if cached is not None:
+            return cached
+        model = self._sensitivity_override
+        if model is None:
+            attribute_weight = self._sigma.weight(attribute)
+            data = [
+                provider.sensitivity.get(attribute, NEUTRAL_SENSITIVITY)
+                for provider in self._providers
+            ]
+        else:
+            attribute_weight = model.attribute_weight(attribute)
+            data = [model.datum(pid, attribute) for pid in self._ids]
+        flat: list[float] = []
+        for datum in data:
+            base = attribute_weight * datum.value
+            flat += (
+                base * datum.visibility,
+                base * datum.granularity,
+                base * datum.retention,
+            )
+        cached = np.array(flat, dtype=np.float64).reshape(-1, 3)
+        self._weights_by_attribute[attribute] = cached
         return cached
 
     def column(self, attribute: str, purpose: str) -> CompiledColumn:
@@ -365,7 +383,7 @@ class CompiledPopulation:
 
         Materialised lazily and cached — the set of relevant columns is
         driven by the policies being evaluated, not by the population.
-        Removals keep it; appends and updates drop it.
+        Removals keep it.
         """
         key = (attribute, purpose)
         cached = self._columns.get(key)
@@ -381,10 +399,12 @@ class CompiledPopulation:
             row_ranks = np.empty((0, 3), dtype=np.int64)
         row_weights = weights[row_providers]
         supplied = np.array(self._provided.get(attribute, ()), dtype=np.int64)
-        holders = self._explicit_providers.get(key)
-        if holders and supplied.size:
-            mask = np.isin(supplied, np.fromiter(holders, dtype=np.int64), invert=True)
-            implicit_providers = supplied[mask]
+        if row_providers.size and supplied.size:
+            # Providers holding an explicit entry for the column are never
+            # completed.
+            implicit_providers = supplied[
+                np.isin(supplied, row_providers, invert=True)
+            ]
         else:
             implicit_providers = supplied
         implicit_weights = weights[implicit_providers]
@@ -421,81 +441,10 @@ class CompiledPopulation:
         rows = np.array(sorted(self._index.pop(pid) for pid in unique), dtype=np.int64)
         self._alive[rows] = False
         self._dead += len(unique)
-        self._mutated()
-        return rows
-
-    def append(self, providers: Iterable[Provider]) -> np.ndarray:
-        """Add new providers after the last row; returns their rows.
-
-        Cached weight tensors grow by the new rows, computed as a fresh
-        compile would; materialised columns are dropped.
-        """
-        added = list(providers)
-        seen: set[Hashable] = set()
-        for provider in added:
-            _check_provider(provider)
-            pid = provider.provider_id
-            if pid in self._index or pid in seen:
-                raise ValidationError(f"duplicate provider id {pid!r}")
-            seen.add(pid)
-        if not added:
-            return np.empty(0, dtype=np.int64)
-        start = len(self._ids)
-        self._providers = (*self._providers, *added)
-        self._ids = (*self._ids, *(p.provider_id for p in added))
-        self._segments = (*self._segments, *(p.segment for p in added))
-        rows = np.arange(start, len(self._ids), dtype=np.int64)
-        for row, provider in enumerate(added, start):
-            self._index[provider.provider_id] = row
-            self._insert_preferences(row, provider)
-        self._thresholds = np.concatenate(
-            [self._thresholds, np.array(self._threshold_values(rows), dtype=np.float64)]
-        )
-        self._alive = np.concatenate([self._alive, np.ones(len(added), dtype=bool)])
-        for attribute, weights in self._weights_by_attribute.items():
-            self._weights_by_attribute[attribute] = np.concatenate(
-                [weights, self._row_weights(rows, attribute)]
-            )
-        self._columns.clear()
-        self._mutated()
-        return rows
-
-    def update(self, providers: Iterable[Provider]) -> np.ndarray:
-        """Replace present providers (matched by id) in place; returns
-        their sorted rows.
-
-        A provider's old entries leave the column stores and the new ones
-        go in at the row's sorted position — ``bisect_right`` keeps one
-        provider's entries in their preference order, as a fresh compile
-        does.  The threshold vector is copied before it is patched, so
-        reports assembled earlier keep their values.
-        """
-        updates = list(providers)
-        for provider in updates:
-            _check_provider(provider)
-            if provider.provider_id not in self._index:
-                raise UnknownProviderError(provider.provider_id)
-        if not updates:
-            return np.empty(0, dtype=np.int64)
-        present = list(self._providers)
-        segments = list(self._segments)
-        changed: set[int] = set()
-        for provider in updates:
-            row = self._index[provider.provider_id]
-            self._unindex_preferences(row, present[row])
-            present[row] = provider
-            segments[row] = provider.segment
-            self._insert_preferences(row, provider)
-            changed.add(row)
-        self._providers = tuple(present)
-        self._segments = tuple(segments)
-        rows = np.array(sorted(changed), dtype=np.int64)
-        self._thresholds = self._thresholds.copy()
-        self._thresholds[rows] = self._threshold_values(rows)
-        for attribute, weights in self._weights_by_attribute.items():
-            weights[rows] = self._row_weights(rows, attribute)
-        self._columns.clear()
-        self._mutated()
+        # Drop what was derived from the providers present before.
+        self._population = None
+        self._models = None
+        self._alive_view = None
         return rows
 
     def compacted(self) -> "CompiledPopulation":
@@ -504,97 +453,4 @@ class CompiledPopulation:
             self.population,
             sensitivities=self._sensitivity_override,
             default_model=self._default_override,
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _threshold_values(self, rows: Iterable[int]) -> list[float]:
-        model = self._default_override
-        if model is not None:
-            return [model.threshold(self._ids[row]) for row in rows]
-        return [self._providers[row].threshold for row in rows]
-
-    def _row_weights(self, rows: Iterable[int], attribute: str) -> np.ndarray:
-        """The ``(len(rows), 3)`` weights of one attribute for *rows*.
-
-        Without an override, a provider's datum is read from its own
-        record, which is what the population's sensitivity model returns
-        for it, so the multiplications are the same, in the same order.
-        """
-        model = self._sensitivity_override
-        if model is None:
-            attribute_weight = self._sigma.weight(attribute)
-            providers = self._providers
-            data = [
-                providers[row].sensitivity.get(attribute, NEUTRAL_SENSITIVITY)
-                for row in rows
-            ]
-        else:
-            attribute_weight = model.attribute_weight(attribute)
-            ids = self._ids
-            data = [model.datum(ids[row], attribute) for row in rows]
-        flat: list[float] = []
-        for datum in data:
-            base = attribute_weight * datum.value
-            flat += (
-                base * datum.visibility,
-                base * datum.granularity,
-                base * datum.retention,
-            )
-        return np.array(flat, dtype=np.float64).reshape(-1, 3)
-
-    def _insert_preferences(self, row: int, provider: Provider) -> None:
-        """Insert a row's preference entries at their sorted positions."""
-        preferences = provider.preferences
-        for attribute in preferences.attributes_provided:
-            bisect.insort(self._provided.setdefault(attribute, []), row)
-        for entry in preferences.entries:
-            key = (entry.attribute, entry.purpose)
-            rows, ranks = self._explicit_rows.setdefault(key, ([], []))
-            position = bisect.bisect_right(rows, row)
-            rows.insert(position, row)
-            ranks.insert(
-                position,
-                (
-                    entry.tuple.visibility,
-                    entry.tuple.granularity,
-                    entry.tuple.retention,
-                ),
-            )
-            self._explicit_providers.setdefault(key, set()).add(row)
-
-    def _unindex_preferences(self, row: int, old: Provider) -> None:
-        """Strip a row's preference entries from the stores."""
-        for key in {
-            (entry.attribute, entry.purpose) for entry in old.preferences.entries
-        }:
-            rows, ranks = self._explicit_rows[key]
-            keep = [i for i, r in enumerate(rows) if r != row]
-            if keep:
-                self._explicit_rows[key] = ([rows[i] for i in keep], [ranks[i] for i in keep])
-            else:
-                del self._explicit_rows[key]
-            holders = self._explicit_providers[key]
-            holders.discard(row)
-            if not holders:
-                del self._explicit_providers[key]
-        for attribute in old.preferences.attributes_provided:
-            rows = self._provided[attribute]
-            del rows[bisect.bisect_left(rows, row)]
-            if not rows:
-                del self._provided[attribute]
-
-    def _mutated(self) -> None:
-        """Drop what was derived from the providers present before."""
-        self._population = None
-        self._models = None
-        self._alive_view = None
-
-
-def _check_provider(provider: object) -> None:
-    if not isinstance(provider, Provider):
-        raise ValidationError(
-            f"population members must be Provider, got {type(provider).__name__}"
         )

@@ -7,10 +7,12 @@ output, exit codes, and the sqlite subcommands.
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 TAXONOMY = {
@@ -364,3 +366,24 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_main_builds_the_parser_once_per_process(
+        self, documents, monkeypatch, capsys
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["evaluate", *_base_args(documents)]) == 0
+        first = len(built)
+        assert first > 0
+        # A second command in the same process reuses the parser.
+        assert main(["certify", *_base_args(documents), "--alpha", "0.7"]) == 0
+        assert len(built) == first

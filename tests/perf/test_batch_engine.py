@@ -19,6 +19,7 @@ from repro.exceptions import UnknownProviderError, ValidationError
 from repro.perf import (
     BatchViolationEngine,
     CompiledPopulation,
+    batch,
     policy_fingerprint,
 )
 
@@ -92,10 +93,6 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             BatchViolationEngine(compiled, default_model=DefaultModel())
 
-    def test_rejects_bad_cache_bound(self, population):
-        with pytest.raises(ValidationError):
-            BatchViolationEngine(population, max_cached_reports=0)
-
     def test_rejects_non_policy(self, population):
         engine = BatchViolationEngine(population)
         with pytest.raises(ValidationError):
@@ -137,8 +134,11 @@ class TestCaching:
         assert second.violations is first.violations
         assert second.policy_name == "renamed"
 
-    def test_eviction_keeps_results_correct(self, population, wide_policy):
-        engine = BatchViolationEngine(population, max_cached_reports=2)
+    def test_eviction_keeps_results_correct(
+        self, population, wide_policy, monkeypatch
+    ):
+        monkeypatch.setattr(batch, "MAX_CACHED_REPORTS", 2)
+        engine = BatchViolationEngine(population)
         policies = [
             HousePolicy(
                 [("weight", PrivacyTuple("billing", v, v, v))],
@@ -242,31 +242,6 @@ class TestCertify:
         certificate = engine.certify(wide_policy, 0.5)
         reference = ViolationEngine(wide_policy, population).certify(0.5)
         assert certificate == reference
-        assert certificate.exhaustive is True
-
-    def test_early_exit_flags_non_exhaustive(self, population, wide_policy):
-        engine = BatchViolationEngine(population)
-        certificate = engine.certify(wide_policy, 0.0, early_exit=True)
-        assert certificate.satisfied is False
-        assert certificate.exhaustive is False
-        # The reported fraction is a lower bound on the true P(W).
-        exact = ViolationEngine(wide_policy, population).certify(0.0)
-        assert certificate.violation_probability <= exact.violation_probability
-        assert certificate.violation_probability > 0.0
-
-    def test_early_exit_within_budget_is_exact(self, population, wide_policy):
-        engine = BatchViolationEngine(population)
-        certificate = engine.certify(wide_policy, 1.0, early_exit=True)
-        exact = ViolationEngine(wide_policy, population).certify(1.0)
-        assert certificate == exact
-        assert certificate.exhaustive is True
-
-    def test_early_exit_on_cached_policy_is_exact(self, population, wide_policy):
-        engine = BatchViolationEngine(population)
-        engine.evaluate(wide_policy)  # already cached: nothing to save
-        certificate = engine.certify(wide_policy, 0.0, early_exit=True)
-        assert certificate.exhaustive is True
-        assert certificate == ViolationEngine(wide_policy, population).certify(0.0)
 
     def test_empty_population_certifies_trivially(self, wide_policy):
         engine = BatchViolationEngine(Population([]))

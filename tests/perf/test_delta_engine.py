@@ -1,12 +1,11 @@
-"""Unit tests for population churn: ``CompiledPopulation``'s row
-operations and ``BatchViolationEngine``'s ``remove`` / ``append`` /
-``update``.
+"""Unit tests for population churn: ``CompiledPopulation.remove`` and
+``BatchViolationEngine.remove``.
 
 The property suite (``tests/properties/test_mutation_parity.py``) holds
-the bit-for-bit contract over randomized mutation sequences; these tests
+the bit-for-bit contract over randomized removal sequences; these tests
 pin the mechanics — tombstone masking, validation atomicity, cache and
-epoch behaviour, compaction, copy-on-write thresholds, lifecycle — on
-hand-built scenarios where each behaviour is observable in isolation.
+epoch behaviour, compaction, lifecycle — on hand-built scenarios where
+each behaviour is observable in isolation.
 """
 
 from __future__ import annotations
@@ -16,16 +15,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.exceptions import UnknownProviderError, ValidationError
+from repro.exceptions import UnknownProviderError
 from repro.obs import observed
 from repro.perf import BatchViolationEngine, CompiledPopulation
 from repro.simulation.widening import policy_delta_columns
 
-from tests.properties.test_batch_parity import (
-    _random_policy,
-    _random_population,
-    _random_provider,
-)
+from tests.properties.test_batch_parity import _random_policy, _random_population
 
 
 def _counters(snapshot):
@@ -89,41 +84,27 @@ class TestMutableCompiledPopulation:
         assert rows.shape == (1,)
         assert compiled.dead_count == 1
 
-    def test_append_rejects_duplicate_ids(self):
-        rng = random.Random(4)
-        population = _random_population(rng)
-        compiled = CompiledPopulation(population)
-        existing = population.providers[0]
-        with pytest.raises(ValidationError):
-            compiled.append([existing])
-        fresh = _random_provider(rng, 500)
-        with pytest.raises(ValidationError):
-            compiled.append([fresh, fresh])
-        assert len(compiled) == len(population)
-
-    def test_update_unknown_id_rejected(self):
-        rng = random.Random(5)
-        population = _random_population(rng)
-        compiled = CompiledPopulation(population)
-        stranger = _random_provider(rng, 900)
-        with pytest.raises(UnknownProviderError):
-            compiled.update([stranger])
-
     def test_epoch_advances_on_every_mutation(self):
         rng = random.Random(6)
         population = _random_population(rng)
+        ids = population.ids()
+        assert len(ids) == 10
         engine = BatchViolationEngine(population)
         epochs = [engine.epoch]
-        engine.remove([population.providers[0].provider_id])
+        engine.remove(ids[:1])
         epochs.append(engine.epoch)
-        engine.append([_random_provider(rng, 600)])
+        engine.remove(ids[1:2])
         epochs.append(engine.epoch)
         # Past half the rows tombstoned: the removal compacts, which
         # advances the epoch once more.
-        engine.remove([p.provider_id for p in population.providers[1:6]])
+        engine.remove(ids[2:6])
         assert engine.tombstones == 0
         epochs.append(engine.epoch)
-        assert epochs == [0, 1, 2, 4]
+        # The compacted store counts on from there.
+        engine.remove(ids[6:7])
+        assert engine.tombstones == 1
+        epochs.append(engine.epoch)
+        assert epochs == [0, 1, 2, 4, 5]
 
     def test_alive_population_preserves_order(self):
         rng = random.Random(7)
@@ -139,13 +120,11 @@ class TestMutableCompiledPopulation:
         rng = random.Random(8)
         population = _random_population(rng)
         compiled = CompiledPopulation(population)
-        # Read the models once, so the mutations below must drop them.
+        # Read the models once, so the removal below must drop them.
         before = (compiled.sensitivities, compiled.default_model)
         victims = [p.provider_id for p in population.providers[::2]]
         compiled.remove(victims)
-        added = _random_provider(rng, 650)
-        compiled.append([added])
-        present = population.without(victims).extended([added])
+        present = population.without(victims)
         expected = present.sensitivity_model()
         assert compiled.sensitivities is not before[0]
         assert compiled.default_model is not before[1]
@@ -230,42 +209,6 @@ class TestMutableBatchEngine:
         assert counters["delta.compactions"] == 1.0
         assert counters["perf.compilations"] == 2.0
 
-    def test_append_rescores_only_new_rows_serially(self):
-        rng = random.Random(15)
-        population = _random_population(rng)
-        policy = _random_policy(rng, name="append")
-        added = [_random_provider(rng, 700), _random_provider(rng, 701)]
-        with observed() as obs:
-            with BatchViolationEngine(population) as engine:
-                engine.evaluate(policy)
-                engine.append(added)
-                report = engine.evaluate(policy)
-            counters = _counters(obs.snapshot())
-        expected = _fresh_report(population.extended(added), policy)
-        _assert_reports_identical(report, expected)
-        assert counters["perf.compilations"] == 1.0  # no recompile
-        assert counters["delta.rescored"] == float(len(added))
-        assert counters["delta.appends"] == float(len(added))
-
-    def test_update_parity_and_threshold_copy_on_write(self):
-        rng = random.Random(16)
-        population = _random_population(rng)
-        policy = _random_policy(rng, name="update")
-        import dataclasses
-
-        target = population.providers[0]
-        replacement = dataclasses.replace(target, threshold=0.0)
-        with BatchViolationEngine(population) as engine:
-            before = engine.evaluate(policy)
-            thresholds_before = before.thresholds.copy()
-            engine.update([replacement])
-            after = engine.evaluate(policy)
-        # The pre-mutation report must keep the thresholds it was
-        # assembled with — update() copies before patching.
-        assert np.array_equal(before.thresholds, thresholds_before)
-        expected = _fresh_report(population.updated([replacement]), policy)
-        _assert_reports_identical(after, expected)
-
     def test_certify_masked_matches_fresh_engine(self):
         rng = random.Random(17)
         population = _random_population(rng)
@@ -289,58 +232,21 @@ class TestMutableBatchEngine:
                 expected.violated_providers
             )
 
-    def test_certify_static_and_early_exit_are_exclusive(self):
-        rng = random.Random(18)
-        population = _random_population(rng)
-        policy = _random_policy(rng, name="exclusive")
-        with BatchViolationEngine(population) as engine:
-            engine.remove([population.providers[0].provider_id])
-            with pytest.raises(ValidationError):
-                engine.certify(policy, 0.5, static=True, early_exit=True)
-
-    def test_certify_early_exit_after_removal_matches_fresh_engine(self):
-        # Early exit spends the alpha x N budget on the providers still
-        # present only, so it stops where a fresh engine over them stops.
-        checked = 0
-        for seed in range(60):
-            rng = random.Random(seed)
-            population = _random_population(rng)
-            if len(population) < 3:
-                continue
-            policy = _random_policy(rng, name=f"early-{seed}")
-            count = rng.randrange(1, len(population) // 2 + 1)
-            victims = [
-                p.provider_id for p in rng.sample(population.providers, count)
-            ]
-            survivors = population.without(victims)
-            for alpha in (0.0, 0.3, 1.0):
-                with BatchViolationEngine(population) as engine:
-                    engine.remove(victims)
-                    certificate = engine.certify(policy, alpha, early_exit=True)
-                expected = BatchViolationEngine(survivors).certify(
-                    policy, alpha, early_exit=True
-                )
-                assert certificate == expected
-                checked += 1
-        assert checked > 100
-
     def test_empty_mutations_are_noops(self):
         rng = random.Random(21)
         population = _random_population(rng)
         with BatchViolationEngine(population) as engine:
             epoch = engine.epoch
             engine.remove([])
-            engine.append([])
-            engine.update([])
             assert engine.epoch == epoch
 
     def test_mutations_under_model_overrides_match_fresh_engine(self):
-        # With overrides, mutated rows take their weights and thresholds
-        # from the override models, as a fresh compile with them does.
-        import dataclasses
-
+        # With overrides, the survivors keep the weights and thresholds
+        # of the override models, as a fresh compile with them does, and
+        # so does a compaction, which compiles them afresh.
         from repro.core.default import DefaultModel
 
+        compactions = 0
         for seed in range(40):
             rng = random.Random(seed)
             population = _random_population(rng)
@@ -358,21 +264,14 @@ class TestMutableBatchEngine:
                 population, sensitivities=sensitivities, default_model=default_model
             )
             engine.evaluate(policy)
-            for step in range(3):
-                if step == 0 and len(present) > 1:
-                    victims = [present.providers[0].provider_id]
-                    engine.remove(victims)
-                    present = present.without(victims)
-                elif step == 1:
-                    added = [_random_provider(rng, 2000 + seed)]
-                    engine.append(added)
-                    present = present.extended(added)
-                else:
-                    replacement = dataclasses.replace(
-                        present.providers[-1], threshold=0.25, segment="edited"
-                    )
-                    engine.update([replacement])
-                    present = present.updated([replacement])
+            removals = 0
+            for _ in range(3):
+                if len(present) < 2:
+                    break
+                victims = [rng.choice(present.providers).provider_id]
+                engine.remove(victims)
+                removals += 1
+                present = present.without(victims)
                 fresh = BatchViolationEngine(
                     present, sensitivities=sensitivities, default_model=default_model
                 )
@@ -381,6 +280,8 @@ class TestMutableBatchEngine:
                     assert engine.certify(policy, 0.5, static=static) == (
                         fresh.certify(policy, 0.5, static=static)
                     )
+            compactions += engine.epoch - removals
+        assert compactions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +318,6 @@ class TestLifecycle:
 
 
 class TestSatelliteHelpers:
-    def test_population_extended_appends_in_order(self):
-        rng = random.Random(40)
-        population = _random_population(rng)
-        added = [_random_provider(rng, 850)]
-        extended = population.extended(added)
-        assert extended.ids() == (*population.ids(), "pr850")
-        with pytest.raises(ValidationError):
-            population.extended([population.providers[0]])
-
-    def test_population_updated_replaces_in_place(self):
-        import dataclasses
-
-        rng = random.Random(41)
-        population = _random_population(rng)
-        replacement = dataclasses.replace(
-            population.providers[0], threshold=123.0
-        )
-        updated = population.updated([replacement])
-        assert updated.ids() == population.ids()
-        assert updated.providers[0].threshold == 123.0
-        with pytest.raises(UnknownProviderError):
-            population.updated([_random_provider(rng, 860)])
-
     def test_policy_delta_columns_on_widening_step(self):
         from repro.datasets import healthcare_scenario
         from repro.simulation.widening import WideningStep, widen

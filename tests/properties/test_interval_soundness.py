@@ -119,17 +119,6 @@ def test_static_certification_never_evaluates(seed):
     assert engine.cached_policies == 0
 
 
-def test_static_certify_rejects_early_exit():
-    rng = random.Random(1)
-    population = _random_population(rng)
-    policy = _random_policy(rng, name="conflict")
-    engine = BatchViolationEngine(population)
-    from repro.exceptions import ValidationError
-
-    with pytest.raises(ValidationError):
-        engine.certify(policy, 0.5, static=True, early_exit=True)
-
-
 def test_infinite_threshold_serialises_as_none():
     """``as_dict`` stays JSON-safe for never-defaulting providers."""
     rng = random.Random(7)

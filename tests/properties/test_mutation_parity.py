@@ -1,42 +1,36 @@
 """Parity: the incremental engine must equal a fresh compile, bit for bit.
 
-The :class:`~repro.perf.batch.BatchViolationEngine` mutates its compiled
-population in place — removals tombstone rows, appends extend the
-stores, edits splice entries — instead of recompiling.  These tests
-drive randomized mutation sequences (add / remove / edit, interleaved
-with evaluations) and assert that every report is **bit-for-bit
-identical** to a fresh compile-and-evaluate of the population the
-mutations produce.  As in :mod:`tests.properties.test_batch_parity`,
+The :class:`~repro.perf.batch.BatchViolationEngine` takes departures in
+place — a removal tombstones rows, and past half the rows tombstoned
+the survivors are compacted into a fresh compile — instead of
+recompiling every round.  These tests drive randomized removal
+sequences (1-3 providers per step, interleaved with evaluations, many
+of them crossing the compaction threshold) and assert that every report
+is **bit-for-bit identical** to a fresh compile-and-evaluate of the
+providers still present.  As in :mod:`tests.properties.test_batch_parity`,
 the corpus draws every continuous quantity as a dyadic rational, so any
 discrepancy is a logic bug, never rounding noise — but the contract is
-stronger than order-independence: survivors keep their original rows
-and appends land at the end, so the incremental engine performs the
-*same* floating-point additions in the *same* order as the fresh
-compile it must match.
+stronger than order-independence: survivors keep their original rows,
+so the incremental engine performs the *same* floating-point additions
+in the *same* order as the fresh compile it must match.
 
-Evaluations are issued both before mutations (populating every cache,
-so the delta paths must patch or mask cached state) and after a
-cache-clearing pattern (uncached).
+Half the corpus evaluates every policy before the first removal, so the
+engine must mask cached state; the other half starts uncached.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from repro.core import Population, PreferenceEntry, ProviderPreferences
+from repro.core import Population
 from repro.perf import BatchViolationEngine
 
-from tests.properties.test_batch_parity import (
-    _random_policy,
-    _random_population,
-    _random_provider,
-)
+from tests.properties.test_batch_parity import _random_policy, _random_population
 
-N_SCENARIOS = 300  # the issue's acceptance floor for mutation sequences
+N_SCENARIOS = 300  # the acceptance floor for removal sequences
 MUTATIONS_PER_SCENARIO = 8
 
 
@@ -56,80 +50,44 @@ def _assert_reports_identical(actual, expected) -> None:
     assert np.array_equal(actual.defaulted, expected.defaulted)
 
 
-def _random_edit(rng: random.Random, population: Population):
-    """A replacement provider for a random member, with fresh everything
-    except the id — preferences, supplied attributes, sensitivities,
-    threshold, and segment all change."""
-    target = rng.choice(population.providers)
-    donor = _random_provider(rng, 0)
-    preferences = ProviderPreferences(
-        target.provider_id,
-        [
-            PreferenceEntry(
-                provider_id=target.provider_id,
-                attribute=entry.attribute,
-                tuple=entry.tuple,
-            )
-            for entry in donor.preferences
-        ],
-        attributes_provided=donor.preferences.attributes_provided,
-    )
-    return dataclasses.replace(donor, preferences=preferences)
+def _remove_some(
+    rng: random.Random, engine: BatchViolationEngine, population: Population
+) -> Population:
+    """Remove 1-3 random providers, leaving at least one, from both the
+    engine and the plain-Population mirror the fresh-compile oracle is
+    built from."""
+    count = rng.randrange(1, min(3, len(population) - 1) + 1)
+    victims = [p.provider_id for p in rng.sample(population.providers, count)]
+    engine.remove(victims)
+    return population.without(victims)
 
 
-def _apply_random_mutation(
-    rng: random.Random, engine, population: Population, next_id: int
-) -> tuple[Population, int]:
-    """One random add/remove/edit applied to both the engine and the
-    plain-Population mirror the fresh-compile oracle is built from."""
-    roll = rng.random()
-    if roll < 0.35 and len(population) > 1:
-        count = rng.randrange(1, min(3, len(population)))
-        victims = [
-            p.provider_id for p in rng.sample(population.providers, count)
-        ]
-        engine.remove(victims)
-        return population.without(victims), next_id
-    if roll < 0.65:
-        added = [
-            _random_provider(rng, next_id + offset)
-            for offset in range(rng.randrange(1, 3))
-        ]
-        engine.append(added)
-        return population.extended(added), next_id + len(added)
-    replacement = _random_edit(rng, population)
-    engine.update([replacement])
-    return population.updated([replacement]), next_id
-
-
-def _drive(seed: int) -> None:
+def _drive(seed: int) -> int:
+    """Run one seeded removal sequence; returns how often it compacted."""
     rng = random.Random(seed)
     population = _random_population(rng)
     policies = [
         _random_policy(rng, name=f"mut-{seed}-{i}") for i in range(3)
     ]
     cached = rng.random() < 0.5  # half the corpus pre-populates caches
-    next_id = 10_000
     engine = BatchViolationEngine(population)
+    removals = 0
     try:
         if cached:
             for policy in policies:
                 engine.evaluate(policy)
         for _ in range(rng.randrange(1, MUTATIONS_PER_SCENARIO + 1)):
-            population, next_id = _apply_random_mutation(
-                rng, engine, population, next_id
-            )
-            if len(population) == 0:
+            if len(population) < 2:
                 break
+            population = _remove_some(rng, engine, population)
+            removals += 1
             if rng.random() < 0.5:
-                # Interleaved evaluation: the next mutation must patch
-                # or mask this freshly cached state.
+                # Interleaved evaluation: the next removal must mask
+                # this freshly cached state.
                 policy = rng.choice(policies)
                 report = engine.evaluate(policy)
                 expected = BatchViolationEngine(population).evaluate(policy)
                 _assert_reports_identical(report, expected)
-        if len(population) == 0:
-            return
         fresh = BatchViolationEngine(population)
         for policy in policies:
             # Evaluated twice: once live, once through the report cache.
@@ -150,8 +108,16 @@ def _drive(seed: int) -> None:
         )
     finally:
         engine.close()
+    # Each removal adds one to the epoch, each compaction one more.
+    return engine.epoch - removals
 
 
 @pytest.mark.parametrize("seed", range(N_SCENARIOS))
 def test_mutation_sequence_parity_serial(seed):
     _drive(seed)
+
+
+def test_corpus_crosses_the_compaction_threshold():
+    # Masked rows and compacted stores are both on the path under test.
+    compacted = sum(_drive(seed) > 0 for seed in range(50))
+    assert 10 <= compacted < 50

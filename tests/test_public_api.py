@@ -113,7 +113,6 @@ class TestPublicSurface:
             "column_contribution",
             "policy_columns",
             "policy_fingerprint",
-            "row_contribution",
             "sum_column_arrays",
         ]
 
