@@ -8,7 +8,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # The chaos suite CI runs in the chaos-smoke job: fault injection,
 # crash recovery, storage hardening, the CLI error contract, and the
@@ -16,7 +16,7 @@ test:
 # with which message), under a tight per-test timeout.  Deterministic —
 # fault plans are seeded.
 chaos:
-	REPRO_TEST_TIMEOUT=60 $(PYTHON) -m pytest -q \
+	REPRO_TEST_TIMEOUT=60 PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/resilience \
 		tests/storage/test_hardening.py \
 		tests/cli/test_cli_errors.py \
@@ -24,19 +24,22 @@ chaos:
 
 # The population-churn suite CI runs in the delta-parity job: the one
 # batch engine's removals (BatchViolationEngine tombstoning rows of an
-# in-place CompiledPopulation, compacting past half) in randomized
-# removal sequences bit-for-bit against fresh compiles, the
-# exactly-one-compile churn regression, the shared column diff and
-# chained-delta exactness, the mutation-epoch resume contract, and a
-# smoke-size run of the delta dynamics bench.
+# in-place CompiledPopulation; past half, compaction cuts the survivors'
+# store out by mask and no longer recompiles) in randomized removal
+# sequences bit-for-bit against fresh compiles, the compiled store's own
+# compaction-equals-fresh-compile tests, the exactly-one-compile churn
+# regression, the shared column diff and chained-delta exactness, the
+# mutation-epoch resume contract, and a smoke-size run of the delta
+# dynamics bench.
 delta-parity:
-	REPRO_TEST_TIMEOUT=120 $(PYTHON) -m pytest -q \
+	REPRO_TEST_TIMEOUT=120 PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/properties/test_mutation_parity.py \
+		tests/perf/test_compiled.py \
 		tests/perf/test_delta_engine.py \
 		tests/perf/test_delta_dynamics.py \
 		tests/perf/test_delta_columns.py \
 		tests/resilience/test_mutation_epoch.py
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_delta_dynamics.py --benchmark-only
 
 # The observability suite CI runs in the obs-smoke job: the metrics
@@ -44,7 +47,7 @@ delta-parity:
 # CLI's --metrics / --trace / obs surface end to end (including fault
 # counters under an injected chaos plan).
 obs:
-	REPRO_TEST_TIMEOUT=60 $(PYTHON) -m pytest -q tests/obs
+	REPRO_TEST_TIMEOUT=60 PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs
 
 # The repository benchmark's own tests, its inputs check (generation
 # and widening must still give the seeded inputs perfbench/workloads.py
@@ -64,20 +67,20 @@ perfbench-check:
 # preserved inside it, so the timing trajectory across PRs stays
 # comparable.
 bench:
-	REPRO_BENCH_JSON=BENCH_9.json $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_JSON=BENCH_9.json PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Tiny-size smoke run of the scaling benches (same code paths, relaxed
 # speedup floor) — what CI executes on every push.
 bench-smoke:
-	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_scaling.py --benchmark-only
+	REPRO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_scaling.py --benchmark-only
 
 bench-tables:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		$(PYTHON) $$script > /dev/null || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
 # Static analysis of the source tree.  ruff and mypy are optional

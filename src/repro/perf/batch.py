@@ -261,15 +261,11 @@ class BatchReport:
 
     def violated_ids(self) -> tuple[Hashable, ...]:
         """Providers with ``w_i = 1``, in population order."""
-        return tuple(
-            pid for pid, flag in zip(self.provider_ids, self.violated) if flag
-        )
+        return _ids_where(self.provider_ids, self.violated)
 
     def defaulted_ids(self) -> tuple[Hashable, ...]:
         """Providers with ``default_i = 1``, in population order."""
-        return tuple(
-            pid for pid, flag in zip(self.provider_ids, self.defaulted) if flag
-        )
+        return _ids_where(self.provider_ids, self.defaulted)
 
     def violation_of(self, provider_id: Hashable) -> float:
         """``Violation_i`` for one provider."""
@@ -307,7 +303,7 @@ class _Evaluation:
 
 
 #: Tombstoned fraction of the rows above which :meth:`BatchViolationEngine.remove`
-#: compacts: the survivors are compiled afresh and the caches start over.
+#: compacts: the survivors' store is cut out by mask and the caches start over.
 COMPACT_THRESHOLD = 0.5
 
 #: Memoised per-policy evaluations an engine keeps; the oldest is evicted
@@ -531,7 +527,7 @@ class BatchViolationEngine:
                 obs.inc("engine.batch.static_skipped_providers", n)
             return certificate
         counts = self._alive_array(self._evaluate(policy).counts)
-        violated = _violated_ids(self._compiled.alive_ids, counts)
+        violated = _ids_where(self._compiled.alive_ids, counts > 0)
         p_w = len(violated) / n
         return PPDBCertificate(
             alpha=alpha,
@@ -568,7 +564,9 @@ class BatchViolationEngine:
         are independent, so cached evaluations stay valid; reports leave
         the tombstoned rows out when they are assembled.  Once more than
         :data:`COMPACT_THRESHOLD` of the rows are tombstoned, the
-        survivors are compiled afresh and the caches start over.
+        survivors' store is cut out of the compiled arrays by mask
+        (:meth:`CompiledPopulation.compacted`, which walks no provider)
+        and the caches start over.
         """
         ids = tuple(provider_ids)
         if not ids:
@@ -729,7 +727,7 @@ def _check_policy(policy: object) -> None:
         )
 
 
-def _violated_ids(
-    ids: tuple[Hashable, ...], counts: np.ndarray
-) -> tuple[Hashable, ...]:
-    return tuple(pid for pid, count in zip(ids, counts) if count > 0)
+def _ids_where(ids: tuple[Hashable, ...], mask: np.ndarray) -> tuple[Hashable, ...]:
+    """The ids at the true rows of *mask*, gathered by index (ids may be
+    any hashable, so they never become an array)."""
+    return tuple([ids[row] for row in np.flatnonzero(mask).tolist()])

@@ -9,8 +9,11 @@ out for the vectorized kernels in :mod:`repro.perf.batch`:
 * provider ids in population order, with an id -> row-index map;
 * the default-threshold vector ``v`` (``inf`` for "never defaults") and
   the :class:`~repro.core.default.DefaultModel`'s strictness flag;
-* per **column** — one column per ``(attribute, purpose)`` pair — the
-  explicit preference rows (provider index, ``(V, G, R)`` ranks) and the
+* one **entry store**: every explicit preference entry's provider row and
+  ``(V, G, R)`` ranks, grouped by **column** — one column per
+  ``(attribute, purpose)`` pair — with each column's rows in row order
+  and, within a row, in entry order;
+* per column, the explicit rows as slices of that store and the
   providers subject to the implicit-zero completion, each paired with the
   precomputed severity weights ``Sigma^a x s_i^a x s_i^a[dim]`` so the
   inner loop of Eq. 14 reduces to one fused multiply-add.
@@ -28,11 +31,16 @@ or widening-game run: :meth:`CompiledPopulation.remove` tombstones rows
 in an alive mask (no array is rebuilt and no row moves).  Survivors keep
 their rows, so every per-provider sum accumulates exactly as it would in
 a fresh compile of the providers still present.
+:meth:`CompiledPopulation.compacted` cuts the survivors' store out of
+the arrays by that mask, walking no provider, and equals such a fresh
+compile array for array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from time import perf_counter
 from typing import Hashable, Iterable, Sequence
 
@@ -48,6 +56,9 @@ from ..obs import active_observer
 #: column 0 = visibility, 1 = granularity, 2 = retention (the paper's
 #: ``{V, G, R}``).
 RANK_AXES = ("visibility", "granularity", "retention")
+
+#: A sensitivity record's ``(s, s[V], s[G], s[R])``, the Eq. 11 order.
+_DATUM_FIELDS = attrgetter("value", *RANK_AXES)
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,9 @@ class CompiledPopulation:
         "_alive",
         "_dead",
         "_alive_view",
-        "_explicit_rows",
+        "_entry_rows",
+        "_entry_ranks",
+        "_spans",
         "_provided",
         "_weights_by_attribute",
         "_columns",
@@ -137,56 +150,109 @@ class CompiledPopulation:
             raise ValidationError(
                 f"population must be a Population, got {type(population).__name__}"
             )
-        obs = active_observer()
-        start = perf_counter() if obs is not None else 0.0
-        self._population: Population | None = population
+        start = perf_counter() if active_observer() is not None else 0.0
         self._sigma = population.attribute_sensitivities
         self._sensitivity_override = sensitivities
         self._default_override = default_model
-        self._models: tuple[SensitivityModel, DefaultModel] | None = None
+        self._strict = default_model.strict if default_model is not None else True
         providers = population.providers
-        self._providers: tuple[Provider, ...] = providers
         ids = population.ids()
-        self._ids: tuple[Hashable, ...] = ids
-        self._index: dict[Hashable, int] = {pid: i for i, pid in enumerate(ids)}
-        self._segments = tuple(p.segment for p in providers)
-        self._thresholds = np.array(
+        thresholds = np.array(
             [default_model.threshold(pid) for pid in ids]
             if default_model is not None
             else [p.threshold for p in providers],
             dtype=np.float64,
         )
-        self._strict = default_model.strict if default_model is not None else True
-        self._alive = np.ones(len(ids), dtype=bool)
-        self._dead = 0
-        self._alive_view: tuple | None = None
 
-        # Group every explicit preference entry by (attribute, purpose):
-        # column key -> ([provider row], [(V, G, R)]).  Also track which
-        # providers supplied which attributes (the implicit-zero rule only
-        # applies to supplied attributes).  Rows are visited in order, so
-        # every list stays sorted.
-        explicit_rows: dict[tuple[str, str], tuple[list[int], list[tuple[int, int, int]]]] = {}
-        provided: dict[str, list[int]] = {}
+        # One pass over the entries, attribute by attribute: the rows that
+        # supplied each attribute (only they get implicit zeros) and a table
+        # of its distinct tuple objects, so an entry costs one lookup by
+        # identity (the entries hold their tuples, so no id is reused) and
+        # a tuple's column and ranks are read once.
+        groups: dict[str, tuple[list[int], dict[int, int]]] = {}
+        columns: dict[tuple[str, str], int] = {}
+        distinct: list[int] = []  # column code, V, G, R per distinct tuple
+        codes: list[int] = []
+        counts: list[int] = []
         for row, provider in enumerate(providers):
             preferences = provider.preferences
             for attribute in preferences.attributes_provided:
-                provided.setdefault(attribute, []).append(row)
-            for entry in preferences.entries:
-                key = (entry.attribute, entry.purpose)
-                rows, ranks = explicit_rows.setdefault(key, ([], []))
-                rows.append(row)
-                ranks.append(
-                    (
-                        entry.tuple.visibility,
-                        entry.tuple.granularity,
-                        entry.tuple.retention,
-                    )
-                )
-        self._explicit_rows = explicit_rows
+                group = groups.get(attribute)
+                if group is None:
+                    group = groups[attribute] = ([], {})
+                supplied, table = group
+                supplied.append(row)
+                for entry in preferences.for_attribute(attribute):
+                    t = entry.tuple
+                    code = table.get(id(t))
+                    if code is None:
+                        code = table[id(t)] = len(distinct) // 4
+                        key = (attribute, t.purpose)
+                        column = columns.setdefault(key, len(columns))
+                        distinct += (column, t.visibility, t.granularity, t.retention)
+                    codes.append(code)
+            counts.append(len(preferences))
+
+        # The entry store: one stable sort by column keeps each column's
+        # rows in row order and, within a row, in entry order.
+        tuples = np.array(distinct, dtype=np.int64).reshape(-1, 4)
+        entry_tuples = np.array(codes, dtype=np.intp)
+        entry_columns = tuples[entry_tuples, 0]
+        order = np.argsort(entry_columns, kind="stable")
+        bounds = np.searchsorted(entry_columns[order], np.arange(len(columns) + 1))
+        self._set_store(
+            population,
+            providers,
+            ids,
+            tuple(p.segment for p in providers),
+            thresholds,
+            np.repeat(np.arange(len(counts), dtype=np.int64), counts)[order],
+            tuples[entry_tuples[order], 1:],
+            {key: (int(bounds[i]), int(bounds[i + 1])) for key, i in columns.items()},
+            {
+                attribute: np.array(supplied, dtype=np.int64)
+                for attribute, (supplied, _) in groups.items()
+            },
+            {},
+            start,
+        )
+
+    def _set_store(
+        self,
+        population: Population | None,
+        providers: tuple[Provider, ...],
+        ids: tuple[Hashable, ...],
+        segments: tuple[str | None, ...],
+        thresholds: np.ndarray,
+        entry_rows: np.ndarray,
+        entry_ranks: np.ndarray,
+        spans: dict[tuple[str, str], tuple[int, int]],
+        provided: dict[str, np.ndarray],
+        weights_by_attribute: dict[str, np.ndarray],
+        start: float,
+    ) -> None:
+        """Install a store, every row alive; counts one compilation.
+
+        *spans* maps a column to its ``[start, stop)`` slice of the entry
+        store; *provided* an attribute to the rows that supplied it.
+        """
+        self._population = population
+        self._models: tuple[SensitivityModel, DefaultModel] | None = None
+        self._providers = providers
+        self._ids = ids
+        self._index = {pid: i for i, pid in enumerate(ids)}
+        self._segments = segments
+        self._thresholds = thresholds
+        self._alive = np.ones(len(ids), dtype=bool)
+        self._dead = 0
+        self._alive_view: tuple | None = None
+        self._entry_rows = entry_rows
+        self._entry_ranks = entry_ranks
+        self._spans = spans
         self._provided = provided
-        self._weights_by_attribute: dict[str, np.ndarray] = {}
+        self._weights_by_attribute = weights_by_attribute
         self._columns: dict[tuple[str, str], CompiledColumn] = {}
+        obs = active_observer()
         if obs is not None:
             obs.inc("perf.compilations")
             obs.set_gauge("perf.compiled_providers", len(ids))
@@ -276,7 +342,7 @@ class CompiledPopulation:
     def __repr__(self) -> str:
         return (
             f"CompiledPopulation({self.alive_count} providers, "
-            f"{self._dead} tombstoned, {len(self._explicit_rows)} explicit columns)"
+            f"{self._dead} tombstoned, {len(self._spans)} explicit columns)"
         )
 
     def row_of(self, provider_id: Hashable) -> int:
@@ -330,8 +396,8 @@ class CompiledPopulation:
                 ids, segments = self._ids, self._segments
                 view = (
                     rows,
-                    tuple(ids[row] for row in listed),
-                    tuple(segments[row] for row in listed),
+                    tuple([ids[row] for row in listed]),
+                    tuple([segments[row] for row in listed]),
                 )
             else:
                 view = (rows, self._ids, self._segments)
@@ -351,7 +417,8 @@ class CompiledPopulation:
 
         Without an override, a provider's datum is read from its own
         record, which is what the population's sensitivity model returns
-        for it, so the multiplications are the same, in the same order.
+        for it.  The records' fields are multiplied in NumPy in the order
+        ``(Sigma^a x s_i^a) x s_i^a[dim]``, the order of Eq. 14.
         """
         cached = self._weights_by_attribute.get(attribute)
         if cached is not None:
@@ -366,15 +433,10 @@ class CompiledPopulation:
         else:
             attribute_weight = model.attribute_weight(attribute)
             data = [model.datum(pid, attribute) for pid in self._ids]
-        flat: list[float] = []
-        for datum in data:
-            base = attribute_weight * datum.value
-            flat += (
-                base * datum.visibility,
-                base * datum.granularity,
-                base * datum.retention,
-            )
-        cached = np.array(flat, dtype=np.float64).reshape(-1, 3)
+        records = np.fromiter(
+            chain.from_iterable(map(_DATUM_FIELDS, data)), np.float64, 4 * len(data)
+        ).reshape(-1, 4)
+        cached = (attribute_weight * records[:, :1]) * records[:, 1:]
         self._weights_by_attribute[attribute] = cached
         return cached
 
@@ -383,6 +445,7 @@ class CompiledPopulation:
 
         Materialised lazily and cached — the set of relevant columns is
         driven by the policies being evaluated, not by the population.
+        Its explicit rows and ranks are slices of the entry store.
         Removals keep it.
         """
         key = (attribute, purpose)
@@ -390,15 +453,11 @@ class CompiledPopulation:
         if cached is not None:
             return cached
         weights = self.attribute_weights(attribute)
-        providers_ranks = self._explicit_rows.get(key)
-        if providers_ranks is not None:
-            row_providers = np.array(providers_ranks[0], dtype=np.int64)
-            row_ranks = np.array(providers_ranks[1], dtype=np.int64).reshape(-1, 3)
-        else:
-            row_providers = np.empty(0, dtype=np.int64)
-            row_ranks = np.empty((0, 3), dtype=np.int64)
+        start, stop = self._spans.get(key, (0, 0))
+        row_providers = self._entry_rows[start:stop]
+        row_ranks = self._entry_ranks[start:stop]
         row_weights = weights[row_providers]
-        supplied = np.array(self._provided.get(attribute, ()), dtype=np.int64)
+        supplied = np.asarray(self._provided.get(attribute, ()), dtype=np.int64)
         if row_providers.size and supplied.size:
             # Providers holding an explicit entry for the column are never
             # completed.
@@ -448,9 +507,46 @@ class CompiledPopulation:
         return rows
 
     def compacted(self) -> "CompiledPopulation":
-        """A fresh compilation of the present providers, same overrides."""
-        return CompiledPopulation(
-            self.population,
-            sensitivities=self._sensitivity_override,
-            default_model=self._default_override,
+        """The present providers as a new compilation, same overrides.
+
+        Cut from this store by the alive mask, walking no provider (the
+        :class:`Population` is built on first read).  Survivors keep their
+        order and every entry its place in its column, so every array
+        equals a fresh compile's, bit for bit.  Counts one compilation.
+        """
+        start = perf_counter() if active_observer() is not None else 0.0
+        alive = self._alive
+        rows, ids, segments = self._alive_rows_ids_segments()
+        renumber = np.cumsum(alive, dtype=np.int64) - 1
+        keep = alive[self._entry_rows]
+        cut = np.concatenate(([0], np.cumsum(keep))).tolist()
+        providers = self._providers
+        compacted = CompiledPopulation.__new__(CompiledPopulation)
+        compacted._sigma = self._sigma
+        compacted._sensitivity_override = self._sensitivity_override
+        compacted._default_override = self._default_override
+        compacted._strict = self._strict
+        compacted._set_store(
+            None,
+            tuple([providers[row] for row in rows.tolist()]),
+            ids,
+            segments,
+            self._thresholds[rows],
+            renumber[self._entry_rows[keep]],
+            self._entry_ranks[keep],
+            {
+                key: (cut[begin], cut[end])
+                for key, (begin, end) in self._spans.items()
+                if cut[begin] < cut[end]
+            },
+            {
+                attribute: renumber[supplied[alive[supplied]]]
+                for attribute, supplied in self._provided.items()
+            },
+            {
+                attribute: weights[rows]
+                for attribute, weights in self._weights_by_attribute.items()
+            },
+            start,
         )
+        return compacted

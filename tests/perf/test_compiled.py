@@ -1,8 +1,10 @@
-"""Unit tests for the one-time population compilation."""
+"""Unit tests for the one-time population compilation and its compaction."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,13 +12,26 @@ import pytest
 from repro.core import (
     DefaultModel,
     DimensionSensitivity,
+    HousePolicy,
     Population,
     PrivacyTuple,
     Provider,
     ProviderPreferences,
+    ProviderSensitivity,
+    SensitivityModel,
 )
+from repro.datasets import healthcare_scenario
 from repro.exceptions import UnknownProviderError, ValidationError
-from repro.perf import RANK_AXES, CompiledPopulation
+from repro.obs import observed
+from repro.perf import (
+    RANK_AXES,
+    BatchViolationEngine,
+    CompiledColumn,
+    CompiledPopulation,
+)
+from repro.perf.batch import COMPACT_THRESHOLD
+
+from tests.properties.test_batch_parity import _random_population
 
 
 @pytest.fixture()
@@ -97,6 +112,35 @@ class TestWeights:
         # Bob has no sensitivity record: everything neutral -> 3x1x1.
         assert weights[1].tolist() == [3.0, 3.0, 3.0]
 
+    def test_weights_multiply_in_eq14_order(self):
+        # (Sigma^a x s_i^a) x s_i^a[dim], exactly: with these factors the
+        # other association gives different floats.
+        population = Population(
+            [
+                Provider(
+                    preferences=ProviderPreferences(
+                        "p", [("weight", PrivacyTuple("billing", 1, 1, 1))]
+                    ),
+                    sensitivity={
+                        "weight": DimensionSensitivity(
+                            value=2.6, visibility=0.9, granularity=2.4, retention=1.7
+                        )
+                    },
+                )
+            ],
+            attribute_sensitivities={"weight": 1.5},
+        )
+        base = 1.5 * 2.6
+        expected = [base * 0.9, base * 2.4, base * 1.7]
+        assert all(
+            a != 1.5 * (2.6 * d) for a, d in zip(expected, (0.9, 2.4, 1.7))
+        )
+        overridden = CompiledPopulation(
+            population, sensitivities=population.sensitivity_model()
+        )
+        for compiled in (CompiledPopulation(population), overridden):
+            assert compiled.attribute_weights("weight").tolist() == [expected]
+
     def test_attribute_weights_cached(self, small_population):
         compiled = CompiledPopulation(small_population)
         assert compiled.attribute_weights("name") is compiled.attribute_weights(
@@ -151,3 +195,269 @@ class TestColumns:
         assert np.array_equal(
             column.row_weights, weights[column.row_providers]
         )
+
+
+# ---------------------------------------------------------------------------
+# compaction: the survivors' store cut by mask
+# ---------------------------------------------------------------------------
+
+ATTRIBUTES = ("name", "weight", "salary")
+PURPOSES = ("billing", "research", "audit")
+ALL_COLUMNS = tuple((a, p) for a in ATTRIBUTES for p in PURPOSES)
+
+
+def _sensitivity(*values: float) -> DimensionSensitivity:
+    return DimensionSensitivity.from_sequence(values)
+
+
+def _provider(pid, entries, provided=None, *, threshold, segment=None, **sens):
+    return Provider(
+        preferences=ProviderPreferences(
+            pid,
+            [(a, PrivacyTuple(p, *ranks)) for a, p, ranks in entries],
+            attributes_provided=provided,
+        ),
+        sensitivity={a: _sensitivity(*values) for a, values in sens.items()},
+        threshold=threshold,
+        segment=segment,
+    )
+
+
+def _edge_population() -> Population:
+    """Providers covering every shape a column can take."""
+    return Population(
+        [
+            _provider(
+                "a",
+                [("weight", "billing", (2, 1, 0)), ("name", "research", (1, 1, 1))],
+                threshold=3.0,
+                segment="pragmatist",
+                weight=(1.1, 0.7, 1.3, 2.9),
+            ),
+            # Two tuples on one (attribute, purpose), in entry order.
+            _provider(
+                "multi",
+                [
+                    ("weight", "billing", (3, 0, 1)),
+                    ("name", "billing", (0, 2, 2)),
+                    ("weight", "billing", (1, 2, 3)),
+                ],
+                threshold=math.inf,
+                name=(0.3, 1.7, 0.1, 2.2),
+            ),
+            # Supplied "name" and "salary" but holds no entry for them.
+            _provider(
+                "silent",
+                [("weight", "research", (0, 0, 4))],
+                ["weight", "name", "salary"],
+                threshold=0.5,
+                segment="fundamentalist",
+                salary=(2.3, 0.9, 1.9, 0.6),
+            ),
+            # No preferences and no supplied attribute at all.
+            _provider("empty", [], threshold=1.0),
+            # The only holder of ("salary", "audit").
+            _provider(
+                "lonely",
+                [("salary", "audit", (2, 2, 2)), ("weight", "billing", (0, 1, 0))],
+                threshold=2.0,
+                salary=(1.4, 1.1, 0.2, 3.3),
+            ),
+            _provider(
+                "b",
+                [("weight", "billing", (1, 1, 1)), ("salary", "research", (3, 1, 2))],
+                ["weight", "salary", "name"],
+                threshold=4.5,
+                segment="unconcerned",
+            ),
+            _provider(
+                "c",
+                [
+                    ("name", "research", (2, 0, 0)),
+                    ("name", "research", (0, 3, 0)),
+                    ("weight", "audit", (1, 0, 2)),
+                ],
+                threshold=0.0,
+                weight=(0.6, 2.1, 0.8, 1.7),
+            ),
+        ],
+        attribute_sensitivities={"weight": 1.3, "name": 0.7},
+    )
+
+
+#: Model overrides that a compaction must carry over.
+OVERRIDES = {
+    "own-models": {},
+    "sensitivity-override": {
+        "sensitivities": SensitivityModel(
+            {"weight": 0.9, "salary": 2.6},
+            {
+                "a": ProviderSensitivity(
+                    "a", {"weight": _sensitivity(0.2, 1.9, 0.3, 1.1)}
+                ),
+                "b": ProviderSensitivity(
+                    "b", {"salary": _sensitivity(1.7, 0.1, 2.4, 0.7)}
+                ),
+            },
+        )
+    },
+    "non-strict-default-override": {
+        "default_model": DefaultModel(
+            {"a": 0.25, "silent": 1.5}, default_threshold=2.0, strict=False
+        )
+    },
+}
+
+
+def _assert_same_array(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _assert_same_compilation(actual, expected, columns) -> None:
+    """Equal ids, segments, thresholds, strictness, weight tensors and
+    every field of every given column, array for array."""
+    assert actual.ids == expected.ids
+    assert actual.segments == expected.segments
+    _assert_same_array(actual.thresholds, expected.thresholds)
+    assert actual.strict == expected.strict
+    for attribute in dict.fromkeys(a for a, _ in columns):
+        _assert_same_array(
+            actual.attribute_weights(attribute), expected.attribute_weights(attribute)
+        )
+    for key in columns:
+        got, want = actual.column(*key), expected.column(*key)
+        for field in dataclasses.fields(CompiledColumn):
+            value = getattr(want, field.name)
+            if isinstance(value, np.ndarray):
+                _assert_same_array(getattr(got, field.name), value)
+            else:
+                assert getattr(got, field.name) == value
+
+
+def _survivors(population: Population, victims) -> Population:
+    gone = set(victims)
+    return Population(
+        [p for p in population if p.provider_id not in gone],
+        population.attribute_sensitivities,
+    )
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("overrides", OVERRIDES.values(), ids=OVERRIDES.keys())
+    def test_compacted_equals_fresh_compile(self, overrides):
+        population = _edge_population()
+        compiled = CompiledPopulation(population, **overrides)
+        # The "name" and "weight" columns are materialised before the
+        # removal, so their weight tensors are cut; "salary" is first
+        # read after it.
+        for key in ALL_COLUMNS[:6]:
+            compiled.column(*key)
+        victims = ["a", "lonely", "c"]
+        compiled.remove(victims)
+        compacted = compiled.compacted()
+        fresh = CompiledPopulation(_survivors(population, victims), **overrides)
+        _assert_same_compilation(
+            compacted, fresh, ALL_COLUMNS + (("fingerprint", "billing"),)
+        )
+        assert compacted.population.ids() == fresh.ids
+        assert compacted.alive_count == len(compacted) == 4
+        # Every holder of ("salary", "audit") has left.
+        assert compacted.column("salary", "audit").n_rows == 0
+        # Two tuples on one column keep their entry order.
+        assert compacted.column("weight", "billing").row_ranks.tolist() == [
+            [3, 0, 1],
+            [1, 2, 3],
+            [1, 1, 1],
+        ]
+        # Supplied without an entry: completed with the implicit zero.
+        implicit = compacted.column("salary", "billing").implicit_providers
+        assert compacted.row_of("silent") in implicit.tolist()
+
+    @pytest.mark.parametrize("overrides", OVERRIDES.values(), ids=OVERRIDES.keys())
+    def test_chained_compactions_equal_fresh_compiles(self, overrides):
+        population = _edge_population()
+        compiled = CompiledPopulation(population, **overrides)
+        gone: list = []
+        for victims in (["multi"], ["empty", "b"], ["silent"]):
+            compiled.column("name", "research")
+            compiled.remove(victims)
+            compiled = compiled.compacted()
+            gone += victims
+            fresh = CompiledPopulation(_survivors(population, gone), **overrides)
+            _assert_same_compilation(compiled, fresh, ALL_COLUMNS)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_removals_equal_fresh_compile(self, seed):
+        rng = random.Random(seed)
+        population = _random_population(rng)
+        overrides: dict = {}
+        if seed % 2:
+            overrides["sensitivities"] = population.with_attribute_sensitivities(
+                {"salary": 1.9}
+            ).sensitivity_model()
+        if seed % 3 == 0:
+            overrides["default_model"] = DefaultModel(
+                {p.provider_id: 1.25 for p in population.providers[::3]},
+                strict=bool(seed % 4),
+            )
+        compiled = CompiledPopulation(population, **overrides)
+        columns = tuple(
+            (a, p)
+            for a in ("name", "weight", "diagnosis", "salary")
+            for p in ("billing", "research", "marketing")
+        )
+        for key in rng.sample(columns, 4):
+            compiled.column(*key)
+        ids = list(population.ids())
+        victims = rng.sample(ids, rng.randrange(0, len(ids) + 1))
+        compiled.remove(victims)
+        fresh = CompiledPopulation(_survivors(population, victims), **overrides)
+        _assert_same_compilation(compiled.compacted(), fresh, columns)
+
+    def test_compaction_reads_no_preferences(self, monkeypatch):
+        population = healthcare_scenario(60, seed=5).population
+        policy = HousePolicy(
+            [
+                (attribute, PrivacyTuple(purpose, 5, 5, 5))
+                for attribute in ("age", "weight", "diagnosis", "income")
+                for purpose in ("billing", "research", "treatment")
+            ],
+            name="wide",
+        )
+        # "later" adds a column first read after the compaction.
+        later = HousePolicy(
+            [(e.attribute, e.tuple) for e in policy.entries]
+            + [("medication", PrivacyTuple("research", 2, 2, 2))],
+            name="later",
+        )
+        n_victims = int(COMPACT_THRESHOLD * len(population)) + 1
+        victims = [p.provider_id for p in population.providers[:n_victims]]
+        survivors = _survivors(population, victims)
+        expected = [
+            BatchViolationEngine(survivors).evaluate(p) for p in (policy, later)
+        ]
+        assert expected[0].n_defaulted > 0
+        engine = BatchViolationEngine(population)
+        engine.evaluate(policy)
+
+        def unreadable(*args):
+            raise AssertionError("a provider's preferences were read")
+
+        monkeypatch.setattr(ProviderPreferences, "entries", property(unreadable))
+        monkeypatch.setattr(
+            ProviderPreferences, "attributes_provided", property(unreadable)
+        )
+        monkeypatch.setattr(ProviderPreferences, "for_attribute", unreadable)
+        with observed() as obs:
+            engine.remove(victims)
+            reports = [engine.evaluate(p) for p in (policy, later)]
+            counters = {c["name"]: c["value"] for c in obs.snapshot()["counters"]}
+        assert counters["delta.compactions"] == 1.0
+        assert counters["perf.compilations"] == 1.0
+        for report, want in zip(reports, expected):
+            assert report.provider_ids == want.provider_ids
+            _assert_same_array(report.violations, want.violations)
+            _assert_same_array(report.defaulted, want.defaulted)
+            assert report.defaulted_ids() == want.defaulted_ids()

@@ -15,6 +15,14 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import (
+    HousePolicy,
+    Population,
+    PrivacyTuple,
+    Provider,
+    ProviderPreferences,
+    ViolationEngine,
+)
 from repro.exceptions import UnknownProviderError
 from repro.obs import observed
 from repro.perf import BatchViolationEngine, CompiledPopulation
@@ -232,6 +240,41 @@ class TestMutableBatchEngine:
                 expected.violated_providers
             )
 
+    def test_tuple_provider_ids_through_removals(self):
+        # Ids may be any hashable: reports and certificates gather them
+        # by row, so tuple ids come back whole, down to one and no id.
+        population = Population(
+            [
+                Provider(
+                    preferences=ProviderPreferences(
+                        ("ward", i), [("weight", PrivacyTuple("billing", i % 4, 2, 2))]
+                    ),
+                    threshold=float(i % 3),
+                )
+                for i in range(10)
+            ]
+        )
+        policy = HousePolicy(
+            [("weight", PrivacyTuple("billing", 2, 2, 2))], name="tuple-ids"
+        )
+        present = population
+        removals = 0
+        with BatchViolationEngine(population) as engine:
+            while len(present):
+                report = engine.evaluate(policy)
+                reference = ViolationEngine(policy, present)
+                expected = reference.report()
+                assert report.provider_ids == present.ids()
+                assert report.violated_ids() == expected.violated_ids()
+                assert report.defaulted_ids() == expected.defaulted_ids()
+                for alpha in (0.0, 0.5, 1.0):
+                    assert engine.certify(policy, alpha) == reference.certify(alpha)
+                leaving = report.defaulted_ids()[:2] or present.ids()[:1]
+                engine.remove(leaving)
+                removals += 1
+                present = present.without(leaving)
+            assert engine.epoch > removals  # at least one compaction ran
+
     def test_empty_mutations_are_noops(self):
         rng = random.Random(21)
         population = _random_population(rng)
@@ -243,7 +286,7 @@ class TestMutableBatchEngine:
     def test_mutations_under_model_overrides_match_fresh_engine(self):
         # With overrides, the survivors keep the weights and thresholds
         # of the override models, as a fresh compile with them does, and
-        # so does a compaction, which compiles them afresh.
+        # so does a compaction, which cuts them out of the store.
         from repro.core.default import DefaultModel
 
         compactions = 0
