@@ -42,12 +42,27 @@ delta-parity:
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_delta_dynamics.py --benchmark-only
 
-# The observability suite CI runs in the obs-smoke job: the metrics
+# The observability steps CI runs in the obs-smoke job: the metrics
 # registry, span tracing, the zero-cost-when-disabled guard, and the
 # CLI's --metrics / --trace / obs surface end to end (including fault
-# counters under an injected chaos plan).
+# counters under an injected chaos plan); an instrumented sweep whose
+# snapshot `repro obs` renders as text and as prometheus; and a
+# certify whose snapshot must show one batch compile and no
+# reference-engine evaluation.
+OBS_DOCUMENTS = --taxonomy examples/documents/taxonomy.json \
+	--policy examples/documents/policy.json \
+	--population examples/documents/population.json
+
 obs:
 	REPRO_TEST_TIMEOUT=60 PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs
+	@mkdir -p build
+	PYTHONPATH=src $(PYTHON) -m repro.cli sweep $(OBS_DOCUMENTS) \
+		--steps 3 --json --metrics build/obs-snapshot.json --trace
+	PYTHONPATH=src $(PYTHON) -m repro.cli obs build/obs-snapshot.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli obs build/obs-snapshot.json --format prometheus
+	PYTHONPATH=src $(PYTHON) -m repro.cli certify $(OBS_DOCUMENTS) \
+		--alpha 0.7 --json --metrics build/certify-snapshot.json
+	$(PYTHON) -c "import json, sys; c = json.load(open('build/certify-snapshot.json'))['counters']; n = sum(e['value'] for e in c if e['name'] == 'perf.compilations'); r = any(e['name'] == 'engine.reference.evaluations' for e in c); print('certify perf.compilations=%s reference evaluations=%s' % (n, r)); sys.exit(not (n == 1 and not r))"
 
 # The repository benchmark's own tests, its inputs check (generation
 # and widening must still give the seeded inputs perfbench/workloads.py

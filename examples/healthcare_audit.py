@@ -14,12 +14,13 @@ Run:  python examples/healthcare_audit.py
 """
 
 from repro.analysis import (
-    certification_document,
+    batch_certification_document,
     summarize,
     violation_matrix,
 )
 from repro.core import Dimension, ViolationEngine
 from repro.datasets import healthcare_scenario
+from repro.perf import BatchViolationEngine
 from repro.simulation import WideningStep, widen
 
 scenario = healthcare_scenario(n_providers=200, seed=7)
@@ -61,7 +62,9 @@ for dimension, severity in sorted(
 print()
 
 # --- 4. the certification document the clinic would publish ---------------
-document = certification_document(proposed, alpha=0.10)
+document = batch_certification_document(
+    BatchViolationEngine(scenario.population), proposal, alpha=0.10
+)
 print(document.to_json())
 print()
 print(f"document internally consistent: {document.verify()}")

@@ -15,11 +15,7 @@
 from .reports import ViolationMatrix, violation_matrix
 from .aggregates import PopulationSummary, SegmentStats, summarize
 from .cdf import DefaultCDF, default_cdf_from_sweep
-from .certification import (
-    CertificationDocument,
-    batch_certification_document,
-    certification_document,
-)
+from .certification import CertificationDocument, batch_certification_document
 from .frontier import (
     FrontierPoint,
     ParetoFrontier,
@@ -45,6 +41,5 @@ __all__ = [
     "default_cdf_from_sweep",
     "CertificationDocument",
     "batch_certification_document",
-    "certification_document",
     "format_table",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..core.engine import ViolationEngine
 from ..core.policy import HousePolicy
 from ..core.ppdb import PPDBCertificate
 from ..perf import BatchViolationEngine
@@ -68,51 +67,17 @@ class CertificationDocument:
         )
 
 
-def certification_document(
-    engine: ViolationEngine, alpha: float
-) -> CertificationDocument:
-    """Produce the publishable document for one engine evaluation."""
-    report = engine.report()
-    return CertificationDocument(
-        certificate=engine.certify(alpha),
-        default_probability=report.default_probability,
-        total_violations=report.total_violations,
-    )
-
-
 def batch_certification_document(
-    engine: BatchViolationEngine,
-    policy: HousePolicy,
-    alpha: float,
-    *,
-    static: bool = False,
+    engine: BatchViolationEngine, policy: HousePolicy, alpha: float
 ) -> CertificationDocument:
-    """Produce the publishable document from a batch engine.
+    """Produce the publishable document for *policy* on a batch engine.
 
-    The engine caches per-policy reports, so certifying several
-    candidate policies against one compiled population reuses each
-    evaluation; the certificate and the contextual metrics come from the
-    same cached report, keeping them consistent by construction (the
-    same guarantee :meth:`~repro.core.engine.ViolationEngine.certify`
-    makes).
-
-    With ``static=True`` nothing is evaluated: the certificate comes
-    from the engine's static path (``certify(..., static=True)``) and
-    the contextual metrics from the same provider-exact severity
-    intervals (:meth:`~repro.perf.batch.BatchViolationEngine.static_intervals`,
-    computed once and cached), which determine ``P(Default)`` and
-    Eq. 16's total exactly.  The verdict is identical to the evaluated
-    document's; the floating-point metrics are computed by the static
-    summation order.
+    This is the document ``repro certify`` prints.  The engine caches
+    per-policy evaluations, so certifying several candidate policies
+    against one compiled population reuses each evaluation; the
+    certificate and the contextual metrics come from the same cached
+    evaluation, keeping them consistent by construction.
     """
-    if static:
-        certificate = engine.certify(policy, alpha, static=True)
-        intervals = engine.static_intervals(policy)
-        return CertificationDocument(
-            certificate=certificate,
-            default_probability=intervals.default_probability_bounds().lower,
-            total_violations=intervals.house.lower,
-        )
     report = engine.evaluate(policy)
     return CertificationDocument(
         certificate=engine.certify(policy, alpha),

@@ -28,10 +28,11 @@ corrupt databases or journals, interrupted runs — exit with code 2 and
 print exactly one coded line on stderr (``error[PVL9xx]: ...``); see
 :mod:`repro.resilience.diagnostics` for the code registry.  ``sweep``
 accepts ``--journal`` to checkpoint each widening level and ``--resume``
-to continue an interrupted run bit-for-bit.  ``certify --static``
-answers from the lint layer's severity intervals without evaluating the
-population, and ``lint --cache`` runs the incremental (cached
-per-provider) lint path.
+to continue an interrupted run bit-for-bit, and ``lint --cache`` runs
+the incremental (cached per-provider) lint path.  ``certify`` and
+``db-evict`` evaluate on the batch engine
+(:class:`~repro.perf.batch.BatchViolationEngine`); ``evaluate`` and
+``db-report`` print the reference engine's report.
 
 Example
 -------
@@ -54,7 +55,7 @@ import sqlite3
 import sys
 from collections.abc import Sequence
 
-from .analysis import format_table, summarize
+from .analysis import batch_certification_document, format_table, summarize
 from .core import ViolationEngine
 from .core.policy import HousePolicy
 from .core.population import Population
@@ -67,6 +68,7 @@ from .exceptions import (
 )
 from .obs import Observability, disable_observability, enable_observability
 from .obs.render import FORMATS as OBS_FORMATS
+from .perf import BatchViolationEngine
 from .policy_lang import (
     parse_policy,
     parse_population,
@@ -202,21 +204,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     """Definition 3 verdict; exit code 1 when the threshold is exceeded."""
     _, policy, population = _load_inputs(args)
-    if args.static:
-        # --static skips evaluation entirely: the verdict comes from the
-        # lint layer's severity intervals, with the same certificate.
-        from .analysis.certification import batch_certification_document
-        from .perf import BatchViolationEngine
-
-        document = batch_certification_document(
-            BatchViolationEngine(population), policy, args.alpha, static=True
-        )
-    else:
-        from .analysis import certification_document
-
-        document = certification_document(
-            ViolationEngine(policy, population), args.alpha
-        )
+    document = batch_certification_document(
+        BatchViolationEngine(population), policy, args.alpha
+    )
     certificate = document.certificate
     text = document.to_json() if args.json or args.output else ""
     _export(args, text)
@@ -620,14 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_document_arguments(certify)
     certify.add_argument("--alpha", type=float, required=True)
-    certify.add_argument(
-        "--static",
-        action="store_true",
-        help=(
-            "derive the verdict from the lint layer's static severity "
-            "intervals without evaluating the population"
-        ),
-    )
     certify.add_argument("--json", action="store_true")
     certify.add_argument(
         "--output",

@@ -24,11 +24,11 @@ The result is a sound enclosure: for every provider,
 ``lower_i <= Violation_i <= upper_i`` where ``Violation_i`` is the exact
 Eq. 15 value the :class:`~repro.core.engine.ViolationEngine` computes,
 and the finding count (hence ``w_i`` and Definition 3's ``P(W)``) is
-**exact**, which is what lets
-:meth:`~repro.perf.batch.BatchViolationEngine.certify` skip evaluation
-entirely (``static=True``) while staying verdict-identical.  The
-soundness property is held against the reference engine on hundreds of
-randomized populations in ``tests/properties/test_interval_soundness.py``.
+**exact**, so :meth:`PopulationIntervals.certificate` equals the
+certificate :meth:`~repro.perf.batch.BatchViolationEngine.certify`
+derives from a full evaluation, in either weight-bounds mode.  Both
+properties are held against the engines on hundreds of randomized
+populations in ``tests/properties/test_interval_soundness.py``.
 """
 
 from __future__ import annotations

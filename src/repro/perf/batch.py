@@ -22,7 +22,9 @@ Three layers of reuse make policy sweeps cheap:
    independent per-``(attribute, purpose)`` column contributions, so a
    candidate differing from the previously evaluated policy in only a few
    columns (the shape produced by single-rule widening and best-response
-   search) recomputes just those columns and patches the cached totals.
+   search) recomputes just those columns and re-sums every column's
+   vectors in one fixed order (:func:`sum_column_arrays`), so the result
+   equals a full pass bit for bit.
 
 Severity per provider and column is tracked as a pair
 ``(violation, findings)`` where ``findings`` counts dimension-level
@@ -348,7 +350,6 @@ class BatchViolationEngine:
         "_base_fingerprint",
         "_base_columns",
         "_base_column_arrays",
-        "_interval_cache",
     )
 
     def __init__(
@@ -384,8 +385,6 @@ class BatchViolationEngine:
         self._base_column_arrays: dict[
             tuple[str, str], tuple[np.ndarray, np.ndarray]
         ] = {}
-        # Static severity intervals per policy fingerprint (lint layer).
-        self._interval_cache: dict[PolicyFingerprint, object] = {}
 
     # ------------------------------------------------------------------
     # public surface
@@ -457,55 +456,12 @@ class BatchViolationEngine:
         """
         return [self.evaluate(policy) for policy in policies]
 
-    def static_intervals(self, policy: HousePolicy):
-        """The lint layer's severity intervals for *policy* (cached).
-
-        Runs :func:`repro.lint.intervals.interval_analysis` over the
-        providers still present with the engine's own sensitivity/default
-        models and implicit-zero setting, in ``"provider"`` weight-bounds
-        mode — the intervals are then point-exact per provider, which is
-        what lets :meth:`certify` answer statically with a certificate
-        identical to the evaluated one.  Cached per policy fingerprint
-        until the next removal.
-        """
-        from ..lint.intervals import interval_analysis
-
-        _check_policy(policy)
-        fingerprint = policy_fingerprint(policy)
-        cached = self._interval_cache.get(fingerprint)
-        if cached is not None:
-            return cached
-        compiled = self._compiled
-        intervals = interval_analysis(
-            policy,
-            compiled.population,
-            sensitivities=compiled.sensitivities,
-            default_model=compiled.default_model,
-            implicit_zero=self._implicit_zero,
-            weight_bounds="provider",
-        )
-        self._interval_cache[fingerprint] = intervals
-        return intervals
-
-    def certify(
-        self,
-        policy: HousePolicy,
-        alpha: float,
-        *,
-        static: bool = False,
-    ) -> PPDBCertificate:
+    def certify(self, policy: HousePolicy, alpha: float) -> PPDBCertificate:
         """Definition 3's alpha-PPDB certificate under *policy*.
 
-        With ``static=True`` the verdict is derived from the lint
-        layer's severity intervals (:meth:`static_intervals`) without
-        evaluating the population at all: the static finding counts
-        decide each provider's ``w_i`` exactly (Definition 1 is
-        weight-independent), so the certificate is field-for-field
-        identical to the evaluated one — a property the parity suite
-        holds over randomized populations.
-
-        ``N`` counts the providers still present, so every path agrees
-        with a fresh engine over them.
+        ``w_i`` is read from the same cached evaluation :meth:`evaluate`
+        reports, and ``N`` counts the providers still present, so the
+        certificate agrees with a fresh engine over them.
         """
         _check_policy(policy)
         alpha = check_probability(alpha, "alpha")
@@ -519,13 +475,6 @@ class BatchViolationEngine:
                 violated_providers=(),
                 policy_name=policy.name,
             )
-        if static:
-            certificate = self.static_intervals(policy).certificate(alpha)
-            obs = active_observer()
-            if obs is not None:
-                obs.inc("engine.batch.static_certifications")
-                obs.inc("engine.batch.static_skipped_providers", n)
-            return certificate
         counts = self._alive_array(self._evaluate(policy).counts)
         violated = _ids_where(self._compiled.alive_ids, counts > 0)
         p_w = len(violated) / n
@@ -574,8 +523,6 @@ class BatchViolationEngine:
         compiled = self._compiled
         rows = compiled.remove(ids)
         self._epoch += 1
-        # The intervals were derived from the providers present before.
-        self._interval_cache.clear()
         obs = active_observer()
         if obs is not None:
             obs.inc("delta.removals", int(rows.size))
@@ -607,8 +554,9 @@ class BatchViolationEngine:
         columns = policy_columns(policy)
         if self._base_fingerprint is not None:
             changed = self._changed_columns(columns)
-            # Patch the cached totals when the candidate shares at least
-            # one untouched column with the base; otherwise recompute.
+            # Recompute only the changed columns when the candidate
+            # shares at least one untouched column with the base;
+            # otherwise evaluate every column.
             if len(changed) < len(set(self._base_columns) | set(columns)):
                 evaluation = self._evaluate_delta(columns, changed)
                 self._base_fingerprint = fingerprint

@@ -44,10 +44,16 @@ from ..policy_lang.serializer import policy_to_dict, preferences_to_dict
 from ..policy_lang.serializer import sensitivities_to_dict
 from ..simulation.dynamics import (
     RoundOutcome,
+    _check_dynamics_arguments,
     build_round_outcome,
     round_policy,
 )
-from ..simulation.scenario import ExpansionSweep, SweepRow, build_sweep_row
+from ..simulation.scenario import (
+    ExpansionSweep,
+    SweepRow,
+    _check_sweep_arguments,
+    build_sweep_row,
+)
 from ..simulation.widening import WideningStep, widening_path
 from ..taxonomy.builder import Taxonomy
 from .faults import active_plan
@@ -234,7 +240,10 @@ def resumable_sweep(
     :class:`~repro.resilience.guardrail.GuardedBatchEngine`.  A journal
     holding shard checkpoints (a format only worker-pool sweeps wrote)
     is refused with :class:`~repro.exceptions.JournalMismatchError`.
+    Arguments the plain runner refuses are refused the same way before
+    the journal is created.
     """
+    _check_sweep_arguments(max_steps, per_provider_utility, extra_utility_per_step)
     if step is None:
         step = WideningStep.uniform(1)
     _check_journalable_ids(population)
@@ -367,8 +376,10 @@ def resumable_dynamics(
     :attr:`~repro.perf.batch.BatchViolationEngine.epoch` the input
     population was snapshotted at (0 for a run-start population), and a
     journal recorded at a different epoch refuses to resume instead of
-    silently mixing two mutation histories.
+    silently mixing two mutation histories.  Arguments the plain runner
+    refuses are refused the same way before the journal is created.
     """
+    _check_dynamics_arguments(rounds, per_provider_utility, extra_utility_per_round)
     if step is None:
         step = WideningStep.uniform(1)
     _check_journalable_ids(population)

@@ -98,6 +98,15 @@ def build_round_outcome(
     )
 
 
+def _check_dynamics_arguments(
+    rounds: int, per_provider_utility: float, extra_utility_per_round: float
+) -> None:
+    """The argument checks every dynamics runner makes before any work."""
+    check_int(rounds, "rounds", minimum=1)
+    check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
+    check_real(extra_utility_per_round, "extra_utility_per_round", minimum=0.0)
+
+
 def run_dynamics(
     population: Population,
     base_policy: HousePolicy,
@@ -118,9 +127,7 @@ def run_dynamics(
     Returns one :class:`RoundOutcome` per round, including rounds where
     nobody defaults.  Stops early when the population empties.
     """
-    check_int(rounds, "rounds", minimum=1)
-    check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
-    check_real(extra_utility_per_round, "extra_utility_per_round", minimum=0.0)
+    _check_dynamics_arguments(rounds, per_provider_utility, extra_utility_per_round)
     if step is None:
         step = WideningStep.uniform(1)
     outcomes: list[RoundOutcome] = []

@@ -144,6 +144,15 @@ def build_sweep_row(
     )
 
 
+def _check_sweep_arguments(
+    max_steps: int, per_provider_utility: float, extra_utility_per_step: float
+) -> None:
+    """The argument checks every sweep runner makes before any work."""
+    check_int(max_steps, "max_steps", minimum=0)
+    check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
+    check_real(extra_utility_per_step, "extra_utility_per_step", minimum=0.0)
+
+
 def run_expansion_sweep(
     population: Population,
     base_policy: HousePolicy,
@@ -188,9 +197,7 @@ def run_expansion_sweep(
         spot-checks every level against the reference oracle and
         degrades to it on divergence.
     """
-    check_int(max_steps, "max_steps", minimum=0)
-    check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
-    check_real(extra_utility_per_step, "extra_utility_per_step", minimum=0.0)
+    _check_sweep_arguments(max_steps, per_provider_utility, extra_utility_per_step)
     if step is None:
         step = WideningStep.uniform(1)
     n_current = len(population)

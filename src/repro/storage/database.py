@@ -10,12 +10,17 @@ operations a deployment needs:
 * build a :class:`~repro.core.engine.ViolationEngine` from the *stored*
   state — the bridge proving the sqlite store and the in-memory model
   agree (tested property: engine-from-store equals engine-from-objects);
+* certify and evict the stored state on the
+  :class:`~repro.perf.batch.BatchViolationEngine`, the engine every
+  published certificate comes from;
 * hand out an :class:`~repro.storage.enforcement.AccessGate` and the
   :class:`~repro.storage.audit.AuditLog`.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import sqlite3
 from types import TracebackType
 
@@ -25,6 +30,7 @@ from ..core.population import Population
 from ..core.ppdb import PPDBCertificate
 from ..exceptions import CorruptDatabaseError, SchemaMismatchError, StorageError
 from ..obs import active_observer
+from ..perf import BatchViolationEngine
 from .audit import AuditLog
 from .enforcement import AccessGate, EnforcementMode
 from .queries import connect
@@ -92,6 +98,9 @@ class PrivacyDatabase:
 
         Raises
         ------
+        FileNotFoundError
+            If *path* is not an existing file.  Nothing is created:
+            connecting would make sqlite create an empty database there.
         CorruptDatabaseError
             If the file is not a readable sqlite database or fails the
             integrity check.
@@ -99,6 +108,8 @@ class PrivacyDatabase:
             If the file is a healthy sqlite database but not one of ours
             (missing tables or wrong schema version).
         """
+        if not os.path.isfile(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         try:
             connection = connect(path)
         except sqlite3.DatabaseError as error:
@@ -251,7 +262,9 @@ class PrivacyDatabase:
 
     def certify(self, alpha: float) -> PPDBCertificate:
         """Definition 3's certificate over the stored state."""
-        return self.engine().certify(alpha)
+        return BatchViolationEngine(self._repository.load_population()).certify(
+            self._repository.load_policy(), alpha
+        )
 
     def evict_defaulted(self) -> tuple[str, ...]:
         """Remove every provider the stored state says has defaulted.
@@ -260,7 +273,9 @@ class PrivacyDatabase:
         leave and their data stops being collected.  Returns the evicted
         ids (audit-logged as a policy-changed event for traceability).
         """
-        report = self.engine().report()
+        report = BatchViolationEngine(
+            self._repository.load_population()
+        ).evaluate(self._repository.load_policy())
         defaulted = tuple(str(pid) for pid in report.defaulted_ids())
         with self._connection:
             for provider_id in defaulted:

@@ -89,11 +89,16 @@ class TestMissingFiles:
 
     def test_db_report_missing_database(self, capsys):
         assert main(["db-report", MISSING]) == 2
-        # PrivacyDatabase.open on a missing path: sqlite cannot create it
-        # read-only... it creates an empty db -> schema error is PVL904,
-        # unless the directory is missing -> unable to open (also 904/901).
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error[PVL9")
+        # PrivacyDatabase.open refuses a path that is not an existing
+        # file before sqlite connects (which would create it).
+        _one_coded_line(capsys, "PVL901")
+
+    @pytest.mark.parametrize("command", ["db-report", "db-evict"])
+    def test_missing_database_is_not_created(self, command, tmp_path, capsys):
+        path = tmp_path / "absent.sqlite"
+        assert main([command, str(path)]) == 2
+        _one_coded_line(capsys, "PVL901")
+        assert not path.exists()
 
 
 class TestMalformedJson:
@@ -167,6 +172,21 @@ class TestJournalErrors:
         assert main(args) == 2
         line = _one_coded_line(capsys, "PVL905")
         assert "--resume" in line
+
+    @pytest.mark.parametrize(
+        "bad", [["--steps", "-1"], ["--utility", "-5"]], ids=["steps", "utility"]
+    )
+    def test_sweep_bad_arguments_write_no_journal(
+        self, bad, documents, tmp_path, capsys
+    ):
+        journal = tmp_path / "run.journal"
+        args = SUBCOMMAND_ARGS["sweep"](documents) + ["--journal", str(journal)]
+        assert main(args + bad) == 2
+        _one_coded_line(capsys, "PVL903")
+        assert not journal.exists()
+        # Nothing ties the path to the refused run: the corrected
+        # command (--steps 2) starts afresh without --resume.
+        assert main(args) == 0
 
     def test_sweep_resume_without_journal_flag(self, documents, capsys):
         args = SUBCOMMAND_ARGS["sweep"](documents) + ["--resume"]

@@ -16,6 +16,7 @@ import pytest
 import repro.cli as cli
 from repro.analysis.certification import CertificationDocument
 from repro.cli import main
+from repro.core import ViolationEngine
 
 ROOT = Path(__file__).resolve().parents[2]
 DOCUMENTS = ROOT / "examples" / "documents"
@@ -63,6 +64,33 @@ def test_certify_text_with_output(tmp_path, capsys):
     assert code == 0
     assert stdout == (GOLDEN / "certify-text.stdout").read_text()
     assert exported == (GOLDEN / "certify-text.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "options, output, golden",
+    [
+        (["--alpha", "0.5", "--json"], False, "certify.json"),
+        (["--alpha", "0.7"], False, "certify-text.stdout"),
+        (["--alpha", "0.7"], True, "certify-text.stdout"),
+    ],
+    ids=["json", "text", "output"],
+)
+def test_certify_runs_no_reference_evaluation(
+    options, output, golden, monkeypatch, tmp_path, capsys
+):
+    # The certificate comes from the batch engine; the reference engine
+    # is only the oracle the parity suites hold it against.
+    def refuse(engine):
+        raise AssertionError("certify ran a reference-engine evaluation")
+
+    monkeypatch.setattr(ViolationEngine, "_evaluate", refuse)
+    code, stdout, exported = _run(
+        ["certify", *options], tmp_path, capsys, output=output
+    )
+    assert code in (0, 1)
+    assert stdout == (GOLDEN / golden).read_text()
+    if output:
+        assert exported == (GOLDEN / "certify-text.json").read_text()
 
 
 def _count_calls(monkeypatch, owner, name):

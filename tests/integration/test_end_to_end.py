@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import (
-    certification_document,
+    batch_certification_document,
     default_cdf_from_sweep,
     summarize,
     violation_matrix,
 )
 from repro.core import ViolationEngine
 from repro.game import GreedyWidening, play_widening_game
+from repro.perf import BatchViolationEngine
 from repro.policy_lang import (
     parse_policy,
     policy_to_dict,
@@ -78,10 +79,10 @@ class TestScenarioToAnalysisPipeline:
         assert summary.overall.n == len(small_healthcare.population)
 
     def test_certification_document_verifies(self, small_healthcare):
-        engine = ViolationEngine(
-            small_healthcare.policy, small_healthcare.population
-        )
-        assert certification_document(engine, 0.05).verify()
+        engine = BatchViolationEngine(small_healthcare.population)
+        assert batch_certification_document(
+            engine, small_healthcare.policy, 0.05
+        ).verify()
 
 
 class TestStorageDrivenLifecycle:

@@ -64,6 +64,26 @@ class TestMetricsFlag:
         assert "engine.batch.evaluate_seconds" in timer_names
         assert [root["name"] for root in snapshot["spans"]] == ["sweep.run"]
 
+    def test_certify_compiles_once_and_runs_no_reference_engine(
+        self, documents, tmp_path, capsys
+    ):
+        metrics = tmp_path / "metrics.json"
+        code = main(
+            [
+                "certify",
+                *_base_args(documents),
+                "--alpha",
+                "0.7",
+                "--json",
+                "--metrics",
+                str(metrics),
+            ]
+        )
+        assert code == 0
+        counters = _counters(json.loads(metrics.read_text()))
+        assert counters["perf.compilations"] == 1.0
+        assert "engine.reference.evaluations" not in counters
+
     def test_snapshot_is_key_sorted_and_stable(self, documents, tmp_path, capsys):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
         for path in paths:

@@ -224,21 +224,16 @@ class TestMutableBatchEngine:
         victims = [p.provider_id for p in population.providers[:1]]
         with BatchViolationEngine(population) as engine:
             engine.remove(victims)
-            exact = engine.certify(policy, 0.5)
-            static = engine.certify(policy, 0.5, static=True)
+            certificate = engine.certify(policy, 0.5)
         survivors = population.without(victims)
         expected = BatchViolationEngine(survivors).certify(policy, 0.5)
-        for certificate in (exact, static):
-            assert certificate.alpha == expected.alpha
-            assert (
-                certificate.violation_probability
-                == expected.violation_probability
-            )
-            assert certificate.satisfied == expected.satisfied
-            assert certificate.n_providers == expected.n_providers
-            assert set(certificate.violated_providers) == set(
-                expected.violated_providers
-            )
+        assert certificate.alpha == expected.alpha
+        assert certificate.violation_probability == expected.violation_probability
+        assert certificate.satisfied == expected.satisfied
+        assert certificate.n_providers == expected.n_providers
+        assert set(certificate.violated_providers) == set(
+            expected.violated_providers
+        )
 
     def test_tuple_provider_ids_through_removals(self):
         # Ids may be any hashable: reports and certificates gather them
@@ -319,10 +314,7 @@ class TestMutableBatchEngine:
                     present, sensitivities=sensitivities, default_model=default_model
                 )
                 _assert_reports_identical(engine.evaluate(policy), fresh.evaluate(policy))
-                for static in (False, True):
-                    assert engine.certify(policy, 0.5, static=static) == (
-                        fresh.certify(policy, 0.5, static=static)
-                    )
+                assert engine.certify(policy, 0.5) == fresh.certify(policy, 0.5)
             compactions += engine.epoch - removals
         assert compactions > 0
 

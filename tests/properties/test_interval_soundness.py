@@ -10,9 +10,9 @@ the same randomized dyadic-rational corpus the batch parity suite uses,
 so containment and point-equality are asserted **bit for bit**, never
 within a tolerance.
 
-Also held here: ``certify(..., static=True)`` (batch engine and shard
-executor surface) returns a certificate equal, field for field, to the
-evaluated one.
+Also held here: the intervals' certificate, in both weight-bounds
+modes, equals the batch engine's evaluated one field for field (lint
+rule PVL213 reports it).
 """
 
 from __future__ import annotations
@@ -95,28 +95,17 @@ def test_soundness_with_model_overrides(seed):
 
 @pytest.mark.parametrize("seed", range(N_SCENARIOS))
 def test_static_certification_matches_evaluation(seed):
-    """``certify(static=True)`` equals the evaluated certificate whole."""
+    """The intervals' certificate equals the evaluated one whole."""
     rng = random.Random(0xC33 + seed)
     population = _random_population(rng)
     policy = _random_policy(rng, name=f"certify-{seed}")
     engine = BatchViolationEngine(population)
-    for alpha in (0.0, 0.25, 0.5, 1.0):
-        static = engine.certify(policy, alpha, static=True)
-        exact = engine.certify(policy, alpha)
-        # Frozen dataclasses: field-for-field equality, violated tuple
-        # in population order included.
-        assert static == exact
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_static_certification_never_evaluates(seed):
-    """The static path must not touch the evaluation cache."""
-    rng = random.Random(0xD44 + seed)
-    population = _random_population(rng)
-    policy = _random_policy(rng, name=f"lazy-{seed}")
-    engine = BatchViolationEngine(population)
-    engine.certify(policy, 0.5, static=True)
-    assert engine.cached_policies == 0
+    for mode in ("provider", "population"):
+        intervals = interval_analysis(policy, population, weight_bounds=mode)
+        for alpha in (0.0, 0.25, 0.5, 1.0):
+            # Frozen dataclasses: field-for-field equality, violated
+            # tuple in population order included.
+            assert intervals.certificate(alpha) == engine.certify(policy, alpha)
 
 
 def test_infinite_threshold_serialises_as_none():

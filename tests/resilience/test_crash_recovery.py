@@ -20,7 +20,7 @@ from repro.estimation import (
     forecast_defaults,
     observe_widening_history,
 )
-from repro.exceptions import JournalMismatchError, ProcessKilled
+from repro.exceptions import JournalMismatchError, ProcessKilled, ValidationError
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -290,3 +290,47 @@ class TestJournalHygiene:
         with RunJournal.open(path) as journal:
             assert journal.kind == "sweep"
             assert journal.n_steps == 3  # steps 0..2 inclusive
+
+
+class TestArgumentsCheckedBeforeJournal:
+    """A journaled run refuses what the plain runner refuses, with the
+    same message, before it creates its journal."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_steps": -1},
+            {"per_provider_utility": -5.0},
+            {"extra_utility_per_step": float("nan")},
+        ],
+        ids=["max_steps", "utility", "extra"],
+    )
+    def test_sweep(self, tmp_path, scenario, bad):
+        inputs = (scenario.population, scenario.policy, scenario.taxonomy)
+        with pytest.raises(ValidationError) as plain:
+            run_expansion_sweep(*inputs, **bad)
+        path = tmp_path / "sweep.journal"
+        with pytest.raises(ValidationError) as journaled:
+            resumable_sweep(*inputs, journal_path=str(path), **bad)
+        assert str(journaled.value) == str(plain.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rounds": 0},
+            {"per_provider_utility": -1.0},
+            {"extra_utility_per_round": float("nan")},
+        ],
+        ids=["rounds", "utility", "extra"],
+    )
+    def test_dynamics(self, tmp_path, scenario, bad):
+        inputs = (scenario.population, scenario.policy, scenario.taxonomy)
+        arguments = {"rounds": ROUNDS, **bad}
+        with pytest.raises(ValidationError) as plain:
+            run_dynamics(*inputs, **arguments)
+        path = tmp_path / "dynamics.journal"
+        with pytest.raises(ValidationError) as journaled:
+            resumable_dynamics(*inputs, journal_path=str(path), **arguments)
+        assert str(journaled.value) == str(plain.value)
+        assert not path.exists()

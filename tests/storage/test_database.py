@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HousePolicy, PrivacyTuple
+from repro.core import HousePolicy, PrivacyTuple, ViolationEngine
+from repro.datasets import (
+    crm_scenario,
+    government_scenario,
+    healthcare_scenario,
+    social_network_scenario,
+)
 from repro.exceptions import SchemaMismatchError, StorageError
+from repro.simulation import WideningStep, widen
 from repro.storage import PrivacyDatabase, SCHEMA_VERSION
 
 
@@ -120,3 +127,47 @@ class TestHighLevelOperations:
             db.install(paper_policy, paper_population)
         assert db.engine().report().n_providers == 3
         db.close()
+
+
+SCENARIOS = {
+    "crm": crm_scenario,
+    "government": government_scenario,
+    "healthcare": healthcare_scenario,
+    "social_network": social_network_scenario,
+}
+
+
+class TestBatchEngineOperations:
+    """``certify`` and ``evict_defaulted`` evaluate on the batch engine
+    and agree with the reference engine over the same stored state."""
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_match_the_reference_engine(self, name, levels):
+        scenario = SCENARIOS[name](60, seed=42)
+        policy = widen(
+            scenario.policy, WideningStep.uniform(levels), scenario.taxonomy
+        )
+        with PrivacyDatabase.create(":memory:") as db:
+            db.install(policy, scenario.population)
+            # The store hands providers back sorted by id, so the
+            # reference is the engine over the stored state.
+            reference = db.engine()
+            for alpha in (0.0, 0.3, 1.0):
+                assert db.certify(alpha) == reference.certify(alpha)
+            defaulted = reference.report().defaulted_ids()
+            assert db.evict_defaulted() == tuple(str(pid) for pid in defaulted)
+
+    def test_run_no_reference_evaluation(
+        self, monkeypatch, paper_policy, paper_population
+    ):
+        def refuse(engine):
+            raise AssertionError("the reference engine evaluated")
+
+        monkeypatch.setattr(ViolationEngine, "_evaluate", refuse)
+        with PrivacyDatabase.create(":memory:") as db:
+            db.install(paper_policy, paper_population)
+            certificate = db.certify(0.5)
+            assert certificate.violated_providers == ("Bob", "Ted")
+            assert not certificate.satisfied
+            assert db.evict_defaulted() == ("Ted",)
