@@ -28,9 +28,10 @@ chaos:
 # store out by mask and no longer recompiles) in randomized removal
 # sequences bit-for-bit against fresh compiles, the compiled store's own
 # compaction-equals-fresh-compile tests, the exactly-one-compile churn
-# regression, the shared column diff and chained-delta exactness, the
-# mutation-epoch resume contract, and a smoke-size run of the delta
-# dynamics bench.
+# regression, the shared column diff and chained-delta exactness, a
+# journaled dynamics run killed after every round and resumed (the replay
+# removes each recorded round's departures from the engine without
+# evaluating), and a smoke-size run of the delta dynamics bench.
 delta-parity:
 	REPRO_TEST_TIMEOUT=120 PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/properties/test_mutation_parity.py \
@@ -38,7 +39,7 @@ delta-parity:
 		tests/perf/test_delta_engine.py \
 		tests/perf/test_delta_dynamics.py \
 		tests/perf/test_delta_columns.py \
-		tests/resilience/test_mutation_epoch.py
+		tests/resilience/test_crash_recovery.py::TestDynamicsRecovery
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_delta_dynamics.py --benchmark-only
 

@@ -16,12 +16,7 @@ from .reports import ViolationMatrix, violation_matrix
 from .aggregates import PopulationSummary, SegmentStats, summarize
 from .cdf import DefaultCDF, default_cdf_from_sweep
 from .certification import CertificationDocument, batch_certification_document
-from .frontier import (
-    FrontierPoint,
-    ParetoFrontier,
-    pareto_frontier,
-    sweep_frontier,
-)
+from .frontier import FrontierPoint, ParetoFrontier, pareto_frontier
 from .lint_report import LintReport, lint_report_table
 from .tables import format_table
 
@@ -31,7 +26,6 @@ __all__ = [
     "FrontierPoint",
     "ParetoFrontier",
     "pareto_frontier",
-    "sweep_frontier",
     "ViolationMatrix",
     "violation_matrix",
     "PopulationSummary",

@@ -15,15 +15,10 @@ negotiating.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..core.policy import HousePolicy
-from ..core.population import Population
 from ..exceptions import ValidationError
-from ..simulation.scenario import ExpansionSweep, SweepRow, run_expansion_sweep
-from ..simulation.widening import WideningStep
-from ..taxonomy.builder import Taxonomy
+from ..simulation.scenario import ExpansionSweep, SweepRow
 from .tables import format_table
 
 
@@ -118,43 +113,6 @@ def _dominates(a: SweepRow, b: SweepRow) -> bool:
         or a.default_probability < b.default_probability
     )
     return at_least_as_good and strictly_better
-
-
-def sweep_frontier(
-    population: Population,
-    base_policy: HousePolicy,
-    taxonomy: Taxonomy,
-    *,
-    step: WideningStep | None = None,
-    max_steps: int = 5,
-    per_provider_utility: float = 1.0,
-    extra_utility_per_step: float = 0.25,
-    attributes: Iterable[str] | None = None,
-    purposes: Iterable[str] | None = None,
-    implicit_zero: bool = True,
-) -> ParetoFrontier:
-    """Run a widening sweep and return its Pareto frontier directly.
-
-    Convenience wrapper over :func:`run_expansion_sweep` (which compiles
-    the population once and evaluates every level through the batch
-    engine) followed by
-    :func:`pareto_frontier` — the common case when only the decision
-    artifact is wanted, not the full sweep table.
-    """
-    sweep = run_expansion_sweep(
-        population,
-        base_policy,
-        taxonomy,
-        step=step,
-        max_steps=max_steps,
-        per_provider_utility=per_provider_utility,
-        extra_utility_per_step=extra_utility_per_step,
-        attributes=attributes,
-        purposes=purposes,
-        scenario_name="frontier-sweep",
-        implicit_zero=implicit_zero,
-    )
-    return pareto_frontier(sweep)
 
 
 def pareto_frontier(sweep: ExpansionSweep) -> ParetoFrontier:

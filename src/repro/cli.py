@@ -27,12 +27,12 @@ Operational failures — missing or unreadable files, malformed JSON,
 corrupt databases or journals, interrupted runs — exit with code 2 and
 print exactly one coded line on stderr (``error[PVL9xx]: ...``); see
 :mod:`repro.resilience.diagnostics` for the code registry.  ``sweep``
-accepts ``--journal`` to checkpoint each widening level and ``--resume``
-to continue an interrupted run bit-for-bit, and ``lint --cache`` runs
-the incremental (cached per-provider) lint path.  ``certify`` and
-``db-evict`` evaluate on the batch engine
-(:class:`~repro.perf.batch.BatchViolationEngine`); ``evaluate`` and
-``db-report`` print the reference engine's report.
+accepts ``--journal`` to checkpoint each widening level (the sweep's
+``journal_path``) and ``--resume`` to continue an interrupted run
+bit-for-bit, and ``lint --cache`` runs the incremental (cached
+per-provider) lint path.  ``certify`` and ``db-evict`` evaluate on the
+batch engine (:class:`~repro.perf.batch.BatchViolationEngine`);
+``evaluate`` and ``db-report`` print the reference engine's report.
 
 Example
 -------
@@ -236,8 +236,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         raise JournalError("--resume requires --journal PATH")
     if args.journal:
-        from .resilience import resumable_sweep
-
         if args.resume and not os.path.exists(args.journal):
             raise JournalError(
                 f"--resume given but there is no journal at {args.journal!r}"
@@ -247,28 +245,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{args.journal!r} already exists; pass --resume to "
                 f"continue the interrupted run"
             )
-        sweep = resumable_sweep(
-            population,
-            policy,
-            taxonomy,
-            journal_path=args.journal,
-            step=WideningStep.uniform(1),
-            max_steps=args.steps,
-            per_provider_utility=args.utility,
-            extra_utility_per_step=args.extra_per_step,
-            guarded=args.guarded,
-        )
-    else:
-        sweep = run_expansion_sweep(
-            population,
-            policy,
-            taxonomy,
-            step=WideningStep.uniform(1),
-            max_steps=args.steps,
-            per_provider_utility=args.utility,
-            extra_utility_per_step=args.extra_per_step,
-            guarded=args.guarded,
-        )
+    sweep = run_expansion_sweep(
+        population,
+        policy,
+        taxonomy,
+        step=WideningStep.uniform(1),
+        max_steps=args.steps,
+        per_provider_utility=args.utility,
+        extra_utility_per_step=args.extra_per_step,
+        guarded=args.guarded,
+        journal_path=args.journal or None,
+    )
     text = _render(_sweep_payload(sweep)) if args.json or args.output else ""
     _export(args, text)
     if args.json:

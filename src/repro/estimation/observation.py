@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Any, Hashable
 
 from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..exceptions import ValidationError
 from ..perf import BatchViolationEngine
+from ..resilience.resume import checkpoint, pinned_journal
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +67,9 @@ def apply_policy_observation(
 
     Mutates the three state maps in place: providers whose severity
     crosses their threshold move from *remaining* into *departures*;
-    survivors' *last_tolerated* advances.  Shared with the resumable
-    forecast runner so checkpointed replays evolve the state through the
-    identical transition.
+    survivors' *last_tolerated* advances.  Every live policy of
+    :func:`observe_widening_history`, journaled or not, goes through
+    this one transition.
 
     Raises
     ------
@@ -110,11 +111,19 @@ def observations_from_state(
     ]
 
 
+def _pairs(mapping: dict[Hashable, float]) -> list[list[Any]]:
+    return [
+        [key, value]
+        for key, value in sorted(mapping.items(), key=lambda item: repr(item[0]))
+    ]
+
+
 def observe_widening_history(
     population: Population,
     policies: Sequence[HousePolicy],
     *,
     implicit_zero: bool = True,
+    journal_path: str | None = None,
 ) -> list[DefaultObservation]:
     """Replay a widening history and record who left after which policy.
 
@@ -129,6 +138,15 @@ def observe_widening_history(
         be non-decreasing along the sequence for the bracketing to be
         sound; this holds for any monotone widening path and is verified
         per provider.
+    journal_path:
+        Checkpoint the observation state after each policy to this
+        :class:`~repro.resilience.journal.RunJournal`, created on the
+        first call.  Called again after an interruption, the replay
+        restores the last recorded state and evaluates only the
+        remaining policies, returning what an uninterrupted replay
+        returns, bit for bit.  A journal recorded for another history,
+        population or ``implicit_zero`` is refused
+        (:func:`~repro.resilience.resume.pinned_journal`).
 
     Returns
     -------
@@ -137,21 +155,47 @@ def observe_widening_history(
     """
     if not policies:
         raise ValidationError("need at least one policy to observe")
-    # A provider's severity and default verdict depend only on their own
-    # preferences and threshold, never on who else is present — so the
-    # whole history is evaluated once against the *full* population
-    # through the batch engine (consecutive deployed policies usually
-    # share most columns, which its delta path exploits), and the
-    # departure bookkeeping replays over the resulting arrays.
-    engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+    params = {"implicit_zero": implicit_zero, "n_history": len(policies)}
     remaining: set[Hashable] = {provider.provider_id for provider in population}
     last_tolerated: dict[Hashable, float] = {
         provider.provider_id: 0.0 for provider in population
     }
     departures: dict[Hashable, float] = {}
-    for policy in policies:
-        if not remaining:
-            break
-        report = engine.evaluate(policy)
-        apply_policy_observation(report, remaining, last_tolerated, departures)
+    with pinned_journal(
+        journal_path,
+        "forecast",
+        population,
+        policies,
+        params,
+        n_history=len(policies),
+    ) as journal:
+        n_recorded = 0 if journal is None else journal.n_steps
+        if n_recorded:
+            state = journal.payloads()[-1]
+            remaining = set(state["remaining"])
+            last_tolerated = dict(state["last_tolerated"])
+            departures = dict(state["departures"])
+        # A provider's severity and default verdict depend only on their
+        # own preferences and threshold, never on who else is present —
+        # so the whole history is evaluated against the *full* population
+        # through the batch engine (consecutive deployed policies usually
+        # share most columns, which its delta path exploits), and the
+        # departure bookkeeping replays over the resulting arrays.
+        engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+        for index in range(n_recorded, len(policies)):
+            if not remaining:
+                break
+            report = engine.evaluate(policies[index])
+            apply_policy_observation(report, remaining, last_tolerated, departures)
+            if journal is not None:
+                checkpoint(
+                    journal,
+                    {
+                        "index": index,
+                        "remaining": sorted(remaining, key=repr),
+                        "last_tolerated": _pairs(last_tolerated),
+                        "departures": _pairs(departures),
+                    },
+                    "forecast.observe",
+                )
     return observations_from_state(population, last_tolerated, departures)

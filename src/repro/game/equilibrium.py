@@ -112,47 +112,44 @@ def play_widening_game(
     # engine's cache and delta paths.
     engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
     n_remaining = len(population)
-    try:
-        while n_remaining > 0:
-            report = engine.evaluate(current_policy)
-            defaulted = report.defaulted_ids()
-            n_start = report.n_providers
-            n_remaining = n_start - len(defaulted)
-            utility = n_remaining * (
-                per_provider_utility + extra_utility_per_round * round_index
+    while n_remaining > 0:
+        report = engine.evaluate(current_policy)
+        defaulted = report.defaulted_ids()
+        n_start = report.n_providers
+        n_remaining = n_start - len(defaulted)
+        utility = n_remaining * (
+            per_provider_utility + extra_utility_per_round * round_index
+        )
+        rounds.append(
+            GameRound(
+                round_index=round_index,
+                policy_name=current_policy.name,
+                n_start=n_start,
+                n_defaulted=len(defaulted),
+                n_remaining=n_remaining,
+                violation_probability=report.violation_probability,
+                utility=utility,
+                defaulted_providers=defaulted,
             )
-            rounds.append(
-                GameRound(
-                    round_index=round_index,
-                    policy_name=current_policy.name,
-                    n_start=n_start,
-                    n_defaulted=len(defaulted),
-                    n_remaining=n_remaining,
-                    violation_probability=report.violation_probability,
-                    utility=utility,
-                    defaulted_providers=defaulted,
-                )
+        )
+        if defaulted:
+            engine.remove(defaulted)
+        next_step = strategy.propose(rounds)
+        if next_step is None:
+            stopped_by_strategy = True
+            break
+        round_index += 1
+        previous_policy = current_policy
+        current_policy = widen(
+            current_policy,
+            next_step,
+            taxonomy,
+            name=f"{base_policy.name}@g{round_index}",
+        )
+        obs = active_observer()
+        if obs is not None:
+            obs.inc(
+                "game.policy_columns_changed",
+                len(policy_delta_columns(previous_policy, current_policy)),
             )
-            if defaulted:
-                engine.remove(defaulted)
-            next_step = strategy.propose(rounds)
-            if next_step is None:
-                stopped_by_strategy = True
-                break
-            round_index += 1
-            previous_policy = current_policy
-            current_policy = widen(
-                current_policy,
-                next_step,
-                taxonomy,
-                name=f"{base_policy.name}@g{round_index}",
-            )
-            obs = active_observer()
-            if obs is not None:
-                obs.inc(
-                    "game.policy_columns_changed",
-                    len(policy_delta_columns(previous_policy, current_policy)),
-                )
-    finally:
-        engine.close()
     return GameTrace(rounds=tuple(rounds), stopped_by_strategy=stopped_by_strategy)

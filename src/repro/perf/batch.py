@@ -413,7 +413,7 @@ class BatchViolationEngine:
 
     @property
     def epoch(self) -> int:
-        """Mutation counter, part of journal resume identity.
+        """Mutation counter.
 
         +1 for each non-empty :meth:`remove`, and +1 more for each
         compaction.
@@ -430,19 +430,6 @@ class BatchViolationEngine:
         _check_policy(policy)
         evaluation = self._evaluate(policy)
         return self._to_report(policy.name, evaluation)
-
-    def close(self) -> None:
-        """Release resources.  A no-op: the engine holds only arrays.
-
-        Exists so the engine supports the context-manager protocol and
-        the ``try``/``finally`` pattern of the round loops.
-        """
-
-    def __enter__(self) -> "BatchViolationEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def evaluate_policies(
         self, policies: Iterable[HousePolicy]

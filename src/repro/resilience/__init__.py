@@ -1,4 +1,4 @@
-"""Resilience layer: fault injection, resumable runs, engine guardrails.
+"""Resilience layer: fault injection, journaled runs, engine guardrails.
 
 A production alpha-PPDB service must stay trustworthy under operational
 failure, not just on the happy path: a locked sqlite file, a crash
@@ -14,9 +14,11 @@ the machinery that makes those failure modes testable and survivable:
 * :mod:`repro.resilience.journal` — :class:`RunJournal`, a
   sqlite-backed, checksum-chained checkpoint store so long runs resume
   bit-for-bit identical to an uninterrupted run;
-* :mod:`repro.resilience.resume` — resumable wrappers over the Section 9
-  widening sweep, the multi-round dynamics, and the Section 10 forecast
-  replay, each checkpointing one journal step per unit of work;
+* :mod:`repro.resilience.resume` — what pins a journal to its run's
+  inputs (:func:`population_fingerprint`, :func:`journal_fingerprint`)
+  and the two hooks through which the Section 9 widening sweep, the
+  multi-round dynamics and the Section 10 history replay checkpoint one
+  journal step per unit of work when given a ``journal_path``;
 * :mod:`repro.resilience.guardrail` — :class:`GuardedBatchEngine`, which
   samples the vectorized engine's outputs against the reference
   :class:`~repro.core.engine.ViolationEngine` oracle at runtime and
@@ -44,13 +46,7 @@ from .diagnostics import (
 from .faults import FaultPlan, FaultProxy, FaultSpec, active_plan
 from .guardrail import GuardedBatchEngine
 from .journal import RunJournal, journal_summary
-from .resume import (
-    journal_fingerprint,
-    population_fingerprint,
-    resumable_dynamics,
-    resumable_forecast,
-    resumable_sweep,
-)
+from .resume import journal_fingerprint, population_fingerprint
 
 __all__ = [
     "CLI_DOCUMENT",
@@ -72,7 +68,4 @@ __all__ = [
     "journal_fingerprint",
     "journal_summary",
     "population_fingerprint",
-    "resumable_dynamics",
-    "resumable_forecast",
-    "resumable_sweep",
 ]

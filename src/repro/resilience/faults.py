@@ -39,8 +39,9 @@ Injection sites
 ``export.write``
     Bytes of a document about to be atomically exported.
 ``sweep.step`` / ``dynamics.round`` / ``forecast.observe``
-    Fired by the resumable runners after each checkpoint commits —
-    ``kill`` faults here model dying *between* rounds.
+    Fired by journaled runs (:func:`repro.resilience.resume.checkpoint`)
+    after each checkpoint commits — ``kill`` faults here model dying
+    *between* rounds.
 ``engine.violations``
     The batch engine's severity array, inside
     :class:`~repro.resilience.guardrail.GuardedBatchEngine`.

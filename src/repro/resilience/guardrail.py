@@ -122,18 +122,6 @@ class GuardedBatchEngine:
         """Structured findings from every failed check so far."""
         return tuple(self._diagnostics)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the wrapped engine."""
-        self._batch.close()
-
-    def __enter__(self) -> "GuardedBatchEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- mutation ------------------------------------------------------------
 
     def remove(self, provider_ids) -> None:

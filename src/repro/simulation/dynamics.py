@@ -16,14 +16,15 @@ the static analysis cannot capture (early defaulters are not re-counted).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import Hashable
+from dataclasses import asdict, dataclass
+from typing import Any, Hashable
 
 from .._validation import check_int, check_real
 from ..obs import active_observer, span
 from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..perf import BatchReport, BatchViolationEngine
+from ..resilience.resume import checkpoint, pinned_journal
 from ..taxonomy.builder import Taxonomy
 from .widening import WideningStep, policy_delta_columns, widen
 
@@ -49,6 +50,16 @@ class RoundOutcome:
             return 1.0
         return self.n_remaining / self.n_start
 
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "RoundOutcome":
+        """The round a journal step recorded as ``dataclasses.asdict(round)``."""
+        return cls(
+            **{
+                **payload,
+                "defaulted_providers": tuple(payload["defaulted_providers"]),
+            }
+        )
+
 
 def round_policy(
     previous: HousePolicy,
@@ -60,8 +71,9 @@ def round_policy(
     """The policy in force at *round_index*, widened from *previous*.
 
     Round 0 is the base policy renamed ``<base>@r0``; each later round
-    widens the previous round's policy once.  Shared with the resumable
-    runner so a resumed run reconstructs the identical policy sequence.
+    widens the previous round's policy once.  :func:`run_dynamics` builds
+    every round's policy here, replayed rounds included, so a resumed run
+    reconstructs the identical policy sequence.
     """
     if round_index == 0:
         return HousePolicy(previous.entries, name=f"{base_name}@r0")
@@ -78,8 +90,8 @@ def build_round_outcome(
     """One round's :class:`RoundOutcome` from its batch evaluation.
 
     Like :func:`repro.simulation.scenario.build_sweep_row`, this is the
-    single source of the per-round arithmetic for both
-    :func:`run_dynamics` and the resumable runner.
+    single source of the per-round arithmetic: every live round of
+    :func:`run_dynamics`, journaled or not, is built here.
     """
     defaulted = report.defaulted_ids()
     n_start = report.n_providers
@@ -117,6 +129,7 @@ def run_dynamics(
     per_provider_utility: float = 1.0,
     extra_utility_per_round: float = 0.25,
     implicit_zero: bool = True,
+    journal_path: str | None = None,
 ) -> list[RoundOutcome]:
     """Run *rounds* rounds of widen-then-default over a shrinking population.
 
@@ -126,30 +139,60 @@ def run_dynamics(
 
     Returns one :class:`RoundOutcome` per round, including rounds where
     nobody defaults.  Stops early when the population empties.
+
+    With *journal_path*, every round is checkpointed to a
+    :class:`~repro.resilience.journal.RunJournal`, created on the first
+    call.  Called again after an interruption, the run replays the
+    recorded rounds — removing their departures from the engine without
+    evaluating — and returns what an uninterrupted run returns, bit for
+    bit.  A journal recorded for other inputs is refused
+    (:func:`~repro.resilience.resume.pinned_journal`); arguments refused
+    without a journal are refused before it is created.
     """
     _check_dynamics_arguments(rounds, per_provider_utility, extra_utility_per_round)
     if step is None:
         step = WideningStep.uniform(1)
+    params: dict[str, Any] = {
+        "rounds": rounds,
+        "per_provider_utility": per_provider_utility,
+        "extra_utility_per_round": extra_utility_per_round,
+        "step": {dim.value: delta for dim, delta in step.deltas.items()},
+        "implicit_zero": implicit_zero,
+    }
     outcomes: list[RoundOutcome] = []
     current_policy = round_policy(base_policy, base_policy.name, step, taxonomy, 0)
     previous_policy: HousePolicy | None = None
-    # One engine — one compilation — serves every round: departures are
-    # tombstoned in place rather than triggering a rebuild, and
-    # consecutive round policies recompute only their changed columns
-    # (the batch engine's delta path; docs/performance.md).
-    engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
     n_remaining = len(population)
     obs = active_observer()
-    try:
-        with span("dynamics.run", providers=len(population), rounds=rounds):
-            for round_index in range(rounds):
-                if n_remaining == 0:
-                    break
-                if round_index > 0:
-                    previous_policy = current_policy
-                    current_policy = round_policy(
-                        current_policy, base_policy.name, step, taxonomy, round_index
-                    )
+    with pinned_journal(
+        journal_path,
+        "dynamics",
+        population,
+        [base_policy],
+        params,
+        rounds=rounds,
+    ) as journal, span("dynamics.run", providers=len(population), rounds=rounds):
+        payloads = [] if journal is None else journal.payloads()
+        recorded = [RoundOutcome.from_payload(payload) for payload in payloads]
+        # One engine — one compilation — serves every round: departures
+        # are tombstoned in place rather than triggering a rebuild, and
+        # consecutive round policies recompute only their changed columns
+        # (the batch engine's delta path; docs/performance.md).
+        engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+        for round_index in range(rounds):
+            if n_remaining == 0:
+                break
+            if round_index > 0:
+                previous_policy = current_policy
+                current_policy = round_policy(
+                    current_policy, base_policy.name, step, taxonomy, round_index
+                )
+            if round_index < len(recorded):
+                # Journaled: the round's departures leave the engine
+                # below, as in an uninterrupted run, but nothing is
+                # evaluated.
+                outcome = recorded[round_index]
+            else:
                 if obs is not None and previous_policy is not None:
                     obs.inc(
                         "dynamics.policy_columns_changed",
@@ -162,15 +205,15 @@ def run_dynamics(
                     per_provider_utility=per_provider_utility,
                     extra_utility_per_round=extra_utility_per_round,
                 )
-                outcomes.append(outcome)
-                n_remaining = outcome.n_remaining
                 if obs is not None:
                     obs.inc("dynamics.rounds")
                     obs.inc("dynamics.departures", outcome.n_defaulted)
-                if outcome.defaulted_providers:
-                    engine.remove(outcome.defaulted_providers)
-    finally:
-        engine.close()
+                if journal is not None:
+                    checkpoint(journal, asdict(outcome), "dynamics.round")
+            outcomes.append(outcome)
+            n_remaining = outcome.n_remaining
+            if outcome.defaulted_providers:
+                engine.remove(outcome.defaulted_providers)
     return outcomes
 
 

@@ -15,9 +15,9 @@ upon the data collector".
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Hashable
+from typing import Any, Hashable
 
 from .._validation import check_int, check_real
 from ..obs import active_observer, span
@@ -30,6 +30,8 @@ from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..exceptions import SimulationError
 from ..perf import BatchReport, BatchViolationEngine
+from ..resilience.guardrail import GuardedBatchEngine
+from ..resilience.resume import checkpoint, pinned_journal
 from ..taxonomy.builder import Taxonomy
 from .widening import WideningStep, widening_path
 
@@ -57,6 +59,16 @@ class SweepRow:
     def utility_gain(self) -> float:
         """``Utility_future - Utility_current`` at this step."""
         return self.utility_future - self.utility_current
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "SweepRow":
+        """The row a journal step recorded as ``dataclasses.asdict(row)``."""
+        return cls(
+            **{
+                **payload,
+                "defaulted_providers": tuple(payload["defaulted_providers"]),
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -116,10 +128,9 @@ def build_sweep_row(
 ) -> SweepRow:
     """One sweep level's :class:`SweepRow` from its batch evaluation.
 
-    The single source of the per-step arithmetic: both
-    :func:`run_expansion_sweep` and the resumable runner in
-    :mod:`repro.resilience.resume` build rows through this function, so
-    an interrupted-and-resumed sweep is bit-for-bit identical to an
+    The single source of the per-step arithmetic: every live level of
+    :func:`run_expansion_sweep`, journaled or not, is built here, so an
+    interrupted-and-resumed sweep is bit-for-bit identical to an
     uninterrupted one by construction.
     """
     defaulted = report.defaulted_ids()
@@ -167,6 +178,7 @@ def run_expansion_sweep(
     scenario_name: str = "expansion-sweep",
     implicit_zero: bool = True,
     guarded: bool = False,
+    journal_path: str | None = None,
 ) -> ExpansionSweep:
     """Walk a widening path, evaluating the full model at every level.
 
@@ -196,55 +208,79 @@ def run_expansion_sweep(
         :class:`~repro.resilience.guardrail.GuardedBatchEngine`, which
         spot-checks every level against the reference oracle and
         degrades to it on divergence.
+    journal_path:
+        Checkpoint every level to this
+        :class:`~repro.resilience.journal.RunJournal`, created on the
+        first call.  Called again after an interruption, the sweep
+        replays the recorded levels without evaluating them and returns
+        what an uninterrupted run returns, bit for bit.  A journal
+        recorded for other inputs is refused
+        (:func:`~repro.resilience.resume.pinned_journal`); arguments
+        refused without a journal are refused before it is created.
     """
     _check_sweep_arguments(max_steps, per_provider_utility, extra_utility_per_step)
     if step is None:
         step = WideningStep.uniform(1)
+    attributes = None if attributes is None else tuple(attributes)
+    purposes = None if purposes is None else tuple(purposes)
+    params: dict[str, Any] = {
+        "max_steps": max_steps,
+        "per_provider_utility": per_provider_utility,
+        "extra_utility_per_step": extra_utility_per_step,
+        "step": {dim.value: delta for dim, delta in step.deltas.items()},
+        "attributes": None if attributes is None else sorted(attributes),
+        "purposes": None if purposes is None else sorted(purposes),
+        "implicit_zero": implicit_zero,
+        "scenario_name": scenario_name,
+    }
     n_current = len(population)
-    rows: list[SweepRow] = []
     obs = active_observer()
-
-    def _sweep_engine():
-        if guarded:
-            # Imported lazily: the resilience layer imports this module
-            # (resume wraps the sweep), so a module-scope import cycles.
-            from ..resilience.guardrail import GuardedBatchEngine
-
-            return GuardedBatchEngine(population, implicit_zero=implicit_zero)
-        return BatchViolationEngine(population, implicit_zero=implicit_zero)
-
-    with span(
+    with pinned_journal(
+        journal_path,
+        "sweep",
+        population,
+        [base_policy],
+        params,
+        max_steps=max_steps,
+    ) as journal, span(
         "sweep.run",
         scenario=scenario_name,
         providers=n_current,
         max_steps=max_steps,
     ):
+        payloads = [] if journal is None else journal.payloads()
+        rows = [SweepRow.from_payload(payload) for payload in payloads]
         # One compilation serves the whole sweep; consecutive widening
         # levels share most (attribute, purpose) columns, so the batch
         # engine's delta path re-evaluates only what each step moved.
-        with _sweep_engine() as engine:
-            for k, policy in widening_path(
-                base_policy,
-                step,
-                taxonomy,
-                max_steps,
-                attributes=attributes,
-                purposes=purposes,
-            ):
-                start = perf_counter() if obs is not None else 0.0
-                report = engine.evaluate(policy)
-                rows.append(
-                    build_sweep_row(
-                        report,
-                        step=k,
-                        n_current=n_current,
-                        per_provider_utility=per_provider_utility,
-                        extra_utility_per_step=extra_utility_per_step,
-                    )
-                )
-                if obs is not None:
-                    obs.inc("sweep.steps")
-                    obs.observe("sweep.step_seconds", perf_counter() - start)
+        engine = (GuardedBatchEngine if guarded else BatchViolationEngine)(
+            population, implicit_zero=implicit_zero
+        )
+        for k, policy in widening_path(
+            base_policy,
+            step,
+            taxonomy,
+            max_steps,
+            attributes=attributes,
+            purposes=purposes,
+        ):
+            if k < len(rows):
+                continue  # journaled: replayed, not re-evaluated
+            start = perf_counter() if obs is not None else 0.0
+            report = engine.evaluate(policy)
+            row = build_sweep_row(
+                report,
+                step=k,
+                n_current=n_current,
+                per_provider_utility=per_provider_utility,
+                extra_utility_per_step=extra_utility_per_step,
+            )
+            rows.append(row)
+            if obs is not None:
+                obs.inc("sweep.steps")
+                obs.observe("sweep.step_seconds", perf_counter() - start)
+            if journal is not None:
+                checkpoint(journal, asdict(row), "sweep.step")
     return ExpansionSweep(
         scenario_name=scenario_name,
         per_provider_utility=per_provider_utility,

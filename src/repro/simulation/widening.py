@@ -183,11 +183,14 @@ def widening_path(
     """Yield ``(k, policy widened k times)`` for ``k = 0 .. max_steps``.
 
     Step 0 is the base policy itself.  Policies are named
-    ``"<base>+<k>"`` so sweep rows are self-describing.
+    ``"<base>+<k>"`` so sweep rows are self-describing.  The scope is
+    read once, so a one-shot iterable scopes every level.
     """
     max_steps = check_int(max_steps, "max_steps", minimum=0)
     if step.is_noop() and max_steps > 0:
         raise SimulationError("widening path with a no-op step never progresses")
+    attributes = None if attributes is None else tuple(attributes)
+    purposes = None if purposes is None else tuple(purposes)
     current = HousePolicy(policy.entries, name=f"{policy.name}+0")
     yield 0, current
     for k in range(1, max_steps + 1):

@@ -16,6 +16,7 @@ from repro.obs import active_observer
 from repro.resilience import FaultPlan, FaultSpec
 
 from tests.cli.test_cli import POLICY, POPULATION, TAXONOMY, _base_args
+from tests.cli.test_cli_payloads import GOLDEN, INPUTS
 
 
 @pytest.fixture()
@@ -121,6 +122,31 @@ class TestMetricsFlag:
         assert active_observer() is None
 
 
+class TestGuardedSweep:
+    def test_unjournaled_guarded_sweep(self, tmp_path, capsys):
+        """``--guarded`` without ``--journal`` prints the plain sweep's
+        bytes, spot-checks every level and compiles once."""
+        metrics = tmp_path / "metrics.json"
+        code = main(
+            [
+                "sweep",
+                *INPUTS,
+                "--steps",
+                "2",
+                "--json",
+                "--guarded",
+                "--metrics",
+                str(metrics),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / "sweep.json").read_text()
+        counters = _counters(json.loads(metrics.read_text()))
+        assert counters["guardrail.checks"] == 3.0
+        assert counters["perf.compilations"] == 1.0
+        assert "guardrail.failures" not in counters
+
+
 class TestFaultCountersEndToEnd:
     def test_injected_faults_surface_in_the_snapshot(
         self, documents, tmp_path, capsys
@@ -170,9 +196,11 @@ class TestFaultCountersEndToEnd:
         assert counters["guardrail.reference_evaluations"] >= 1.0
         # degraded evaluations run the reference engine
         assert counters["engine.reference.evaluations"] >= 1.0
-        # journal + resume layers recorded the live steps
+        # journal + resume layers recorded the live steps, which the
+        # sweep counts as it counts the levels of an unjournaled run
         assert counters["journal.steps_recorded"] == 3.0
         assert counters["resume.live_steps"] == 3.0
+        assert counters["sweep.steps"] == 3.0
 
     def test_fault_labels_recorded(self, documents, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"

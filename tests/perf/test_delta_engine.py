@@ -4,7 +4,7 @@
 The property suite (``tests/properties/test_mutation_parity.py``) holds
 the bit-for-bit contract over randomized removal sequences; these tests
 pin the mechanics — tombstone masking, validation atomicity, cache and
-epoch behaviour, compaction, lifecycle — on hand-built scenarios where
+epoch behaviour, compaction — on hand-built scenarios where
 each behaviour is observable in isolation.
 """
 
@@ -159,9 +159,9 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="masked")
         victims = [p.provider_id for p in population.providers[:2]]
-        with BatchViolationEngine(population) as engine:
-            engine.remove(victims)
-            report = engine.evaluate(policy)
+        engine = BatchViolationEngine(population)
+        engine.remove(victims)
+        report = engine.evaluate(policy)
         expected = _fresh_report(population.without(victims), policy)
         _assert_reports_identical(report, expected)
 
@@ -171,12 +171,12 @@ class TestMutableBatchEngine:
         policy = _random_policy(rng, name="cached")
         victims = [p.provider_id for p in population.providers[:2]]
         with observed() as obs:
-            with BatchViolationEngine(population) as engine:
-                engine.remove(victims[:1])
-                first = engine.evaluate(policy)
-                second = engine.evaluate(policy)
-                engine.remove(victims[1:])
-                third = engine.evaluate(policy)
+            engine = BatchViolationEngine(population)
+            engine.remove(victims[:1])
+            first = engine.evaluate(policy)
+            second = engine.evaluate(policy)
+            engine.remove(victims[1:])
+            third = engine.evaluate(policy)
             counters = _counters(obs.snapshot())
         _assert_reports_identical(second, first)
         # A removal moves no row, so the one evaluation serves every
@@ -194,11 +194,11 @@ class TestMutableBatchEngine:
         n = len(population)
         victims = [p.provider_id for p in population.providers[: n // 3]]
         with observed() as obs:
-            with BatchViolationEngine(population) as engine:
+            engine = BatchViolationEngine(population)
+            engine.evaluate(policy)
+            for victim in victims:
+                engine.remove([victim])
                 engine.evaluate(policy)
-                for victim in victims:
-                    engine.remove([victim])
-                    engine.evaluate(policy)
             counters = _counters(obs.snapshot())
         assert counters["perf.compilations"] == 1.0
         assert counters.get("delta.compactions", 0.0) == 0.0
@@ -210,9 +210,9 @@ class TestMutableBatchEngine:
         n = len(population)
         victims = [p.provider_id for p in population.providers[: n // 2 + 1]]
         with observed() as obs:
-            with BatchViolationEngine(population) as engine:
-                engine.remove(victims)
-                assert engine.tombstones == 0  # compaction just ran
+            engine = BatchViolationEngine(population)
+            engine.remove(victims)
+            assert engine.tombstones == 0  # compaction just ran
             counters = _counters(obs.snapshot())
         assert counters["delta.compactions"] == 1.0
         assert counters["perf.compilations"] == 2.0
@@ -222,9 +222,9 @@ class TestMutableBatchEngine:
         population = _random_population(rng)
         policy = _random_policy(rng, name="certify")
         victims = [p.provider_id for p in population.providers[:1]]
-        with BatchViolationEngine(population) as engine:
-            engine.remove(victims)
-            certificate = engine.certify(policy, 0.5)
+        engine = BatchViolationEngine(population)
+        engine.remove(victims)
+        certificate = engine.certify(policy, 0.5)
         survivors = population.without(victims)
         expected = BatchViolationEngine(survivors).certify(policy, 0.5)
         assert certificate.alpha == expected.alpha
@@ -254,29 +254,29 @@ class TestMutableBatchEngine:
         )
         present = population
         removals = 0
-        with BatchViolationEngine(population) as engine:
-            while len(present):
-                report = engine.evaluate(policy)
-                reference = ViolationEngine(policy, present)
-                expected = reference.report()
-                assert report.provider_ids == present.ids()
-                assert report.violated_ids() == expected.violated_ids()
-                assert report.defaulted_ids() == expected.defaulted_ids()
-                for alpha in (0.0, 0.5, 1.0):
-                    assert engine.certify(policy, alpha) == reference.certify(alpha)
-                leaving = report.defaulted_ids()[:2] or present.ids()[:1]
-                engine.remove(leaving)
-                removals += 1
-                present = present.without(leaving)
-            assert engine.epoch > removals  # at least one compaction ran
+        engine = BatchViolationEngine(population)
+        while len(present):
+            report = engine.evaluate(policy)
+            reference = ViolationEngine(policy, present)
+            expected = reference.report()
+            assert report.provider_ids == present.ids()
+            assert report.violated_ids() == expected.violated_ids()
+            assert report.defaulted_ids() == expected.defaulted_ids()
+            for alpha in (0.0, 0.5, 1.0):
+                assert engine.certify(policy, alpha) == reference.certify(alpha)
+            leaving = report.defaulted_ids()[:2] or present.ids()[:1]
+            engine.remove(leaving)
+            removals += 1
+            present = present.without(leaving)
+        assert engine.epoch > removals  # at least one compaction ran
 
     def test_empty_mutations_are_noops(self):
         rng = random.Random(21)
         population = _random_population(rng)
-        with BatchViolationEngine(population) as engine:
-            epoch = engine.epoch
-            engine.remove([])
-            assert engine.epoch == epoch
+        engine = BatchViolationEngine(population)
+        epoch = engine.epoch
+        engine.remove([])
+        assert engine.epoch == epoch
 
     def test_mutations_under_model_overrides_match_fresh_engine(self):
         # With overrides, the survivors keep the weights and thresholds
@@ -317,34 +317,6 @@ class TestMutableBatchEngine:
                 assert engine.certify(policy, 0.5) == fresh.certify(policy, 0.5)
             compactions += engine.epoch - removals
         assert compactions > 0
-
-
-# ---------------------------------------------------------------------------
-# lifecycle: idempotent close everywhere
-# ---------------------------------------------------------------------------
-
-
-class TestLifecycle:
-    @pytest.mark.parametrize(
-        "factory",
-        [lambda population: BatchViolationEngine(population)],
-        ids=["bare-serial"],
-    )
-    def test_close_is_idempotent(self, factory):
-        rng = random.Random(30)
-        population = _random_population(rng)
-        engine = factory(population)
-        engine.close()
-        engine.close()  # the dynamics `finally` pattern: must be a no-op
-
-    def test_guarded_close_is_idempotent(self):
-        from repro.resilience.guardrail import GuardedBatchEngine
-
-        rng = random.Random(31)
-        population = _random_population(rng)
-        engine = GuardedBatchEngine(population)
-        engine.close()
-        engine.close()
 
 
 # ---------------------------------------------------------------------------

@@ -72,42 +72,39 @@ def _drive(seed: int) -> int:
     cached = rng.random() < 0.5  # half the corpus pre-populates caches
     engine = BatchViolationEngine(population)
     removals = 0
-    try:
-        if cached:
-            for policy in policies:
-                engine.evaluate(policy)
-        for _ in range(rng.randrange(1, MUTATIONS_PER_SCENARIO + 1)):
-            if len(population) < 2:
-                break
-            population = _remove_some(rng, engine, population)
-            removals += 1
-            if rng.random() < 0.5:
-                # Interleaved evaluation: the next removal must mask
-                # this freshly cached state.
-                policy = rng.choice(policies)
-                report = engine.evaluate(policy)
-                expected = BatchViolationEngine(population).evaluate(policy)
-                _assert_reports_identical(report, expected)
-        fresh = BatchViolationEngine(population)
+    if cached:
         for policy in policies:
-            # Evaluated twice: once live, once through the report cache.
-            for _ in range(2):
-                _assert_reports_identical(
-                    engine.evaluate(policy), fresh.evaluate(policy)
-                )
-        policy = policies[0]
-        certificate = engine.certify(policy, 0.5)
-        expected_cert = fresh.certify(policy, 0.5)
-        assert (
-            certificate.violation_probability
-            == expected_cert.violation_probability
-        )
-        assert certificate.satisfied == expected_cert.satisfied
-        assert set(certificate.violated_providers) == set(
-            expected_cert.violated_providers
-        )
-    finally:
-        engine.close()
+            engine.evaluate(policy)
+    for _ in range(rng.randrange(1, MUTATIONS_PER_SCENARIO + 1)):
+        if len(population) < 2:
+            break
+        population = _remove_some(rng, engine, population)
+        removals += 1
+        if rng.random() < 0.5:
+            # Interleaved evaluation: the next removal must mask
+            # this freshly cached state.
+            policy = rng.choice(policies)
+            report = engine.evaluate(policy)
+            expected = BatchViolationEngine(population).evaluate(policy)
+            _assert_reports_identical(report, expected)
+    fresh = BatchViolationEngine(population)
+    for policy in policies:
+        # Evaluated twice: once live, once through the report cache.
+        for _ in range(2):
+            _assert_reports_identical(
+                engine.evaluate(policy), fresh.evaluate(policy)
+            )
+    policy = policies[0]
+    certificate = engine.certify(policy, 0.5)
+    expected_cert = fresh.certify(policy, 0.5)
+    assert (
+        certificate.violation_probability
+        == expected_cert.violation_probability
+    )
+    assert certificate.satisfied == expected_cert.satisfied
+    assert set(certificate.violated_providers) == set(
+        expected_cert.violated_providers
+    )
     # Each removal adds one to the epoch, each compaction one more.
     return engine.epoch - removals
 

@@ -21,14 +21,7 @@ from repro.estimation import (
     observe_widening_history,
 )
 from repro.exceptions import JournalMismatchError, ProcessKilled, ValidationError
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    RunJournal,
-    resumable_dynamics,
-    resumable_forecast,
-    resumable_sweep,
-)
+from repro.resilience import FaultPlan, FaultSpec, RunJournal
 from repro.simulation import WideningStep, run_dynamics, run_expansion_sweep
 from repro.simulation.widening import widening_path
 
@@ -76,14 +69,14 @@ class TestSweepRecovery:
         )
         with plan.activate():
             with pytest.raises(ProcessKilled):
-                resumable_sweep(
+                run_expansion_sweep(
                     scenario.population,
                     scenario.policy,
                     scenario.taxonomy,
                     journal_path=path,
                     max_steps=MAX_STEPS,
                 )
-        resumed = resumable_sweep(
+        resumed = run_expansion_sweep(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -104,14 +97,14 @@ class TestSweepRecovery:
             del kill_after
             with plan.activate():
                 with pytest.raises(ProcessKilled):
-                    resumable_sweep(
+                    run_expansion_sweep(
                         scenario.population,
                         scenario.policy,
                         scenario.taxonomy,
                         journal_path=path,
                         max_steps=MAX_STEPS,
                     )
-        resumed = resumable_sweep(
+        resumed = run_expansion_sweep(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -123,7 +116,7 @@ class TestSweepRecovery:
     def test_uninterrupted_journaled_run_matches(
         self, tmp_path, scenario, uninterrupted_sweep
     ):
-        resumed = resumable_sweep(
+        resumed = run_expansion_sweep(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -136,7 +129,7 @@ class TestSweepRecovery:
         self, tmp_path, scenario
     ):
         path = str(tmp_path / "sweep.journal")
-        resumable_sweep(
+        run_expansion_sweep(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -145,7 +138,7 @@ class TestSweepRecovery:
         )
         other = healthcare_scenario(50, seed=99)
         with pytest.raises(JournalMismatchError):
-            resumable_sweep(
+            run_expansion_sweep(
                 other.population,
                 scenario.policy,
                 scenario.taxonomy,
@@ -162,7 +155,7 @@ class TestSweepRecovery:
             [FaultSpec(site="db.commit", kind="locked", at=1, count=2)]
         )
         with plan.activate():
-            swept = resumable_sweep(
+            swept = run_expansion_sweep(
                 scenario.population,
                 scenario.policy,
                 scenario.taxonomy,
@@ -185,7 +178,7 @@ class TestSweepRecovery:
         )
         with plan.activate():
             with pytest.raises(sqlite3.OperationalError, match="disk is full"):
-                resumable_sweep(
+                run_expansion_sweep(
                     scenario.population,
                     scenario.policy,
                     scenario.taxonomy,
@@ -196,7 +189,7 @@ class TestSweepRecovery:
         # bit-identical result once space is back.
         with RunJournal.open(path) as journal:
             assert journal.n_steps >= 1
-        resumed = resumable_sweep(
+        resumed = run_expansion_sweep(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -223,14 +216,14 @@ class TestDynamicsRecovery:
         )
         with plan.activate():
             with pytest.raises(ProcessKilled):
-                resumable_dynamics(
+                run_dynamics(
                     scenario.population,
                     scenario.policy,
                     scenario.taxonomy,
                     journal_path=path,
                     rounds=ROUNDS,
                 )
-        resumed = resumable_dynamics(
+        resumed = run_dynamics(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -261,17 +254,19 @@ class TestForecastRecovery:
         )
         with plan.activate():
             with pytest.raises(ProcessKilled):
-                resumable_forecast(
-                    scenario.population,
-                    history,
-                    history[-1],
-                    journal_path=path,
+                observe_widening_history(
+                    scenario.population, history, journal_path=path
                 )
-        resumed = resumable_forecast(
+        resumed = forecast_defaults(
+            ThresholdEstimator(
+                observe_widening_history(
+                    scenario.population, history, journal_path=path
+                )
+            ),
             scenario.population,
-            history,
             history[-1],
-            journal_path=path,
+            per_provider_utility=1.0,
+            implicit_zero=True,
         )
         assert resumed == expected
 
@@ -279,7 +274,7 @@ class TestForecastRecovery:
 class TestJournalHygiene:
     def test_journal_survives_on_disk_between_runs(self, tmp_path, scenario):
         path = str(tmp_path / "sweep.journal")
-        resumable_sweep(
+        run_expansion_sweep(
             scenario.population,
             scenario.policy,
             scenario.taxonomy,
@@ -311,7 +306,7 @@ class TestArgumentsCheckedBeforeJournal:
             run_expansion_sweep(*inputs, **bad)
         path = tmp_path / "sweep.journal"
         with pytest.raises(ValidationError) as journaled:
-            resumable_sweep(*inputs, journal_path=str(path), **bad)
+            run_expansion_sweep(*inputs, journal_path=str(path), **bad)
         assert str(journaled.value) == str(plain.value)
         assert not path.exists()
 
@@ -331,6 +326,14 @@ class TestArgumentsCheckedBeforeJournal:
             run_dynamics(*inputs, **arguments)
         path = tmp_path / "dynamics.journal"
         with pytest.raises(ValidationError) as journaled:
-            resumable_dynamics(*inputs, journal_path=str(path), **arguments)
+            run_dynamics(*inputs, journal_path=str(path), **arguments)
         assert str(journaled.value) == str(plain.value)
+        assert not path.exists()
+
+    def test_empty_history(self, tmp_path, scenario):
+        path = tmp_path / "forecast.journal"
+        with pytest.raises(ValidationError, match="need at least one policy"):
+            observe_widening_history(
+                scenario.population, [], journal_path=str(path)
+            )
         assert not path.exists()

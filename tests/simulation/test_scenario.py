@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Dimension, ViolationEngine
-from repro.simulation import WideningStep, run_expansion_sweep
+from repro.simulation import WideningStep, run_expansion_sweep, widening_path
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +152,42 @@ class TestSweepOptions:
             max_steps=0,
         )
         assert len(sweep.rows) == 1
+
+
+class TestOneShotScope:
+    """A generator scope widens every level, exactly as a tuple scope does."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        from repro.datasets import healthcare_scenario
+
+        return healthcare_scenario(60, seed=3)
+
+    def test_widening_path(self, scenario):
+        def path(attributes):
+            return [
+                policy.entries
+                for _, policy in widening_path(
+                    scenario.policy,
+                    WideningStep.uniform(1),
+                    scenario.taxonomy,
+                    4,
+                    attributes=attributes,
+                )
+            ]
+
+        expected = path(("diagnosis",))
+        assert expected[2] != expected[1]  # the scope still widens at level 2
+        assert path(iter(("diagnosis",))) == expected
+
+    def test_run_expansion_sweep(self, scenario):
+        def sweep(attributes):
+            return run_expansion_sweep(
+                scenario.population,
+                scenario.policy,
+                scenario.taxonomy,
+                max_steps=4,
+                attributes=attributes,
+            )
+
+        assert sweep(iter(("diagnosis",))).rows == sweep(("diagnosis",)).rows
