@@ -132,7 +132,8 @@ lint-policy:
 # documents, lint each on the incremental path (gate disabled — the
 # bundled populations intentionally carry findings; the golden tests pin them),
 # emit SARIF per dataset, then hold the SARIF schema and golden
-# snapshot suites.  What CI's lint-populations job runs.
+# snapshot suites (the datasets' and the edge-case documents').  What
+# CI's lint-populations job runs.
 lint-populations:
 	PYTHONPATH=src $(PYTHON) -m repro.datasets.export --out build/datasets
 	@set -e; for dir in build/datasets/*/; do \
@@ -148,6 +149,7 @@ lint-populations:
 	done
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/lint/test_sarif_schema.py \
-		tests/lint/test_datasets_golden.py
+		tests/lint/test_datasets_golden.py \
+		tests/lint/test_edge_golden.py
 
 all: test lint lint-policy lint-populations bench

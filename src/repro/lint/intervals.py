@@ -20,6 +20,10 @@ engine**:
   exact weights (``weight_bounds="provider"``, collapsing the interval to
   a point).
 
+The two passes are :meth:`IntervalGeometry.of` (the geometry) and
+:meth:`IntervalGeometry.weigh` (one weight-bounds mode), so a lint run
+computes the geometry once per context and weighs it once per mode.
+
 The result is a sound enclosure: for every provider,
 ``lower_i <= Violation_i <= upper_i`` where ``Violation_i`` is the exact
 Eq. 15 value the :class:`~repro.core.engine.ViolationEngine` computes,
@@ -323,6 +327,212 @@ def _shape_exceedance(
     return (totals[0], totals[1], totals[2]), count
 
 
+@dataclass(frozen=True, slots=True)
+class IntervalGeometry:
+    """Pass 1 of :func:`interval_analysis`: the exact, weight-independent
+    geometry of one (policy, population) pair.
+
+    ``profiles[i]`` maps each attribute to provider *i*'s raw
+    per-dimension exceedance totals, ``finding_counts[i]`` is its exact
+    number of dimension-level findings, and ``suppliers`` lists the
+    providers supplying each attribute, in population order.  One
+    geometry serves both weight-bounds modes (:meth:`weigh`).
+    """
+
+    policy_name: str
+    population: Population
+    profiles: tuple[dict[str, list[int]], ...]
+    finding_counts: tuple[int, ...]
+    suppliers: dict[str, list[Hashable]]
+
+    @classmethod
+    def of(
+        cls,
+        policy: HousePolicy,
+        population: Population,
+        *,
+        implicit_zero: bool = True,
+    ) -> "IntervalGeometry":
+        """The geometry of *policy* against *population*.
+
+        Clause shapes are memoised, so a population sharing few
+        distinct preference tuples pays each shape once.
+        """
+        obs = active_observer()
+        start = perf_counter() if obs is not None else 0.0
+        columns = _policy_shapes(policy)
+        by_attribute: dict[str, dict[str, tuple[tuple[int, int, int], ...]]] = {}
+        for (attribute, purpose), ranks in columns.items():
+            by_attribute.setdefault(attribute, {})[purpose] = ranks
+
+        shape_cache: dict[
+            tuple[str, str, tuple[int, int, int]], tuple[tuple[int, int, int], int]
+        ] = {}
+        profiles: list[dict[str, list[int]]] = []
+        finding_counts: list[int] = []
+        suppliers: dict[str, list[Hashable]] = {}
+        for provider in population:
+            preferences = provider.preferences
+            raw: dict[str, list[int]] = {}
+            findings = 0
+            stated: set[tuple[str, str]] = set()
+            for entry in preferences.entries:
+                attribute = entry.attribute
+                purpose = entry.purpose
+                key = (attribute, purpose)
+                stated.add(key)
+                policy_ranks = columns.get(key)
+                if not policy_ranks:
+                    continue
+                pref_ranks = (
+                    entry.tuple.visibility,
+                    entry.tuple.granularity,
+                    entry.tuple.retention,
+                )
+                shape_key = (attribute, purpose, pref_ranks)
+                shape = shape_cache.get(shape_key)
+                if shape is None:
+                    shape = _shape_exceedance(policy_ranks, pref_ranks)
+                    shape_cache[shape_key] = shape
+                exceedance, count = shape
+                if count:
+                    totals = raw.setdefault(attribute, [0, 0, 0])
+                    for axis in range(3):
+                        totals[axis] += exceedance[axis]
+                    findings += count
+            for attribute in preferences.attributes_provided:
+                suppliers.setdefault(attribute, []).append(provider.provider_id)
+                if not implicit_zero:
+                    continue
+                purposes = by_attribute.get(attribute)
+                if not purposes:
+                    continue
+                for purpose, policy_ranks in purposes.items():
+                    if (attribute, purpose) in stated:
+                        continue
+                    shape_key = (attribute, purpose, (0, 0, 0))
+                    shape = shape_cache.get(shape_key)
+                    if shape is None:
+                        shape = _shape_exceedance(policy_ranks, (0, 0, 0))
+                        shape_cache[shape_key] = shape
+                    exceedance, count = shape
+                    if count:
+                        totals = raw.setdefault(attribute, [0, 0, 0])
+                        for axis in range(3):
+                            totals[axis] += exceedance[axis]
+                        findings += count
+            profiles.append(raw)
+            finding_counts.append(findings)
+        if obs is not None:
+            obs.set_gauge("lint.interval_shapes", len(shape_cache))
+            obs.observe(
+                "lint.interval_seconds", perf_counter() - start, step="geometry"
+            )
+        return cls(
+            policy_name=policy.name,
+            population=population,
+            profiles=tuple(profiles),
+            finding_counts=tuple(finding_counts),
+            suppliers=suppliers,
+        )
+
+    def weigh(
+        self,
+        weight_bounds: str,
+        *,
+        sensitivities: SensitivityModel | None = None,
+        default_model: DefaultModel | None = None,
+    ) -> PopulationIntervals:
+        """Pass 2: bound each severity under one weight-bounds mode.
+
+        *sensitivities* and *default_model* default to the population's
+        own models, as in :func:`interval_analysis`.
+        """
+        if weight_bounds not in WEIGHT_BOUND_MODES:
+            raise ValidationError(
+                f"weight_bounds must be one of {WEIGHT_BOUND_MODES}, "
+                f"got {weight_bounds!r}"
+            )
+        obs = active_observer()
+        start = perf_counter() if obs is not None else 0.0
+        population = self.population
+        model = (
+            sensitivities
+            if sensitivities is not None
+            else population.sensitivity_model()
+        )
+        defaults = (
+            default_model
+            if default_model is not None
+            else population.default_model()
+        )
+        weight_range: dict[str, tuple[list[float], list[float]]] = {}
+        if weight_bounds == "population":
+            for attribute, provider_ids in self.suppliers.items():
+                attribute_weight = model.attribute_weight(attribute)
+                low = [math.inf] * 3
+                high = [-math.inf] * 3
+                for provider_id in provider_ids:
+                    datum = model.datum(provider_id, attribute)
+                    base = attribute_weight * datum.value
+                    for axis, dim in enumerate(ORDERED_DIMENSIONS):
+                        weight = base * datum.dimension_weight(dim)
+                        if weight < low[axis]:
+                            low[axis] = weight
+                        if weight > high[axis]:
+                            high[axis] = weight
+                weight_range[attribute] = (low, high)
+
+        bounds: list[ProviderSeverityBounds] = []
+        house_lower = 0.0
+        house_upper = 0.0
+        for provider, raw, findings in zip(
+            population, self.profiles, self.finding_counts
+        ):
+            lower = 0.0
+            upper = 0.0
+            for attribute, totals in raw.items():
+                if weight_bounds == "provider":
+                    attribute_weight = model.attribute_weight(attribute)
+                    datum = model.datum(provider.provider_id, attribute)
+                    base = attribute_weight * datum.value
+                    for axis, dim in enumerate(ORDERED_DIMENSIONS):
+                        if totals[axis]:
+                            exact = totals[axis] * base * datum.dimension_weight(dim)
+                            lower += exact
+                            upper += exact
+                else:
+                    low, high = weight_range[attribute]
+                    for axis in range(3):
+                        if totals[axis]:
+                            lower += totals[axis] * low[axis]
+                            upper += totals[axis] * high[axis]
+            house_lower += lower
+            house_upper += upper
+            bounds.append(
+                ProviderSeverityBounds(
+                    provider_id=provider.provider_id,
+                    interval=SeverityInterval(lower, upper),
+                    findings=findings,
+                    threshold=defaults.threshold(provider.provider_id),
+                    strict=defaults.strict,
+                )
+            )
+        result = PopulationIntervals(
+            policy_name=self.policy_name,
+            providers=tuple(bounds),
+            house=SeverityInterval(house_lower, house_upper),
+            strict=defaults.strict,
+            weight_bounds=weight_bounds,
+        )
+        if obs is not None:
+            obs.inc("lint.interval_analyses")
+            obs.observe(
+                "lint.interval_seconds", perf_counter() - start, step="weights"
+            )
+        return result
+
+
 def interval_analysis(
     policy: HousePolicy,
     population: Population,
@@ -350,6 +560,7 @@ def interval_analysis(
         cheap, and sound for any provider.  ``"provider"`` uses each
         provider's own weights, collapsing every interval to the exact
         static severity (still without invoking an engine).
+
     """
     if not isinstance(policy, HousePolicy):
         raise ValidationError(
@@ -359,149 +570,9 @@ def interval_analysis(
         raise ValidationError(
             f"population must be a Population, got {type(population).__name__}"
         )
-    if weight_bounds not in WEIGHT_BOUND_MODES:
-        raise ValidationError(
-            f"weight_bounds must be one of {WEIGHT_BOUND_MODES}, "
-            f"got {weight_bounds!r}"
-        )
-    obs = active_observer()
-    start = perf_counter() if obs is not None else 0.0
-    model = (
-        sensitivities
-        if sensitivities is not None
-        else population.sensitivity_model()
+    geometry = IntervalGeometry.of(
+        policy, population, implicit_zero=implicit_zero
     )
-    defaults = (
-        default_model
-        if default_model is not None
-        else population.default_model()
+    return geometry.weigh(
+        weight_bounds, sensitivities=sensitivities, default_model=default_model
     )
-    columns = _policy_shapes(policy)
-    by_attribute: dict[str, dict[str, tuple[tuple[int, int, int], ...]]] = {}
-    for (attribute, purpose), ranks in columns.items():
-        by_attribute.setdefault(attribute, {})[purpose] = ranks
-
-    # Pass 1 — exact geometry.  ``profiles[i]`` maps attribute -> raw
-    # per-dimension exceedance totals; clause shapes are memoised so a
-    # population sharing few distinct tuples pays each shape once.
-    shape_cache: dict[
-        tuple[str, str, tuple[int, int, int]], tuple[tuple[int, int, int], int]
-    ] = {}
-    profiles: list[dict[str, list[int]]] = []
-    finding_counts: list[int] = []
-    suppliers: dict[str, list[Hashable]] = {}
-    providers = tuple(population)
-    for provider in providers:
-        preferences = provider.preferences
-        raw: dict[str, list[int]] = {}
-        findings = 0
-        for entry in preferences.entries:
-            attribute = entry.attribute
-            purpose = entry.purpose
-            policy_ranks = columns.get((attribute, purpose))
-            if not policy_ranks:
-                continue
-            pref_ranks = (
-                entry.tuple.visibility,
-                entry.tuple.granularity,
-                entry.tuple.retention,
-            )
-            shape_key = (attribute, purpose, pref_ranks)
-            shape = shape_cache.get(shape_key)
-            if shape is None:
-                shape = _shape_exceedance(policy_ranks, pref_ranks)
-                shape_cache[shape_key] = shape
-            exceedance, count = shape
-            if count:
-                totals = raw.setdefault(attribute, [0, 0, 0])
-                for axis in range(3):
-                    totals[axis] += exceedance[axis]
-                findings += count
-        for attribute in preferences.attributes_provided:
-            suppliers.setdefault(attribute, []).append(provider.provider_id)
-            if not implicit_zero:
-                continue
-            purposes = by_attribute.get(attribute)
-            if not purposes:
-                continue
-            covered = preferences.purposes_for(attribute)
-            for purpose, policy_ranks in purposes.items():
-                if purpose in covered:
-                    continue
-                shape_key = (attribute, purpose, (0, 0, 0))
-                shape = shape_cache.get(shape_key)
-                if shape is None:
-                    shape = _shape_exceedance(policy_ranks, (0, 0, 0))
-                    shape_cache[shape_key] = shape
-                exceedance, count = shape
-                if count:
-                    totals = raw.setdefault(attribute, [0, 0, 0])
-                    for axis in range(3):
-                        totals[axis] += exceedance[axis]
-                    findings += count
-        profiles.append(raw)
-        finding_counts.append(findings)
-
-    # Pass 2 — the weight abstraction.
-    weight_range: dict[str, tuple[list[float], list[float]]] = {}
-    if weight_bounds == "population":
-        for attribute, provider_ids in suppliers.items():
-            attribute_weight = model.attribute_weight(attribute)
-            low = [math.inf] * 3
-            high = [-math.inf] * 3
-            for provider_id in provider_ids:
-                datum = model.datum(provider_id, attribute)
-                base = attribute_weight * datum.value
-                for axis, dim in enumerate(ORDERED_DIMENSIONS):
-                    weight = base * datum.dimension_weight(dim)
-                    if weight < low[axis]:
-                        low[axis] = weight
-                    if weight > high[axis]:
-                        high[axis] = weight
-            weight_range[attribute] = (low, high)
-
-    bounds: list[ProviderSeverityBounds] = []
-    house_lower = 0.0
-    house_upper = 0.0
-    for provider, raw, findings in zip(providers, profiles, finding_counts):
-        lower = 0.0
-        upper = 0.0
-        for attribute, totals in raw.items():
-            if weight_bounds == "provider":
-                attribute_weight = model.attribute_weight(attribute)
-                datum = model.datum(provider.provider_id, attribute)
-                base = attribute_weight * datum.value
-                for axis, dim in enumerate(ORDERED_DIMENSIONS):
-                    if totals[axis]:
-                        exact = totals[axis] * base * datum.dimension_weight(dim)
-                        lower += exact
-                        upper += exact
-            else:
-                low, high = weight_range[attribute]
-                for axis in range(3):
-                    if totals[axis]:
-                        lower += totals[axis] * low[axis]
-                        upper += totals[axis] * high[axis]
-        house_lower += lower
-        house_upper += upper
-        bounds.append(
-            ProviderSeverityBounds(
-                provider_id=provider.provider_id,
-                interval=SeverityInterval(lower, upper),
-                findings=findings,
-                threshold=defaults.threshold(provider.provider_id),
-                strict=defaults.strict,
-            )
-        )
-    result = PopulationIntervals(
-        policy_name=policy.name,
-        providers=tuple(bounds),
-        house=SeverityInterval(house_lower, house_upper),
-        strict=defaults.strict,
-        weight_bounds=weight_bounds,
-    )
-    if obs is not None:
-        obs.inc("lint.interval_analyses")
-        obs.set_gauge("lint.interval_shapes", len(shape_cache))
-        obs.observe("lint.interval_seconds", perf_counter() - start)
-    return result

@@ -12,18 +12,21 @@ been reported by a document-layer rule already.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from time import perf_counter
 
 from .._validation import check_probability, check_real
 from ..core.policy import HousePolicy
 from ..core.population import Population
+from ..core.tuples import PrivacyTuple
 from ..exceptions import LintConfigurationError
-from ..policy_lang.ast import PolicyDocument, PreferenceDocument, TupleSpec
+from ..obs import active_observer
+from ..policy_lang.ast import PolicyDocument, PreferenceDocument
 from ..taxonomy.builder import Taxonomy
 from .diagnostics import Diagnostic, Severity, SourceLocation, sort_key
-from .intervals import PopulationIntervals, interval_analysis
+from .intervals import IntervalGeometry, PopulationIntervals
 
 
 class Layer(enum.Enum):
@@ -94,40 +97,45 @@ class LintContext:
     config: LintConfig = field(default_factory=LintConfig)
 
     @cached_property
+    def interval_geometry(self) -> IntervalGeometry:
+        """The weight-independent pass of the interval analysis of
+        ``policy`` against ``population`` (exceedance profiles, finding
+        counts, suppliers), computed once per context for both weight
+        modes.  Only read when both were lowered."""
+        return IntervalGeometry.of(self.policy, self.population)
+
+    @cached_property
     def population_intervals(self) -> PopulationIntervals:
-        """The static severity intervals of ``policy`` against
-        ``population`` (population weight bounds), computed once per
-        context for every rule that reads them.  Only read when both
-        were lowered."""
-        return interval_analysis(self.policy, self.population)
+        """The static severity intervals under population weight bounds
+        (PVL110, PVL212, PVL213), weighed once per context."""
+        return self.interval_geometry.weigh("population")
 
-    def iter_policy_specs(self) -> Iterator[tuple[SourceLocation, TupleSpec]]:
-        """Every policy/candidate rule spec with its location."""
-        for kind, document in (
-            ("policy", self.policy_doc),
-            ("candidate", self.candidate_doc),
-        ):
-            if document is None:
-                continue
-            for index, spec in enumerate(document.rules):
-                yield (
-                    SourceLocation(kind, name=document.name, index=index),
-                    spec,
-                )
+    @cached_property
+    def provider_intervals(self) -> PopulationIntervals:
+        """The static severities under each provider's own weights
+        (PVL214), weighed once per context."""
+        return self.interval_geometry.weigh("provider")
 
-    def iter_preference_specs(
-        self,
-    ) -> Iterator[tuple[SourceLocation, TupleSpec, PreferenceDocument]]:
-        """Every preference spec with its location and owning document."""
-        for document in self.preference_docs:
-            for index, spec in enumerate(document.preferences):
-                yield (
-                    SourceLocation(
-                        "population", name=str(document.provider), index=index
-                    ),
-                    spec,
-                    document,
-                )
+    @cached_property
+    def policy_rows(self) -> tuple[int, ...]:
+        """For each entry of the lowered ``policy``, the index of the
+        first policy-document row that lowers to it.
+
+        ``HousePolicy`` keeps one entry per distinct ``(attribute,
+        tuple)``, so a repeated row, or one tuple spelled with level
+        names and with ranks, would shift every later entry's position
+        away from its row.  Only read when ``policy`` was lowered."""
+        if self.policy_doc is None:
+            return tuple(range(len(self.policy)))
+        first: dict[tuple[str, PrivacyTuple], int] = {}
+        for index, spec in enumerate(self.policy_doc.rules):
+            lowered = self.taxonomy.tuple(
+                spec.purpose, spec.visibility, spec.granularity, spec.retention
+            )
+            first.setdefault((spec.attribute, lowered), index)
+        return tuple(
+            first[(entry.attribute, entry.tuple)] for entry in self.policy.entries
+        )
 
 
 #: Signature of a rule's check function.
@@ -226,38 +234,48 @@ def run_rules(
 
     *scopes*, when given, restricts the run to rules whose ``scope`` is in
     the set — the incremental runner uses this to split the catalogue
-    into a global pass and per-provider passes.
+    into a global pass and per-provider passes.  While an observer is
+    active the run is a ``lint.run`` span and each rule's check is one
+    ``lint.rule_seconds{code}`` sample.
     """
     selected = None if select is None else resolve_codes(select)
     ignored = frozenset() if ignore is None else resolve_codes(ignore)
     scope_filter = None if scopes is None else frozenset(scopes)
+    rules = [
+        info
+        for info in all_rules()
+        if (scope_filter is None or info.scope in scope_filter)
+        and (selected is None or info.code in selected)
+        and info.code not in ignored
+    ]
     diagnostics: list[Diagnostic] = []
-    for info in all_rules():
-        if scope_filter is not None and info.scope not in scope_filter:
-            continue
-        if selected is not None and info.code not in selected:
-            continue
-        if info.code in ignored:
-            continue
 
-        def emit(
-            location: SourceLocation,
-            message: str,
-            *,
-            _info: RuleInfo = info,
-            **payload: object,
-        ) -> None:
+    def emitter(info: RuleInfo) -> Callable[..., None]:
+        def emit(location: SourceLocation, message: str, **payload: object) -> None:
             diagnostics.append(
                 Diagnostic(
-                    code=_info.code,
-                    severity=_info.severity,
+                    code=info.code,
+                    severity=info.severity,
                     message=message,
                     location=location,
                     payload=payload,
                 )
             )
 
-        info.check(context, emit)
+        return emit
+
+    obs = active_observer()
+    if obs is None:
+        for info in rules:
+            info.check(context, emitter(info))
+    else:
+        with obs.span("lint.run", rules=len(rules)):
+            for info in rules:
+                start = perf_counter()
+                info.check(context, emitter(info))
+                obs.observe(
+                    "lint.rule_seconds", perf_counter() - start, code=info.code
+                )
     return tuple(sorted(diagnostics, key=sort_key))
 
 

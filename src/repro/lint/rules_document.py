@@ -9,8 +9,9 @@ document-level redundancy and mis-ordered ladders.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
+from .._validation import EXACT_LEVEL_TYPES
 from ..core.dimensions import ORDERED_DIMENSIONS, Dimension
 from ..exceptions import DomainError, UnknownPurposeError
 from ..policy_lang.ast import TupleSpec
@@ -35,32 +36,43 @@ SPEC_DIMENSIONS: tuple[tuple[str, Dimension], ...] = tuple(
     ),
 )
 def check_unknown_purpose(ctx: LintContext, emit: Callable[..., None]) -> None:
-    for location, spec in ctx.iter_policy_specs():
-        _check_purpose(ctx, location, spec, emit)
-    for location, spec, _document in ctx.iter_preference_specs():
-        _check_purpose(ctx, location, spec, emit)
+    unknown: dict[str, bool] = {}
+    for kind, name, specs in _spec_documents(ctx):
+        for index, spec in enumerate(specs):
+            purpose = spec.purpose
+            verdict = unknown.get(purpose)
+            if verdict is None:
+                verdict = unknown[purpose] = not _known_purpose(ctx, purpose)
+            if verdict:
+                emit(
+                    SourceLocation(kind, name=name, index=index, field="purpose"),
+                    f"unknown purpose {purpose!r}",
+                    purpose=purpose,
+                    known_purposes=sorted(ctx.taxonomy.purposes.purposes),
+                )
 
 
-def _check_purpose(
-    ctx: LintContext,
-    location: SourceLocation,
-    spec: TupleSpec,
-    emit: Callable[..., None],
-) -> None:
+def _known_purpose(ctx: LintContext, purpose: str) -> bool:
     try:
-        ctx.taxonomy.purposes.validate(spec.purpose)
+        ctx.taxonomy.purposes.validate(purpose)
     except UnknownPurposeError:
-        emit(
-            SourceLocation(
-                location.document,
-                name=location.name,
-                index=location.index,
-                field="purpose",
-            ),
-            f"unknown purpose {spec.purpose!r}",
-            purpose=spec.purpose,
-            known_purposes=sorted(ctx.taxonomy.purposes.purposes),
-        )
+        return False
+    return True
+
+
+def _spec_documents(
+    ctx: LintContext,
+) -> Iterator[tuple[str, str, tuple[TupleSpec, ...]]]:
+    """``(document kind, location name, specs)`` of every policy,
+    candidate and preference document, in report order."""
+    for kind, document in (
+        ("policy", ctx.policy_doc),
+        ("candidate", ctx.candidate_doc),
+    ):
+        if document is not None:
+            yield kind, document.name, document.rules
+    for document in ctx.preference_docs:
+        yield "population", str(document.provider), document.preferences
 
 
 @rule(
@@ -75,37 +87,55 @@ def _check_purpose(
     ),
 )
 def check_unknown_level(ctx: LintContext, emit: Callable[..., None]) -> None:
-    for location, spec in ctx.iter_policy_specs():
-        _check_levels(ctx, location, spec, emit)
-    for location, spec, _document in ctx.iter_preference_specs():
-        _check_levels(ctx, location, spec, emit)
+    domains = [
+        (field_name, ctx.taxonomy.domain(dimension))
+        for field_name, dimension in SPEC_DIMENSIONS
+    ]
+    # The fields off their ladders per (V, G, R) spelling, keyed on
+    # exact type as Taxonomy.tuple keys its memo.
+    off_ladder: dict[tuple[str | int, str | int, str | int], tuple] = {}
+    for kind, name, specs in _spec_documents(ctx):
+        for index, spec in enumerate(specs):
+            values = (spec.visibility, spec.granularity, spec.retention)
+            exact = exact_levels(spec)
+            fields = off_ladder.get(values) if exact else None
+            if fields is None:
+                fields = tuple(
+                    (field_name, domain)
+                    for (field_name, domain), value in zip(domains, values)
+                    if not _on_ladder(domain, value)
+                )
+                if exact:
+                    off_ladder[values] = fields
+            for field_name, domain in fields:
+                value = getattr(spec, field_name)
+                emit(
+                    SourceLocation(kind, name=name, index=index, field=field_name),
+                    f"{field_name} value {value!r} is not on the "
+                    f"{domain.name!r} ladder",
+                    dimension=field_name,
+                    value=value,
+                    domain=domain.name,
+                )
 
 
-def _check_levels(
-    ctx: LintContext,
-    location: SourceLocation,
-    spec: TupleSpec,
-    emit: Callable[..., None],
-) -> None:
-    for field_name, dimension in SPEC_DIMENSIONS:
-        value = getattr(spec, field_name)
-        domain = ctx.taxonomy.domain(dimension)
-        try:
-            domain.rank_of(value)
-        except DomainError:
-            emit(
-                SourceLocation(
-                    location.document,
-                    name=location.name,
-                    index=location.index,
-                    field=field_name,
-                ),
-                f"{field_name} value {value!r} is not on the "
-                f"{domain.name!r} ladder",
-                dimension=field_name,
-                value=value,
-                domain=domain.name,
-            )
+def exact_levels(spec: TupleSpec) -> bool:
+    """Whether *spec*'s ordered values are exact ``str`` / ``int``, the
+    spellings a verdict memo may key on: an ``int`` subclass equal to 1
+    hashes as 1 but is validated afresh, as in ``Taxonomy.tuple``."""
+    return (
+        type(spec.visibility) in EXACT_LEVEL_TYPES
+        and type(spec.granularity) in EXACT_LEVEL_TYPES
+        and type(spec.retention) in EXACT_LEVEL_TYPES
+    )
+
+
+def _on_ladder(domain, value: str | int) -> bool:
+    try:
+        domain.rank_of(value)
+    except DomainError:
+        return False
+    return True
 
 
 @rule(
@@ -122,22 +152,24 @@ def _check_levels(
 def check_undeclared_attribute(
     ctx: LintContext, emit: Callable[..., None]
 ) -> None:
-    for location, spec, document in ctx.iter_preference_specs():
-        if (
-            document.attributes_provided is not None
-            and spec.attribute not in document.attributes_provided
-        ):
+    for document in ctx.preference_docs:
+        provided = document.attributes_provided
+        if provided is None:
+            continue
+        for index, spec in enumerate(document.preferences):
+            if spec.attribute in provided:
+                continue
             emit(
                 SourceLocation(
-                    location.document,
-                    name=location.name,
-                    index=location.index,
+                    "population",
+                    name=str(document.provider),
+                    index=index,
                     field="attribute",
                 ),
                 f"preference for attribute {spec.attribute!r} not listed "
                 f"in attributes_provided",
                 attribute=spec.attribute,
-                attributes_provided=sorted(document.attributes_provided),
+                attributes_provided=sorted(provided),
             )
 
 

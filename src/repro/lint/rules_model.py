@@ -4,20 +4,25 @@ The paper's central observation is that violations are decidable from the
 documents alone: a house policy tuple exceeding a provider preference
 tuple (Definition 1) is detectable before any data is collected, and
 alpha-PPDB certification (Definition 3) is a static property of the
-policy/population pair.  These rules perform that static reasoning.  They
-deliberately reuse the dynamic machinery (:func:`violation_indicator`,
-:func:`certify_alpha_ppdb`) entry-by-entry, so the linter can never
-disagree with a live :class:`~repro.core.engine.ViolationEngine`.
+policy/population pair.  These rules perform that static reasoning
+without running an engine.  PVL101 decides Definition 1 per policy rule
+from the rank triples of each provider's ``(attribute, purpose)``
+column, the implicit zero tuple standing in for a column the supplier
+left empty; PVL110 reads the certificate of the interval analysis
+(:mod:`repro.lint.intervals`), whose violated set is exact.
+``tests/properties/test_lint_reference_parity.py`` holds both against
+the reference :func:`~repro.core.violation.violation_indicator` and
+:func:`~repro.core.ppdb.certify_alpha_ppdb` on randomized populations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Hashable
 
-from ..core.policy import HousePolicy
-from ..core.ppdb import certify_alpha_ppdb
-from ..core.violation import violation_indicator
+from ..core.policy import PolicyEntry
+from ..core.preferences import ProviderPreferences
+from ..exceptions import ValidationError
+from ..policy_lang.ast import TupleSpec
 from .diagnostics import SourceLocation, Severity
 from .registry import Layer, LintContext, rule
 
@@ -38,26 +43,24 @@ def check_guaranteed_violation(
 ) -> None:
     if ctx.policy is None or ctx.population is None or not len(ctx.population):
         return
-    population_ids = set(ctx.population.ids())
-    for index, entry in enumerate(ctx.policy.entries):
-        suppliers = [
-            provider
-            for provider in ctx.population
-            if entry.attribute in provider.preferences.attributes_provided
-        ]
-        if not suppliers:
+    policy_attributes = set(ctx.policy.attributes())
+    # The suppliers of each policy attribute, in population order.
+    suppliers: dict[str, list[ProviderPreferences]] = {}
+    for provider in ctx.population:
+        preferences = provider.preferences
+        for attribute in preferences.attributes_provided:
+            if attribute in policy_attributes:
+                suppliers.setdefault(attribute, []).append(preferences)
+    for entry, index in zip(ctx.policy.entries, ctx.policy_rows):
+        supplying = suppliers.get(entry.attribute)
+        # Stop at the first supplier the rule does not violate.
+        if not supplying or not all(
+            _violates(entry, preferences) for preferences in supplying
+        ):
             continue
-        single = HousePolicy([entry], name=ctx.policy.name)
-        violated: list[Hashable] = [
-            provider.provider_id
-            for provider in suppliers
-            if violation_indicator(provider.preferences, single)
-        ]
-        if len(violated) != len(suppliers):
-            continue
-        forces_pw_one = set(violated) == population_ids
+        forces_pw_one = len(supplying) == len(ctx.population)
         message = (
-            f"rule guarantees a violation for all {len(violated)} "
+            f"rule guarantees a violation for all {len(supplying)} "
             f"provider(s) supplying {entry.attribute!r} under purpose "
             f"{entry.purpose!r}"
         )
@@ -68,10 +71,31 @@ def check_guaranteed_violation(
             message,
             attribute=entry.attribute,
             purpose=entry.purpose,
-            violated_providers=[str(p) for p in violated],
-            n_suppliers=len(suppliers),
+            violated_providers=[str(p.provider_id) for p in supplying],
+            n_suppliers=len(supplying),
             forces_violation_probability_one=forces_pw_one,
         )
+
+
+def _violates(entry: PolicyEntry, preferences: ProviderPreferences) -> bool:
+    """Definition 1 for one policy entry alone: whether it exceeds, along
+    some axis, one of the supplier's tuples in its ``(attribute,
+    purpose)`` column — the implicit zero tuple if the supplier stated
+    none there."""
+    purpose = entry.purpose
+    policy_tuple = entry.tuple
+    v = policy_tuple.visibility
+    g = policy_tuple.granularity
+    r = policy_tuple.retention
+    stated = False
+    for preference in preferences.for_attribute(entry.attribute):
+        if preference.purpose != purpose:
+            continue
+        stated = True
+        tuple_ = preference.tuple
+        if v > tuple_.visibility or g > tuple_.granularity or r > tuple_.retention:
+            return True
+    return not stated and (v > 0 or g > 0 or r > 0)
 
 
 @rule(
@@ -89,6 +113,7 @@ def check_shadowed_rule(ctx: LintContext, emit: Callable[..., None]) -> None:
     if ctx.policy is None:
         return
     entries = ctx.policy.entries
+    rows = ctx.policy_rows
     for index, entry in enumerate(entries):
         for other_index, other in enumerate(entries):
             if other_index == index:
@@ -99,13 +124,15 @@ def check_shadowed_rule(ctx: LintContext, emit: Callable[..., None]) -> None:
                 continue
             if other.tuple.dominates(entry.tuple):
                 emit(
-                    SourceLocation("policy", name=ctx.policy.name, index=index),
-                    f"rule is shadowed by rule {other_index}: "
+                    SourceLocation(
+                        "policy", name=ctx.policy.name, index=rows[index]
+                    ),
+                    f"rule is shadowed by rule {rows[other_index]}: "
                     f"{other.tuple} dominates {entry.tuple} for "
                     f"{entry.attribute!r}",
                     attribute=entry.attribute,
                     purpose=entry.purpose,
-                    shadowed_by=other_index,
+                    shadowed_by=rows[other_index],
                 )
                 break
 
@@ -200,7 +227,7 @@ def check_dead_policy_rule(ctx: LintContext, emit: Callable[..., None]) -> None:
         supplied |= provider.preferences.attributes_provided
     empty = not len(ctx.population)
     reported: set[str] = set()
-    for index, entry in enumerate(ctx.policy.entries):
+    for entry, index in zip(ctx.policy.entries, ctx.policy_rows):
         if entry.attribute in supplied or entry.attribute in reported:
             continue
         reported.add(entry.attribute)
@@ -233,13 +260,15 @@ def check_inert_preference(ctx: LintContext, emit: Callable[..., None]) -> None:
     if ctx.policy is None:
         return
     covered = set(ctx.policy.attributes())
-    for location, spec, _document in ctx.iter_preference_specs():
-        if spec.attribute not in covered:
+    for document in ctx.preference_docs:
+        for index, spec in enumerate(document.preferences):
+            if spec.attribute in covered:
+                continue
             emit(
                 SourceLocation(
                     "population",
-                    name=location.name,
-                    index=location.index,
+                    name=str(document.provider),
+                    index=index,
                     field="attribute",
                 ),
                 f"preference for {spec.attribute!r} is inert: the policy "
@@ -265,33 +294,38 @@ def check_dominated_preference(
 ) -> None:
     for document in ctx.preference_docs:
         specs = document.preferences
+        # Only specs sharing (attribute, purpose) can dominate each other.
+        columns: dict[tuple[str, str], list[int]] = {}
         for index, spec in enumerate(specs):
-            for other_index, other in enumerate(specs):
-                if other_index == index or other == spec:
-                    continue
-                if (other.attribute, other.purpose) != (
-                    spec.attribute,
-                    spec.purpose,
-                ):
-                    continue
-                if _spec_dominates(ctx, spec, other):
-                    emit(
-                        SourceLocation(
-                            "population",
-                            name=str(document.provider),
-                            index=index,
-                        ),
-                        f"preference dominates entry {other_index} for "
-                        f"{spec.attribute!r} @ {spec.purpose!r}; the "
-                        f"stricter entry alone decides w_i",
-                        attribute=spec.attribute,
-                        purpose=spec.purpose,
-                        dominates=other_index,
-                    )
-                    break
+            columns.setdefault((spec.attribute, spec.purpose), []).append(index)
+        for indices in columns.values():
+            if len(indices) < 2:
+                continue
+            for index in indices:
+                spec = specs[index]
+                # The first dominated entry in document order.
+                for other_index in indices:
+                    other = specs[other_index]
+                    if other_index == index or other == spec:
+                        continue
+                    if _spec_dominates(ctx, spec, other):
+                        emit(
+                            SourceLocation(
+                                "population",
+                                name=str(document.provider),
+                                index=index,
+                            ),
+                            f"preference dominates entry {other_index} for "
+                            f"{spec.attribute!r} @ {spec.purpose!r}; the "
+                            f"stricter entry alone decides w_i",
+                            attribute=spec.attribute,
+                            purpose=spec.purpose,
+                            dominates=other_index,
+                        )
+                        break
 
 
-def _spec_dominates(ctx: LintContext, spec, other) -> bool:
+def _spec_dominates(ctx: LintContext, spec: TupleSpec, other: TupleSpec) -> bool:
     """Whether *spec*'s tuple dominates *other*'s, resolving level names."""
     try:
         left = ctx.taxonomy.tuple(
@@ -300,7 +334,7 @@ def _spec_dominates(ctx: LintContext, spec, other) -> bool:
         right = ctx.taxonomy.tuple(
             other.purpose, other.visibility, other.granularity, other.retention
         )
-    except Exception:
+    except ValidationError:
         return False  # unresolvable specs are PVL001/PVL002's business
     return left != right and left.dominates(right)
 
@@ -325,7 +359,7 @@ def check_static_alpha_ppdb(
         or ctx.population is None
     ):
         return
-    certificate = certify_alpha_ppdb(ctx.population, ctx.policy, ctx.config.alpha)
+    certificate = ctx.population_intervals.certificate(ctx.config.alpha)
     if certificate.satisfied:
         return
     emit(

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from ..core.tuples import PrivacyTuple
+from ..exceptions import ValidationError
+from ..policy_lang.ast import TupleSpec
 from .diagnostics import Severity, SourceLocation
-from .intervals import interval_analysis
 from .registry import Layer, LintContext, rule
+from .rules_document import exact_levels
 
 
 @rule(
@@ -47,26 +50,38 @@ def check_dead_preference_clause(
         purposes_by_attribute.setdefault(entry.attribute, set()).add(
             entry.purpose
         )
-    for location, spec, _document in ctx.iter_preference_specs():
-        used = purposes_by_attribute.get(spec.attribute)
-        if used is None:
-            continue  # attribute never collected: PVL106's business
-        if spec.purpose in used:
-            continue
-        emit(
-            SourceLocation(
-                "population",
-                name=location.name,
-                index=location.index,
-                field="purpose",
-            ),
-            f"preference purpose {spec.purpose!r} is dead: the policy "
-            f"collects {spec.attribute!r} only under "
-            f"{sorted(used)}, so this clause is never comparable",
-            attribute=spec.attribute,
-            purpose=spec.purpose,
-            policy_purposes=sorted(used),
-        )
+    # (attribute, purpose) -> the policy's purposes on the attribute when
+    # the clause is dead, else None.
+    dead: dict[tuple[str, str], list[str] | None] = {}
+    for document in ctx.preference_docs:
+        for index, spec in enumerate(document.preferences):
+            key = (spec.attribute, spec.purpose)
+            if key in dead:
+                used = dead[key]
+            else:
+                used = purposes_by_attribute.get(spec.attribute)
+                # An attribute never collected is PVL106's business.
+                used = dead[key] = (
+                    sorted(used)
+                    if used is not None and spec.purpose not in used
+                    else None
+                )
+            if used is None:
+                continue
+            emit(
+                SourceLocation(
+                    "population",
+                    name=str(document.provider),
+                    index=index,
+                    field="purpose",
+                ),
+                f"preference purpose {spec.purpose!r} is dead: the policy "
+                f"collects {spec.attribute!r} only under "
+                f"{used}, so this clause is never comparable",
+                attribute=spec.attribute,
+                purpose=spec.purpose,
+                policy_purposes=list(used),
+            )
 
 
 @rule(
@@ -86,27 +101,39 @@ def check_subsumed_preference(
 ) -> None:
     if ctx.policy is None:
         return
-    for location, spec, _document in ctx.iter_preference_specs():
-        comparable = [
-            entry.tuple
-            for entry in ctx.policy.for_attribute(spec.attribute)
-            if entry.purpose == spec.purpose
-        ]
-        if not comparable:
-            continue
-        try:
-            preference = ctx.taxonomy.tuple(
-                spec.purpose, spec.visibility, spec.granularity, spec.retention
+    comparable_by_column: dict[tuple[str, str], list[PrivacyTuple]] = {}
+    for entry in ctx.policy.entries:
+        comparable_by_column.setdefault(
+            (entry.attribute, entry.purpose), []
+        ).append(entry.tuple)
+    # Verdicts per exact-typed spelling, keyed as Taxonomy.tuple keys
+    # its memo.
+    subsumed: dict[tuple[str, str, str | int, str | int, str | int], bool] = {}
+    for document in ctx.preference_docs:
+        for index, spec in enumerate(document.preferences):
+            comparable = comparable_by_column.get(
+                (spec.attribute, spec.purpose)
             )
-        except Exception:
-            continue  # unresolvable specs are PVL001/PVL002's business
-        if all(
-            preference != policy_tuple and preference.dominates(policy_tuple)
-            for policy_tuple in comparable
-        ):
+            if not comparable:
+                continue
+            key = (
+                spec.attribute,
+                spec.purpose,
+                spec.visibility,
+                spec.granularity,
+                spec.retention,
+            )
+            exact = exact_levels(spec)
+            verdict = subsumed.get(key) if exact else None
+            if verdict is None:
+                verdict = _subsumes(ctx, spec, comparable)
+                if exact:
+                    subsumed[key] = verdict
+            if not verdict:
+                continue
             emit(
                 SourceLocation(
-                    "population", name=location.name, index=location.index
+                    "population", name=str(document.provider), index=index
                 ),
                 f"preference for {spec.attribute!r} @ {spec.purpose!r} "
                 f"strictly dominates every comparable policy rule; it can "
@@ -115,6 +142,22 @@ def check_subsumed_preference(
                 purpose=spec.purpose,
                 n_policy_rules=len(comparable),
             )
+
+
+def _subsumes(
+    ctx: LintContext, spec: TupleSpec, comparable: list[PrivacyTuple]
+) -> bool:
+    """Whether *spec*'s tuple strictly dominates every comparable one."""
+    try:
+        preference = ctx.taxonomy.tuple(
+            spec.purpose, spec.visibility, spec.granularity, spec.retention
+        )
+    except ValidationError:
+        return False  # unresolvable specs are PVL001/PVL002's business
+    return all(
+        preference != policy_tuple and preference.dominates(policy_tuple)
+        for policy_tuple in comparable
+    )
 
 
 @rule(
@@ -213,10 +256,7 @@ def check_inevitable_default(
     # Provider-exact bounds (point intervals): each provider's verdict
     # depends only on their own document, which keeps this rule's output
     # identical between full runs and per-provider incremental passes.
-    intervals = interval_analysis(
-        ctx.policy, ctx.population, weight_bounds="provider"
-    )
-    for bounds in intervals:
+    for bounds in ctx.provider_intervals:
         if not bounds.must_default:
             continue
         relation = ">" if bounds.strict else ">="

@@ -108,25 +108,34 @@ def test_incremental_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_population_bounds_analysed_once(name, tmp_path, monkeypatch):
-    """PVL212 and PVL213 share one population-bounds interval analysis.
+    """One geometry pass per lint context, one weight pass per mode.
 
-    Counted on the plain and the incremental (cached) paths, whose
-    output must still be the golden bytes.  PVL214's provider-bounds
-    analysis is a different question and keeps its own run.
+    PVL110, PVL212 and PVL213 read the population-bounds intervals and
+    PVL214 the provider-bounds ones; both weigh the context's one
+    exceedance geometry.  Counted on the plain path (one context) and
+    the incremental path (the global context plus one singleton context
+    per provider), whose output must still be the golden bytes.
     """
-    import repro.lint.intervals as intervals
+    from collections import Counter
 
-    calls: list[str] = []
-    original = intervals.interval_analysis
+    from repro.lint.intervals import IntervalGeometry
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("weight_bounds", "population"))
-        return original(*args, **kwargs)
+    # The populations themselves are kept, so no id is reused.
+    geometries: list[object] = []
+    weighings: list[tuple[object, str]] = []
+    of = IntervalGeometry.of.__func__
+    weigh = IntervalGeometry.weigh
 
-    for module in ("registry", "rules_population"):
-        monkeypatch.setattr(
-            f"repro.lint.{module}.interval_analysis", counted, raising=False
-        )
+    def counted_of(cls, policy, population, **kwargs):
+        geometries.append(population)
+        return of(cls, policy, population, **kwargs)
+
+    def counted_weigh(self, weight_bounds, **kwargs):
+        weighings.append((self.population, weight_bounds))
+        return weigh(self, weight_bounds, **kwargs)
+
+    monkeypatch.setattr(IntervalGeometry, "of", classmethod(counted_of))
+    monkeypatch.setattr(IntervalGeometry, "weigh", counted_weigh)
     taxonomy, documents = dataset_report(name)
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
     plain = lint_documents(
@@ -136,8 +145,13 @@ def test_population_bounds_analysed_once(name, tmp_path, monkeypatch):
         config=CONFIG,
     )
     assert render_json(plain) + "\n" == golden
-    assert calls.count("population") == 1
-    calls.clear()
+    assert len(geometries) == 1
+    assert sorted((id(p), mode) for p, mode in weighings) == [
+        (id(geometries[0]), "population"),
+        (id(geometries[0]), "provider"),
+    ]
+    geometries.clear()
+    weighings.clear()
     cached = incremental_lint(
         taxonomy,
         policy=documents["policy"],
@@ -146,4 +160,13 @@ def test_population_bounds_analysed_once(name, tmp_path, monkeypatch):
         cache=LintCache(tmp_path / "cache.json"),
     )
     assert render_json(cached) + "\n" == golden
-    assert calls.count("population") == 1
+    n_providers = len(documents["population"]["providers"])
+    contexts = {id(population) for population in geometries}
+    assert len(geometries) == len(contexts) == 1 + n_providers
+    passes = Counter((id(population), mode) for population, mode in weighings)
+    assert set(passes.values()) == {1}
+    assert Counter(mode for _, mode in passes) == {
+        "population": 1,
+        "provider": n_providers,
+    }
+    assert {population for population, _ in passes} == contexts

@@ -257,3 +257,128 @@ class TestPVL110StaticAlphaPPDB:
         report = run(taxonomy, "PVL110", policy=clean_policy,
                      population=clean_population)
         assert codes(report) == []
+
+
+class TestPolicyRowIndex:
+    """Policy-rule findings point at document rows, not lowered entries.
+
+    ``HousePolicy`` keeps one entry per distinct ``(attribute, tuple)``,
+    so a repeated row, or one tuple spelled with level names and with
+    ranks, used to shift every later finding onto the wrong row.
+    """
+
+    @staticmethod
+    def documents():
+        import json
+        from pathlib import Path
+
+        from repro.policy_lang import parse_taxonomy
+
+        root = Path(__file__).resolve().parents[2] / "examples" / "documents"
+        taxonomy = parse_taxonomy(
+            json.loads((root / "taxonomy.json").read_text())
+        )
+        population = json.loads((root / "population.json").read_text())
+        return taxonomy, population
+
+    @staticmethod
+    def row(attribute, v, g, r):
+        return {"attribute": attribute, "purpose": "pr", "visibility": v,
+                "granularity": g, "retention": r}
+
+    def test_shadowed_and_dead_rules_after_a_repeated_row(self):
+        taxonomy, population = self.documents()
+        policy = {"name": "repeated", "rules": [
+            self.row("Weight", 2, 2, 2),
+            self.row("Weight", 2, 2, 2),
+            self.row("Weight", 3, 3, 3),
+            self.row("Height", 1, 1, 1),
+        ]}
+        report = lint_documents(taxonomy, policy=policy, population=population)
+        shadowed = report.with_code("PVL102")
+        assert [d.location.index for d in shadowed] == [0]
+        assert shadowed[0].payload["shadowed_by"] == 2
+        assert "shadowed by rule 2" in shadowed[0].message
+        dead = report.with_code("PVL105")
+        assert [(d.location.index, d.payload["attribute"]) for d in dead] == [
+            (3, "Height")
+        ]
+        duplicate = report.with_code("PVL004")
+        assert [d.location.index for d in duplicate] == [1]
+
+    def test_guaranteed_violation_after_a_repeated_row(self):
+        taxonomy, population = self.documents()
+        policy = {"name": "repeated", "rules": [
+            self.row("Weight", 2, 2, 2),
+            self.row("Weight", 2, 2, 2),
+            self.row("Age", 5, 5, 5),
+        ]}
+        report = lint_documents(taxonomy, policy=policy, population=population)
+        fired = report.with_code("PVL101")
+        assert [(d.location.index, d.payload["attribute"]) for d in fired] == [
+            (2, "Age")
+        ]
+
+    def test_guaranteed_violation_after_two_spellings_of_one_tuple(self):
+        taxonomy, population = self.documents()
+        policy = {"name": "spellings", "rules": [
+            self.row("Weight", "house", "partial", "short-term"),
+            self.row("Weight", 2, 2, 2),
+            self.row("Age", 5, 5, 5),
+        ]}
+        report = lint_documents(taxonomy, policy=policy, population=population)
+        fired = report.with_code("PVL101")
+        assert [(d.location.index, d.payload["attribute"]) for d in fired] == [
+            (2, "Age")
+        ]
+
+
+class TestRuleFaultsPropagate:
+    """Only an unresolvable spec's ValidationError is the rules' to skip.
+
+    A fault elsewhere in resolving a spec must fail the run, not silently
+    drop findings.  Taxonomy.tuple is patched after the context is
+    built: document lowering calls it too, and its error would mask the
+    rules'.
+    """
+
+    def context(self, taxonomy, clean_policy, clean_population):
+        from repro.lint.runner import build_context
+
+        clean_population["providers"][0]["preferences"].append(
+            rule(visibility="owner", granularity="existential",
+                 retention="transaction")
+        )
+        return build_context(
+            taxonomy, policy=clean_policy, population=clean_population
+        )
+
+    def test_rules_raise_on_a_resolution_fault(
+        self, taxonomy, clean_policy, clean_population, monkeypatch
+    ):
+        import pytest
+
+        from repro.lint.rules_model import check_dominated_preference
+        from repro.lint.rules_population import check_subsumed_preference
+        from repro.taxonomy.builder import Taxonomy
+
+        ctx = self.context(taxonomy, clean_policy, clean_population)
+
+        def broken(self, *args):
+            raise RuntimeError("resolution fault")
+
+        monkeypatch.setattr(Taxonomy, "tuple", broken)
+        for check in (check_dominated_preference, check_subsumed_preference):
+            with pytest.raises(RuntimeError, match="resolution fault"):
+                check(ctx, lambda *args, **kwargs: None)
+
+    def test_unresolvable_specs_are_skipped(self, taxonomy, clean_policy,
+                                            clean_population):
+        clean_population["providers"][0]["preferences"] = [
+            rule(),
+            rule(visibility="everyone"),
+        ]
+        report = lint_documents(taxonomy, policy=clean_policy,
+                                population=clean_population,
+                                select=["PVL002", "PVL107", "PVL211"])
+        assert codes(report) == ["PVL002"]
