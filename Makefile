@@ -116,24 +116,21 @@ lint:
 
 # Static analysis of the shipped policy documents via `repro lint`.
 # The Section 8 example legitimately violates Ted and Bob, so the alpha
-# gate is set above the paper's P(W) = 2/3.  Runs the incremental path
-# (--cache) so the default local check exercises the same code CI's
-# lint-populations job does.
+# gate is set above the paper's P(W) = 2/3.
 lint-policy:
-	@mkdir -p build
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint \
 		--taxonomy examples/documents/taxonomy.json \
 		--policy examples/documents/policy.json \
 		--population examples/documents/population.json \
 		--candidate examples/documents/candidate.json \
-		--alpha 0.7 --cache build/lint-policy.cache
+		--alpha 0.7
 
 # Population-scale static analysis: export every bundled dataset to
-# documents, lint each on the incremental path (gate disabled — the
-# bundled populations intentionally carry findings; the golden tests pin them),
-# emit SARIF per dataset, then hold the SARIF schema and golden
-# snapshot suites (the datasets' and the edge-case documents').  What
-# CI's lint-populations job runs.
+# documents, lint each (gate disabled — the bundled populations
+# intentionally carry findings; the golden tests pin them), emit SARIF
+# per dataset, then hold the SARIF schema and golden snapshot suites
+# (the datasets' and the edge-case documents').  What CI's
+# lint-populations job runs.
 lint-populations:
 	PYTHONPATH=src $(PYTHON) -m repro.datasets.export --out build/datasets
 	@set -e; for dir in build/datasets/*/; do \
@@ -143,8 +140,7 @@ lint-populations:
 			--taxonomy $$dir/taxonomy.json \
 			--policy $$dir/policy.json \
 			--population $$dir/population.json \
-			--alpha 0.5 --cache build/datasets/$$name.lint-cache \
-			--fail-on never \
+			--alpha 0.5 --fail-on never \
 			--format sarif > build/datasets/$$name.sarif; \
 	done
 	PYTHONPATH=src $(PYTHON) -m pytest -q \

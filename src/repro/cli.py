@@ -29,10 +29,9 @@ print exactly one coded line on stderr (``error[PVL9xx]: ...``); see
 :mod:`repro.resilience.diagnostics` for the code registry.  ``sweep``
 accepts ``--journal`` to checkpoint each widening level (the sweep's
 ``journal_path``) and ``--resume`` to continue an interrupted run
-bit-for-bit, and ``lint --cache`` runs the incremental (cached
-per-provider) lint path.  ``certify`` and ``db-evict`` evaluate on the
-batch engine (:class:`~repro.perf.batch.BatchViolationEngine`);
-``evaluate`` and ``db-report`` print the reference engine's report.
+bit-for-bit.  ``certify`` and ``db-evict`` evaluate on the batch engine
+(:class:`~repro.perf.batch.BatchViolationEngine`); ``evaluate`` and
+``db-report`` print the reference engine's report.
 
 Example
 -------
@@ -415,25 +414,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    if args.cache:
-        # The incremental path: identical findings (a parity property of
-        # the test suite), with per-provider caching.
-        from .lint import LintCache, incremental_lint
-
-        cache = LintCache(args.cache)
-        report = incremental_lint(
-            taxonomy,
-            **documents,
-            config=config,
-            select=select,
-            ignore=ignore,
-            cache=cache,
-        )
-        cache.save()
-    else:
-        report = lint_documents(
-            taxonomy, **documents, config=config, select=select, ignore=ignore
-        )
+    report = lint_documents(
+        taxonomy, **documents, config=config, select=select, ignore=ignore
+    )
     if args.write_baseline:
         from .lint import write_baseline
 
@@ -707,10 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select", help="comma-separated rule codes to run exclusively"
     )
     lint.add_argument("--ignore", help="comma-separated rule codes to skip")
-    lint.add_argument(
-        "--cache",
-        help="incremental lint cache file (created when absent)",
-    )
     lint.add_argument(
         "--baseline",
         help=(

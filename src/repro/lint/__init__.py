@@ -29,8 +29,7 @@ Four layers (see ``docs/linting.md`` for the full catalogue):
   inevitable defaults.
 
 Entry points: :func:`lint_documents` (documents in, :class:`LintReport`
-out), :func:`incremental_lint` (the same run decomposed into cached
-global/per-provider passes), the
+out: one :func:`build_context`, one :func:`run_rules` over it), the
 :mod:`~repro.lint.plugins` registration API for external rules, and the
 ``repro lint`` CLI subcommand (``--format text|json|sarif``,
 severity-gated exit codes, ``--baseline`` ratcheting).
@@ -39,6 +38,7 @@ severity-gated exit codes, ``--baseline`` ratcheting).
 from .baseline import (
     apply_baseline,
     diagnostic_fingerprint,
+    fingerprint,
     load_baseline,
     write_baseline,
 )
@@ -50,7 +50,6 @@ from .formats import (
     render_sarif,
     render_text,
 )
-from .incremental import LintCache, fingerprint, incremental_lint
 from .intervals import (
     PopulationIntervals,
     ProviderSeverityBounds,
@@ -66,7 +65,6 @@ from .registry import (
     RuleInfo,
     all_rules,
     get_rule,
-    rules_fingerprint,
     run_rules,
     unregister_rule,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "Diagnostic",
     "FORMATS",
     "Layer",
-    "LintCache",
     "LintConfig",
     "LintContext",
     "LintReport",
@@ -94,7 +91,6 @@ __all__ = [
     "diagnostic_fingerprint",
     "fingerprint",
     "get_rule",
-    "incremental_lint",
     "interval_analysis",
     "lint_documents",
     "lint_rule",
@@ -105,7 +101,6 @@ __all__ = [
     "render_json",
     "render_sarif",
     "render_text",
-    "rules_fingerprint",
     "run_rules",
     "unregister_rule",
     "write_baseline",

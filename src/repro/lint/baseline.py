@@ -20,6 +20,7 @@ inputs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections.abc import Iterable, Mapping
@@ -27,11 +28,24 @@ from collections.abc import Iterable, Mapping
 from ..exceptions import LintConfigurationError
 from ..storage import atomic_write_text
 from .diagnostics import Diagnostic
-from .incremental import fingerprint
 from .report import LintReport
 
 #: Baseline file format version; bump on incompatible layout changes.
 BASELINE_VERSION = 1
+
+
+def fingerprint(obj: object) -> str:
+    """SHA-256 of *obj*'s canonical JSON form.
+
+    Canonical means key-sorted with minimal separators, so two mappings
+    with the same content fingerprint identically regardless of
+    insertion order.  Non-JSON values fall back to ``str``.  Recorded
+    baselines hold these digests, so the encoding must never change.
+    """
+    payload = json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), default=str
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def diagnostic_fingerprint(diagnostic: Diagnostic) -> str:

@@ -131,7 +131,7 @@ class SourceLocation:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SourceLocation":
-        """The inverse of :meth:`as_dict` (cache / baseline reload)."""
+        """The inverse of :meth:`as_dict` (baseline reload)."""
         return cls(
             document=data["document"],
             name=data.get("name"),
@@ -176,12 +176,9 @@ class Diagnostic:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Diagnostic":
-        """The inverse of :meth:`as_dict`.
-
-        Used by the incremental cache and the baseline machinery to
-        round-trip diagnostics through JSON.  Payload values survive as
-        their JSON forms (tuples come back as lists), which every
-        renderer treats identically.
+        """The inverse of :meth:`as_dict`, for baselines read from a JSON
+        lint report.  Payload tuples come back as lists, which encode,
+        and so fingerprint, identically.
         """
         return cls(
             code=data["code"],

@@ -45,11 +45,10 @@ class Layer(enum.Enum):
     POPULATION = "population"
 
 
-#: The admissible rule scopes.  ``global`` rules need the whole document
-#: bundle; ``provider`` rules derive each provider's findings from that
-#: provider's document alone (plus the taxonomy/policy/candidate
-#: envelope); ``mixed`` rules emit both kinds of findings.  The scope is
-#: what :mod:`repro.lint.incremental` keys its per-provider caching on.
+#: The admissible rule scopes, metadata that SARIF rule descriptors
+#: print as ``properties.scope``: ``global`` rules need the whole
+#: document bundle, ``provider`` rules derive each provider's findings
+#: from that provider's document alone, ``mixed`` rules emit both.
 SCOPES = ("global", "provider", "mixed")
 
 
@@ -228,24 +227,18 @@ def run_rules(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    scopes: Iterable[str] | None = None,
 ) -> tuple[Diagnostic, ...]:
     """Run every (selected) rule over *context* and return sorted diagnostics.
 
-    *scopes*, when given, restricts the run to rules whose ``scope`` is in
-    the set — the incremental runner uses this to split the catalogue
-    into a global pass and per-provider passes.  While an observer is
-    active the run is a ``lint.run`` span and each rule's check is one
-    ``lint.rule_seconds{code}`` sample.
+    While an observer is active the run is a ``lint.run`` span and each
+    rule's check is one ``lint.rule_seconds{code}`` sample.
     """
     selected = None if select is None else resolve_codes(select)
     ignored = frozenset() if ignore is None else resolve_codes(ignore)
-    scope_filter = None if scopes is None else frozenset(scopes)
     rules = [
         info
         for info in all_rules()
-        if (scope_filter is None or info.scope in scope_filter)
-        and (selected is None or info.code in selected)
+        if (selected is None or info.code in selected)
         and info.code not in ignored
     ]
     diagnostics: list[Diagnostic] = []
@@ -290,20 +283,3 @@ def _ensure_rules_loaded() -> None:
     from .plugins import load_entry_point_rules
 
     load_entry_point_rules()
-
-
-def rules_fingerprint() -> str:
-    """A stable digest of the active rule catalogue.
-
-    Changes whenever a rule is added, removed, or re-severitied —
-    including via plugins — so incremental caches keyed on it can never
-    serve diagnostics produced by a different catalogue.
-    """
-    import hashlib
-
-    _ensure_rules_loaded()
-    payload = "\n".join(
-        f"{code}:{info.severity.value}:{info.layer.value}:{info.scope}"
-        for code, info in sorted(_REGISTRY.items())
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

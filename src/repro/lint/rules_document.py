@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator
 
 from .._validation import EXACT_LEVEL_TYPES
 from ..core.dimensions import ORDERED_DIMENSIONS, Dimension
-from ..exceptions import DomainError, UnknownPurposeError
+from ..exceptions import UnknownPurposeError, ValidationError
 from ..policy_lang.ast import TupleSpec
 from .diagnostics import SourceLocation, Severity
 from .registry import Layer, LintContext, rule
@@ -133,7 +133,7 @@ def exact_levels(spec: TupleSpec) -> bool:
 def _on_ladder(domain, value: str | int) -> bool:
     try:
         domain.rank_of(value)
-    except DomainError:
+    except ValidationError:  # DomainError, or a negative unbounded rank
         return False
     return True
 

@@ -8,12 +8,11 @@ deployments whose alpha-PPDB or default verdicts are already decided
 statically.  ``PVL201``/``PVL202`` are taken by the economics layer, so
 the population catalogue starts at ``PVL210``.
 
-Scope notes (consumed by :mod:`repro.lint.incremental`): ``PVL210``,
-``PVL211``, and ``PVL214`` are *provider*-scoped — each provider's
-findings depend only on that provider's document (plus the shared
-taxonomy/policy envelope), which is what makes per-provider caching
-sound.  ``PVL212`` and ``PVL213`` are population aggregates and
-stay global.
+Scopes (descriptive metadata, printed in SARIF rule descriptors):
+``PVL210``, ``PVL211``, and ``PVL214`` are *provider*-scoped — each
+provider's findings depend only on that provider's document (plus the
+shared taxonomy/policy envelope).  ``PVL212`` and ``PVL213`` are
+population aggregates and stay global.
 """
 
 from __future__ import annotations
@@ -254,8 +253,8 @@ def check_inevitable_default(
     if ctx.policy is None or ctx.population is None or not len(ctx.population):
         return
     # Provider-exact bounds (point intervals): each provider's verdict
-    # depends only on their own document, which keeps this rule's output
-    # identical between full runs and per-provider incremental passes.
+    # depends only on their own document and weights, as the rule's
+    # ``provider`` scope declares.
     for bounds in ctx.provider_intervals:
         if not bounds.must_default:
             continue

@@ -26,6 +26,16 @@ def base_args():
     ]
 
 
+def _document_args(tmp_path, **documents):
+    """Write each document under *tmp_path*; the arguments naming them."""
+    args = []
+    for name, payload in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        args += [f"--{name}", str(path)]
+    return args
+
+
 @pytest.fixture()
 def broken_documents(tmp_path):
     """A policy with an unknown purpose plus a duplicated preference."""
@@ -36,20 +46,22 @@ def broken_documents(tmp_path):
     population["providers"][0]["preferences"].append(
         dict(population["providers"][0]["preferences"][0])
     )
-    paths = {}
-    for name, payload in (
-        ("taxonomy", taxonomy),
-        ("policy", policy),
-        ("population", population),
-    ):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload))
-        paths[name] = str(path)
-    return [
-        "--taxonomy", paths["taxonomy"],
-        "--policy", paths["policy"],
-        "--population", paths["population"],
-    ]
+    return _document_args(
+        tmp_path, taxonomy=taxonomy, policy=policy, population=population
+    )
+
+
+@pytest.fixture()
+def unbounded_documents(tmp_path):
+    """Unbounded retention, and a preference with the negative rank -1."""
+    taxonomy = json.loads((DOCUMENTS / "taxonomy.json").read_text())
+    taxonomy["retention"] = "unbounded"
+    policy = json.loads((DOCUMENTS / "policy.json").read_text())
+    population = json.loads((DOCUMENTS / "population.json").read_text())
+    population["providers"][0]["preferences"][0]["retention"] = -1
+    return _document_args(
+        tmp_path, taxonomy=taxonomy, policy=policy, population=population
+    )
 
 
 class TestLintExitCodes:
@@ -112,6 +124,32 @@ class TestLintExitCodes:
         assert code == 1
         assert "PVL202" in capsys.readouterr().out
 
+    def test_negative_rank_on_unbounded_retention(
+        self, unbounded_documents, capsys
+    ):
+        code = main(["lint", *unbounded_documents, "--format", "json"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        unknown_levels = [
+            d for d in payload["diagnostics"] if d["code"] == "PVL002"
+        ]
+        assert len(unknown_levels) == 1
+        assert unknown_levels[0]["location"] == {
+            "document": "population",
+            "name": "Alice",
+            "index": 0,
+            "field": "retention",
+        }
+        assert payload["summary"]["errors"] == 1
+
+    def test_cache_flag_is_a_usage_error(self, base_args, tmp_path, capsys):
+        cache = tmp_path / "lint.cache"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", *base_args, "--cache", str(cache)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not cache.exists()
+
 
 class TestLintFormats:
     def test_json_format_is_parseable(self, broken_documents, capsys):
@@ -145,3 +183,13 @@ class TestValidateExitCodes:
         assert main(["validate", *broken_documents]) == 1
         out = capsys.readouterr().out
         assert "PROBLEM: policy 'section-8' rule 0: unknown purpose" in out
+
+    def test_negative_rank_on_unbounded_retention(
+        self, unbounded_documents, capsys
+    ):
+        assert main(["validate", *unbounded_documents]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "PROBLEM: preferences of 'Alice' entry 0: retention value -1 "
+            "is not on the 'retention' ladder"
+        ) in out

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.exceptions import LintConfigurationError
 from repro.lint import (
+    LintConfig,
     apply_baseline,
     diagnostic_fingerprint,
     lint_documents,
@@ -15,8 +17,19 @@ from repro.lint import (
     render_json,
     write_baseline,
 )
+from repro.policy_lang import parse_taxonomy
 
 from .conftest import rule
+
+DOCUMENTS = (
+    pathlib.Path(__file__).resolve().parents[2] / "examples" / "documents"
+)
+
+#: ``repro lint --write-baseline`` over ``examples/documents`` with
+#: ``--candidate`` and ``--alpha 0.7``, recorded by an earlier release:
+#: six findings (PVL211, PVL213, PVL214) whose payloads hold floats,
+#: ints and bools.
+RECORDED_BASELINE = pathlib.Path(__file__).parent / "data" / "examples_baseline.json"
 
 
 @pytest.fixture()
@@ -176,3 +189,35 @@ class TestApplyBaseline:
         filtered, suppressed = apply_baseline(dirty_report, frozenset())
         assert suppressed == 0
         assert filtered.as_dict() == dirty_report.as_dict()
+
+
+class TestRecordedBaseline:
+    """A baseline file written earlier keeps suppressing today's findings:
+    a change to the fingerprint encoding would make every user baseline
+    silently suppress nothing."""
+
+    @pytest.fixture(scope="class")
+    def examples_report(self):
+        def load(name):
+            return json.loads((DOCUMENTS / f"{name}.json").read_text())
+
+        return lint_documents(
+            parse_taxonomy(load("taxonomy")),
+            policy=load("policy"),
+            population=load("population"),
+            candidate=load("candidate"),
+            config=LintConfig(alpha=0.7),
+        )
+
+    def test_fingerprints_match_recorded_file(self, examples_report):
+        assert examples_report.codes() == ("PVL211", "PVL213", "PVL214")
+        assert load_baseline(RECORDED_BASELINE) == {
+            diagnostic_fingerprint(d) for d in examples_report
+        }
+
+    def test_suppresses_every_recorded_finding(self, examples_report):
+        filtered, suppressed = apply_baseline(
+            examples_report, load_baseline(RECORDED_BASELINE)
+        )
+        assert suppressed == 6
+        assert not filtered

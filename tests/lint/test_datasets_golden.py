@@ -29,13 +29,7 @@ from repro.datasets import (
     social_network_scenario,
 )
 from repro.datasets.export import scenario_documents
-from repro.lint import (
-    LintCache,
-    LintConfig,
-    incremental_lint,
-    lint_documents,
-    render_json,
-)
+from repro.lint import LintConfig, lint_documents, render_json
 from repro.policy_lang import parse_taxonomy
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -85,39 +79,14 @@ def test_dataset_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
-def test_incremental_matches_golden(name, tmp_path):
-    """The incremental runner reproduces the goldens byte-for-byte.
-
-    Run twice against one cache so the second pass is served entirely
-    from it — cache hits must render identically to fresh passes.
-    """
-    taxonomy, documents = dataset_report(name)
-    golden = (GOLDEN_DIR / f"{name}.json").read_text()
-    cache = LintCache(tmp_path / "cache.json")
-    for _ in range(2):
-        report = incremental_lint(
-            taxonomy,
-            policy=documents["policy"],
-            population=documents["population"],
-            config=CONFIG,
-            cache=cache,
-        )
-        assert render_json(report) + "\n" == golden
-    assert cache.hits > 0
-
-
-@pytest.mark.parametrize("name", sorted(DATASETS))
-def test_population_bounds_analysed_once(name, tmp_path, monkeypatch):
-    """One geometry pass per lint context, one weight pass per mode.
+def test_population_bounds_analysed_once(name, monkeypatch):
+    """One geometry pass per lint run, one weight pass per mode.
 
     PVL110, PVL212 and PVL213 read the population-bounds intervals and
-    PVL214 the provider-bounds ones; both weigh the context's one
-    exceedance geometry.  Counted on the plain path (one context) and
-    the incremental path (the global context plus one singleton context
-    per provider), whose output must still be the golden bytes.
+    PVL214 the provider-bounds ones; both weigh the exceedance geometry
+    of the run's one lint context, and the output is still the golden
+    bytes.
     """
-    from collections import Counter
-
     from repro.lint.intervals import IntervalGeometry
 
     # The populations themselves are kept, so no id is reused.
@@ -150,23 +119,3 @@ def test_population_bounds_analysed_once(name, tmp_path, monkeypatch):
         (id(geometries[0]), "population"),
         (id(geometries[0]), "provider"),
     ]
-    geometries.clear()
-    weighings.clear()
-    cached = incremental_lint(
-        taxonomy,
-        policy=documents["policy"],
-        population=documents["population"],
-        config=CONFIG,
-        cache=LintCache(tmp_path / "cache.json"),
-    )
-    assert render_json(cached) + "\n" == golden
-    n_providers = len(documents["population"]["providers"])
-    contexts = {id(population) for population in geometries}
-    assert len(geometries) == len(contexts) == 1 + n_providers
-    passes = Counter((id(population), mode) for population, mode in weighings)
-    assert set(passes.values()) == {1}
-    assert Counter(mode for _, mode in passes) == {
-        "population": 1,
-        "provider": n_providers,
-    }
-    assert {population for population, _ in passes} == contexts

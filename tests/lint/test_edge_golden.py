@@ -19,8 +19,7 @@ rules, so the documents under ``data/edge/`` are built to fire them:
 
 The policy rows stay distinct after lowering, so every finding's index
 is the document row under any reading.  Each set is rendered in text,
-JSON and SARIF and compared byte for byte with its golden, on the plain
-path and on the incremental path (cold and warm cache); the SARIF
+JSON and SARIF and compared byte for byte with its golden; the SARIF
 goldens are held against the vendored schema too.
 
 Regenerate after an *intended* change with::
@@ -38,13 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    LintCache,
-    LintConfig,
-    incremental_lint,
-    lint_documents,
-    render,
-)
+from repro.lint import LintConfig, lint_documents, render
 from repro.policy_lang import parse_taxonomy
 
 from .test_sarif_schema import assert_valid_sarif
@@ -105,20 +98,6 @@ def test_plain_matches_golden(name, format):
         f"snapshot; if intended, regenerate with REPRO_REGEN_GOLDEN=1 and "
         f"review the diff"
     )
-
-
-@pytest.mark.parametrize("name", sorted(SETS))
-def test_incremental_matches_golden(name, tmp_path):
-    """Cold and warm cache passes render the goldens in every format."""
-    taxonomy, documents = load(name)
-    cache = LintCache(tmp_path / "cache.json")
-    for _ in range(2):
-        report = incremental_lint(
-            taxonomy, **documents, config=CONFIG, cache=cache
-        )
-        for format in FORMATS:
-            assert rendered(report, format) == golden(name, format)
-    assert cache.hits > 0
 
 
 @pytest.mark.parametrize("name", sorted(SETS))

@@ -12,7 +12,6 @@ from repro.lint import (
     SourceLocation,
     get_rule,
     lint_documents,
-    rules_fingerprint,
     unregister_rule,
 )
 from repro.lint import plugins
@@ -84,14 +83,6 @@ class TestLintRuleDecorator:
         assert not report
         with pytest.raises(LintConfigurationError):
             get_rule("ACME002")
-
-    def test_registration_changes_rules_fingerprint(self):
-        before = rules_fingerprint()
-        with registered_rule(
-            "ACME003", noop_check, title="t", description="d"
-        ):
-            assert rules_fingerprint() != before
-        assert rules_fingerprint() == before
 
 
 class FakeEntryPoint:

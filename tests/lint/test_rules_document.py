@@ -71,6 +71,38 @@ class TestPVL002UnknownLevel:
                      population=clean_population)
         assert codes(report) == []
 
+    @staticmethod
+    def _unbounded_taxonomy():
+        return (
+            TaxonomyBuilder()
+            .with_purposes(["billing"])
+            .with_retention_unbounded()
+            .build()
+        )
+
+    def test_fires_on_negative_unbounded_rank_in_preference(self):
+        population = {
+            "providers": [
+                {"provider": "p", "preferences": [rule(retention=-1)]}
+            ]
+        }
+        report = run(self._unbounded_taxonomy(), "PVL002",
+                     population=population)
+        assert codes(report) == ["PVL002"]
+        diagnostic = report.diagnostics[0]
+        assert diagnostic.location.describe() == "preferences of 'p' entry 0"
+        assert diagnostic.location.field == "retention"
+        assert diagnostic.payload["value"] == -1
+
+    def test_fires_on_negative_unbounded_rank_in_policy(self):
+        policy = {"name": "base", "rules": [rule(retention=-1)]}
+        report = run(self._unbounded_taxonomy(), "PVL002", policy=policy)
+        assert codes(report) == ["PVL002"]
+        diagnostic = report.diagnostics[0]
+        assert diagnostic.location.describe() == "policy 'base' rule 0"
+        assert diagnostic.location.field == "retention"
+        assert diagnostic.payload["value"] == -1
+
 
 class TestPVL003UndeclaredAttribute:
     def test_fires_when_preference_outside_attributes_provided(

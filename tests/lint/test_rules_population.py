@@ -7,9 +7,18 @@ layers cannot mask the behaviour under test.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.lint import Layer, get_rule, lint_documents, LintConfig
+from repro.lint import (
+    Layer,
+    LintConfig,
+    LintReport,
+    get_rule,
+    lint_documents,
+    render_sarif,
+)
 from repro.taxonomy import standard_taxonomy
 
 from .conftest import rule
@@ -25,12 +34,22 @@ class TestCatalogue:
             info = get_rule(code)
             assert info.layer is Layer.POPULATION
 
-    def test_scopes_support_incremental_decomposition(self):
-        assert get_rule("PVL210").scope == "provider"
-        assert get_rule("PVL211").scope == "provider"
-        assert get_rule("PVL214").scope == "provider"
-        assert get_rule("PVL212").scope == "global"
-        assert get_rule("PVL213").scope == "global"
+    def test_declared_scopes_as_sarif_prints_them(self):
+        declared = {
+            "PVL210": "provider",
+            "PVL211": "provider",
+            "PVL212": "global",
+            "PVL213": "global",
+            "PVL214": "provider",
+        }
+        log = json.loads(render_sarif(LintReport(())))
+        printed = {
+            descriptor["id"]: descriptor["properties"]["scope"]
+            for descriptor in log["runs"][0]["tool"]["driver"]["rules"]
+        }
+        for code, scope in declared.items():
+            assert get_rule(code).scope == scope
+            assert printed[code] == scope
 
 
 class TestDeadPreferenceClause:

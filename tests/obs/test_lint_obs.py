@@ -1,15 +1,15 @@
 """Lint explains where its time goes: the ``lint.run`` span and the
 ``lint.rule_seconds{code}`` timer.
 
-While an observer is active, every :func:`~repro.lint.registry.run_rules`
-pass is one ``lint.run`` span and each rule's check one timer sample;
-while none is, a pass reads the observer once and records nothing.
+While an observer is active, a lint run (one
+:func:`~repro.lint.registry.run_rules` call) is one ``lint.run`` span and
+each rule's check one timer sample; while none is, a run reads the
+observer once and records nothing.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -74,24 +74,6 @@ class TestRuleTimer:
     def test_selected_rules_only(self, documents, tmp_path, capsys):
         snapshot = _lint(documents, tmp_path, "--select", "PVL101,PVL110")
         assert _rule_samples(snapshot) == {"PVL101": 1, "PVL110": 1}
-
-    def test_incremental_passes(self, documents, tmp_path, capsys):
-        """One global pass plus one pass per provider, each a span."""
-        snapshot = _lint(
-            documents, tmp_path, "--cache", str(tmp_path / "lint.cache")
-        )
-        n_providers = len(POPULATION["providers"])
-        runs = {
-            "global": 1,
-            "provider": n_providers,
-            "mixed": 1 + n_providers,
-        }
-        assert _rule_samples(snapshot) == {
-            info.code: runs[info.scope] for info in all_rules()
-        }
-        assert Counter(root["name"] for root in snapshot["spans"]) == {
-            "lint.run": 1 + n_providers
-        }
 
 
 class TestTrace:
