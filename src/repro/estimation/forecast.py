@@ -45,7 +45,6 @@ def forecast_defaults(
     candidate: HousePolicy,
     *,
     per_provider_utility: float = 1.0,
-    implicit_zero: bool = True,
 ) -> DefaultForecast:
     """Predict the candidate policy's defaults from estimated thresholds.
 
@@ -63,9 +62,7 @@ def forecast_defaults(
     ``T*`` (Eq. 31) is evaluated at the *expected* future population,
     which is the planning quantity Section 9 needs.
     """
-    report = BatchViolationEngine(
-        population, implicit_zero=implicit_zero
-    ).evaluate(candidate)
+    report = BatchViolationEngine(population).evaluate(candidate)
     by_provider = {obs.provider_id: obs for obs in estimator.observations}
     expected = 0.0
     certain: list[Hashable] = []

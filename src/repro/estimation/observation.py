@@ -122,7 +122,6 @@ def observe_widening_history(
     population: Population,
     policies: Sequence[HousePolicy],
     *,
-    implicit_zero: bool = True,
     journal_path: str | None = None,
 ) -> list[DefaultObservation]:
     """Replay a widening history and record who left after which policy.
@@ -144,8 +143,8 @@ def observe_widening_history(
         first call.  Called again after an interruption, the replay
         restores the last recorded state and evaluates only the
         remaining policies, returning what an uninterrupted replay
-        returns, bit for bit.  A journal recorded for another history,
-        population or ``implicit_zero`` is refused
+        returns, bit for bit.  A journal recorded for another history or
+        population is refused
         (:func:`~repro.resilience.resume.pinned_journal`).
 
     Returns
@@ -155,7 +154,8 @@ def observe_widening_history(
     """
     if not policies:
         raise ValidationError("need at least one policy to observe")
-    params = {"implicit_zero": implicit_zero, "n_history": len(policies)}
+    # The completion flag is a constant every journal has carried.
+    params = {"implicit_zero": True, "n_history": len(policies)}
     remaining: set[Hashable] = {provider.provider_id for provider in population}
     last_tolerated: dict[Hashable, float] = {
         provider.provider_id: 0.0 for provider in population
@@ -181,7 +181,7 @@ def observe_widening_history(
         # through the batch engine (consecutive deployed policies usually
         # share most columns, which its delta path exploits), and the
         # departure bookkeeping replays over the resulting arrays.
-        engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+        engine = BatchViolationEngine(population)
         for index in range(n_recorded, len(policies)):
             if not remaining:
                 break

@@ -95,7 +95,6 @@ def play_widening_game(
     *,
     per_provider_utility: float = 1.0,
     extra_utility_per_round: float = 0.25,
-    implicit_zero: bool = True,
 ) -> GameTrace:
     """Play the iterated widening game to completion."""
     check_real(per_provider_utility, "per_provider_utility", minimum=0.0)
@@ -110,7 +109,7 @@ def play_widening_game(
     # the single compilation survives every round.  Strategies that
     # revisit a policy (or widen within a single column) hit the batch
     # engine's cache and delta paths.
-    engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+    engine = BatchViolationEngine(population)
     n_remaining = len(population)
     while n_remaining > 0:
         report = engine.evaluate(current_policy)

@@ -40,15 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterator
 
 from .._validation import check_probability
-from ..core.default import DefaultModel
 from ..core.dimensions import ORDERED_DIMENSIONS
 from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..core.ppdb import PPDBCertificate
-from ..core.sensitivity import SensitivityModel
 from ..exceptions import ValidationError
 from ..obs import active_observer
 
@@ -346,13 +344,7 @@ class IntervalGeometry:
     suppliers: dict[str, list[Hashable]]
 
     @classmethod
-    def of(
-        cls,
-        policy: HousePolicy,
-        population: Population,
-        *,
-        implicit_zero: bool = True,
-    ) -> "IntervalGeometry":
+    def of(cls, policy: HousePolicy, population: Population) -> "IntervalGeometry":
         """The geometry of *policy* against *population*.
 
         Clause shapes are memoised, so a population sharing few
@@ -402,8 +394,6 @@ class IntervalGeometry:
                     findings += count
             for attribute in preferences.attributes_provided:
                 suppliers.setdefault(attribute, []).append(provider.provider_id)
-                if not implicit_zero:
-                    continue
                 purposes = by_attribute.get(attribute)
                 if not purposes:
                     continue
@@ -436,18 +426,9 @@ class IntervalGeometry:
             suppliers=suppliers,
         )
 
-    def weigh(
-        self,
-        weight_bounds: str,
-        *,
-        sensitivities: SensitivityModel | None = None,
-        default_model: DefaultModel | None = None,
-    ) -> PopulationIntervals:
-        """Pass 2: bound each severity under one weight-bounds mode.
-
-        *sensitivities* and *default_model* default to the population's
-        own models, as in :func:`interval_analysis`.
-        """
+    def weigh(self, weight_bounds: str) -> PopulationIntervals:
+        """Pass 2: bound each severity under one weight-bounds mode, with
+        the population's own sensitivity and default models."""
         if weight_bounds not in WEIGHT_BOUND_MODES:
             raise ValidationError(
                 f"weight_bounds must be one of {WEIGHT_BOUND_MODES}, "
@@ -456,16 +437,8 @@ class IntervalGeometry:
         obs = active_observer()
         start = perf_counter() if obs is not None else 0.0
         population = self.population
-        model = (
-            sensitivities
-            if sensitivities is not None
-            else population.sensitivity_model()
-        )
-        defaults = (
-            default_model
-            if default_model is not None
-            else population.default_model()
-        )
+        model = population.sensitivity_model()
+        defaults = population.default_model()
         weight_range: dict[str, tuple[list[float], list[float]]] = {}
         if weight_bounds == "population":
             for attribute, provider_ids in self.suppliers.items():
@@ -537,23 +510,18 @@ def interval_analysis(
     policy: HousePolicy,
     population: Population,
     *,
-    sensitivities: SensitivityModel | None = None,
-    default_model: DefaultModel | None = None,
-    implicit_zero: bool = True,
     weight_bounds: str = "population",
 ) -> PopulationIntervals:
     """Bound every ``Violation_i`` (and Eq. 16) from the documents alone.
+
+    The model is the engines': the population's own sensitivity and
+    default models, with Section 5's implicit-zero completion.
 
     Parameters
     ----------
     policy, population:
         The pair to analyze.  Neither is evaluated: only lattice
         distances and sensitivity lookups are performed.
-    sensitivities, default_model:
-        Optional overrides, defaulting to the population's own models —
-        the same contract as the engines.
-    implicit_zero:
-        Whether Section 5's implicit-zero completion applies.
     weight_bounds:
         ``"population"`` abstracts each ``(attribute, dimension)`` weight
         to its min/max over the providers supplying the attribute —
@@ -570,9 +538,4 @@ def interval_analysis(
         raise ValidationError(
             f"population must be a Population, got {type(population).__name__}"
         )
-    geometry = IntervalGeometry.of(
-        policy, population, implicit_zero=implicit_zero
-    )
-    return geometry.weigh(
-        weight_bounds, sensitivities=sensitivities, default_model=default_model
-    )
+    return IntervalGeometry.of(policy, population).weigh(weight_bounds)

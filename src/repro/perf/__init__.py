@@ -6,9 +6,9 @@ evaluates one policy over one population with a per-provider Python loop
 path.  This package is the production path:
 
 * :class:`~repro.perf.compiled.CompiledPopulation` — a one-time
-  compilation of a population (plus any sensitivity and default model
-  overrides) into dense NumPy arrays, which also takes departures in
-  place: a removal tombstones rows and rebuilds nothing;
+  compilation of a population, with its providers' own sensitivity
+  records and thresholds, into dense NumPy arrays, which also takes
+  departures in place: a removal tombstones rows and rebuilds nothing;
 * :class:`~repro.perf.batch.BatchViolationEngine` — vectorized
   Definition 1 / Eqs. 12-16 / Definitions 2-5 over those arrays, with
   policy fingerprinting, report caching, incremental re-evaluation of

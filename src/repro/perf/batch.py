@@ -43,12 +43,10 @@ import numpy as np
 
 from .._validation import check_probability
 from ..obs import active_observer
-from ..core.default import DefaultModel
 from ..core.engine import ViolationEngine
 from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..core.ppdb import PPDBCertificate
-from ..core.sensitivity import SensitivityModel
 from ..exceptions import UnknownProviderError, ValidationError
 from .compiled import CompiledPopulation
 
@@ -133,18 +131,16 @@ def column_contribution(
     compiled: CompiledPopulation,
     key: tuple[str, str],
     entries: _ColumnEntries,
-    *,
-    implicit_zero: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One column's ``(violation, finding-count)`` vectors (Eq. 14).
 
     Every policy entry in the column is compared against every matching
-    explicit preference row and, when the completion is on, against the
-    implicit zero tuple of the providers that supplied the attribute
-    without covering the purpose.  A column's vectors depend only on its
-    entry ranks and the compiled preference rows, so a recomputed
-    contribution is bit-for-bit identical to a cached one — the
-    invariant the delta path rests on (see :func:`sum_column_arrays`).
+    explicit preference row and against the implicit zero tuple of the
+    providers that supplied the attribute without covering the purpose.
+    A column's vectors depend only on its entry ranks and the compiled
+    preference rows, so a recomputed contribution is bit-for-bit
+    identical to a cached one — the invariant the delta path rests on
+    (see :func:`sum_column_arrays`).
     """
     n = len(compiled)
     column = compiled.column(*key)
@@ -162,7 +158,7 @@ def column_contribution(
             counts += np.bincount(
                 column.row_providers, weights=found, minlength=n
             )
-        if implicit_zero and column.n_implicit:
+        if column.n_implicit:
             # The implicit preference is <pr, 0, 0, 0>: the exceedance
             # equals the policy ranks themselves.
             weighted = (policy_ranks * column.implicit_weights).sum(axis=1)
@@ -201,7 +197,6 @@ def assemble_report(
     ids: tuple[Hashable, ...],
     segments: tuple[str | None, ...],
     thresholds: np.ndarray,
-    strict: bool,
 ) -> BatchReport:
     """A :class:`BatchReport` from raw severity/count arrays.
 
@@ -212,10 +207,7 @@ def assemble_report(
     """
     n = len(ids)
     violated = counts > 0
-    if strict:
-        defaulted = violations > thresholds
-    else:
-        defaulted = violations >= thresholds
+    defaulted = violations > thresholds  # Definition 4's strict inequality
     n_violated = int(violated.sum())
     n_defaulted = int(defaulted.sum())
     return BatchReport(
@@ -316,6 +308,12 @@ MAX_CACHED_REPORTS = 128
 class BatchViolationEngine:
     """Vectorized multi-policy evaluation over one compiled population.
 
+    It evaluates the paper's model only: the providers' own sensitivity
+    records and thresholds, Section 5's implicit-zero completion, and
+    Definition 4's strict ``Violation_i > v_i``.  The reference
+    :class:`~repro.core.engine.ViolationEngine` keeps the switches the
+    ablations vary.
+
     The engine also takes the paper's one kind of population churn —
     defaulting providers leave (Definition 4) — through :meth:`remove`,
     without recompiling, so one engine serves a whole dynamics or
@@ -330,13 +328,6 @@ class BatchViolationEngine:
         spot) or an existing :class:`CompiledPopulation`.  A removal
         changes the compilation the engine evaluates, so a compilation
         is not to be shared with another engine once either removes.
-    sensitivities, default_model:
-        Optional overrides, honoured exactly like the reference engine's.
-        Only valid when *population* is not already compiled (a compiled
-        population has its models baked into the weight tensors).
-    implicit_zero:
-        Whether Section 5's implicit-zero completion applies
-        (default True, as in the paper).
 
     At most :data:`MAX_CACHED_REPORTS` per-policy evaluations are
     memoised.
@@ -344,7 +335,6 @@ class BatchViolationEngine:
 
     __slots__ = (
         "_compiled",
-        "_implicit_zero",
         "_epoch",
         "_cache",
         "_base_fingerprint",
@@ -352,28 +342,11 @@ class BatchViolationEngine:
         "_base_column_arrays",
     )
 
-    def __init__(
-        self,
-        population: Population | CompiledPopulation,
-        *,
-        sensitivities: SensitivityModel | None = None,
-        default_model: DefaultModel | None = None,
-        implicit_zero: bool = True,
-    ) -> None:
+    def __init__(self, population: Population | CompiledPopulation) -> None:
         if isinstance(population, CompiledPopulation):
-            if sensitivities is not None or default_model is not None:
-                raise ValidationError(
-                    "model overrides must be given when compiling, not when "
-                    "wrapping an already-compiled population"
-                )
             self._compiled = population
         else:
-            self._compiled = CompiledPopulation(
-                population,
-                sensitivities=sensitivities,
-                default_model=default_model,
-            )
-        self._implicit_zero = bool(implicit_zero)
+            self._compiled = CompiledPopulation(population)
         self._epoch = 0
         self._reset_caches()
 
@@ -400,11 +373,6 @@ class BatchViolationEngine:
         """The providers still present (the given population until the
         first removal)."""
         return self._compiled.population
-
-    @property
-    def implicit_zero(self) -> bool:
-        """Whether the implicit-zero completion is applied."""
-        return self._implicit_zero
 
     @property
     def cached_policies(self) -> int:
@@ -480,14 +448,7 @@ class BatchViolationEngine:
         Used by the parity suite and available for spot-checking a batch
         result against the slow-but-simple implementation.
         """
-        compiled = self._compiled
-        return ViolationEngine(
-            policy,
-            compiled.population,
-            sensitivities=compiled.sensitivities,
-            default_model=compiled.default_model,
-            implicit_zero=self._implicit_zero,
-        )
+        return ViolationEngine(policy, self._compiled.population)
 
     # ------------------------------------------------------------------
     # mutation
@@ -581,7 +542,7 @@ class BatchViolationEngine:
         self, columns: Mapping[tuple[str, str], _ColumnEntries]
     ) -> _Evaluation:
         column_arrays = {
-            key: self._column_contribution(key, entries)
+            key: column_contribution(self._compiled, key, entries)
             for key, entries in columns.items()
         }
         violations, counts = sum_column_arrays(len(self._compiled), column_arrays)
@@ -609,19 +570,12 @@ class BatchViolationEngine:
             new_columns.pop(key, None)
             entries = columns.get(key)
             if entries:
-                new_arrays[key] = self._column_contribution(key, entries)
+                new_arrays[key] = column_contribution(self._compiled, key, entries)
                 new_columns[key] = entries
         violations, counts = sum_column_arrays(len(self._compiled), new_arrays)
         self._base_columns = new_columns
         self._base_column_arrays = new_arrays
         return _Evaluation(violations=violations, counts=counts)
-
-    def _column_contribution(
-        self, key: tuple[str, str], entries: _ColumnEntries
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return column_contribution(
-            self._compiled, key, entries, implicit_zero=self._implicit_zero
-        )
 
     # ------------------------------------------------------------------
     # helpers
@@ -651,7 +605,6 @@ class BatchViolationEngine:
             ids=compiled.alive_ids,
             segments=compiled.alive_segments,
             thresholds=self._alive_array(compiled.thresholds),
-            strict=compiled.strict,
         )
 
 

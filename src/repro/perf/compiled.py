@@ -7,8 +7,7 @@ performs that walk exactly once and stores the result as flat arrays laid
 out for the vectorized kernels in :mod:`repro.perf.batch`:
 
 * provider ids in population order, with an id -> row-index map;
-* the default-threshold vector ``v`` (``inf`` for "never defaults") and
-  the :class:`~repro.core.default.DefaultModel`'s strictness flag;
+* the default-threshold vector ``v`` (``inf`` for "never defaults");
 * one **entry store**: every explicit preference entry's provider row and
   ``(V, G, R)`` ranks, grouped by **column** — one column per
   ``(attribute, purpose)`` pair — with each column's rows in row order
@@ -18,12 +17,12 @@ out for the vectorized kernels in :mod:`repro.perf.batch`:
   precomputed severity weights ``Sigma^a x s_i^a x s_i^a[dim]`` so the
   inner loop of Eq. 14 reduces to one fused multiply-add.
 
-The compilation is tied to a population *and* the sensitivity/default
-models in effect (like the reference engine, overrides are accepted and
-default to the population's own models).  It is policy-independent:
-columns are materialised lazily for whatever ``(attribute, purpose)``
-pairs the evaluated policies mention, then cached, so a widening sweep
-touching the same columns repeatedly pays the gather cost once.
+The compilation is tied to a population and reads thresholds and
+sensitivity records from its providers, the records the population's own
+models hold.  It is policy-independent: columns are materialised lazily
+for whatever ``(attribute, purpose)`` pairs the evaluated policies
+mention, then cached, so a widening sweep touching the same columns
+repeatedly pays the gather cost once.
 
 A compilation also takes departures in place, which is what lets one
 :class:`~repro.perf.batch.BatchViolationEngine` serve a whole dynamics
@@ -102,32 +101,20 @@ class CompiledPopulation:
     :attr:`alive_rows`; :attr:`population` is them as a
     :class:`~repro.core.population.Population`.
 
-    Parameters
-    ----------
-    population:
-        The providers to compile.
-    sensitivities, default_model:
-        Optional overrides, defaulting to the population's own models —
-        the same contract as :class:`~repro.core.engine.ViolationEngine`.
-        Without overrides, thresholds and weights are read from the
-        :class:`~repro.core.population.Provider` objects, the same
-        arithmetic the population's own models perform, and those models
-        are built only when :attr:`sensitivities` or
-        :attr:`default_model` is read.
+    Thresholds and weights are read from the
+    :class:`~repro.core.population.Provider` objects, the same arithmetic
+    the population's own models perform; :meth:`models_for` builds those
+    models for a few providers when a caller needs them.
     """
 
     __slots__ = (
         "_population",
         "_sigma",
-        "_sensitivity_override",
-        "_default_override",
-        "_models",
         "_providers",
         "_ids",
         "_index",
         "_segments",
         "_thresholds",
-        "_strict",
         "_alive",
         "_dead",
         "_alive_view",
@@ -139,30 +126,15 @@ class CompiledPopulation:
         "_columns",
     )
 
-    def __init__(
-        self,
-        population: Population,
-        *,
-        sensitivities: SensitivityModel | None = None,
-        default_model: DefaultModel | None = None,
-    ) -> None:
+    def __init__(self, population: Population) -> None:
         if not isinstance(population, Population):
             raise ValidationError(
                 f"population must be a Population, got {type(population).__name__}"
             )
         start = perf_counter() if active_observer() is not None else 0.0
         self._sigma = population.attribute_sensitivities
-        self._sensitivity_override = sensitivities
-        self._default_override = default_model
-        self._strict = default_model.strict if default_model is not None else True
         providers = population.providers
         ids = population.ids()
-        thresholds = np.array(
-            [default_model.threshold(pid) for pid in ids]
-            if default_model is not None
-            else [p.threshold for p in providers],
-            dtype=np.float64,
-        )
 
         # One pass over the entries, attribute by attribute: the rows that
         # supplied each attribute (only they get implicit zeros) and a table
@@ -205,7 +177,7 @@ class CompiledPopulation:
             providers,
             ids,
             tuple(p.segment for p in providers),
-            thresholds,
+            np.array([p.threshold for p in providers], dtype=np.float64),
             np.repeat(np.arange(len(counts), dtype=np.int64), counts)[order],
             tuples[entry_tuples[order], 1:],
             {key: (int(bounds[i]), int(bounds[i + 1])) for key, i in columns.items()},
@@ -237,7 +209,6 @@ class CompiledPopulation:
         store; *provided* an attribute to the rows that supplied it.
         """
         self._population = population
-        self._models: tuple[SensitivityModel, DefaultModel] | None = None
         self._providers = providers
         self._ids = ids
         self._index = {pid: i for i, pid in enumerate(ids)}
@@ -276,41 +247,20 @@ class CompiledPopulation:
             )
         return self._population
 
-    @property
-    def sensitivities(self) -> SensitivityModel:
-        """The sensitivity model in force for the present providers
-        (built on first read, see :meth:`models_for`)."""
-        return self._present_models()[0]
-
-    @property
-    def default_model(self) -> DefaultModel:
-        """The default model in force for the present providers
-        (built on first read, see :meth:`models_for`)."""
-        return self._present_models()[1]
-
     def models_for(
         self, providers: Sequence[Provider]
     ) -> tuple[SensitivityModel, DefaultModel]:
-        """The sensitivity and default models in force for *providers*.
+        """The sensitivity and default models of *providers*.
 
-        Each is the override given at compile time, or else built from
-        *providers*' own records, which is what the present population's
-        model holds for them.  A caller that needs the models for a few
-        rows passes just their providers and pays for those alone.
+        Built from *providers*' own records, which is what the present
+        population's models hold for them.  A caller that needs the
+        models for a few rows passes just their providers and pays for
+        those alone.
         """
-        sensitivities = self._sensitivity_override
-        if sensitivities is None:
-            sensitivities = SensitivityModel.from_providers(self._sigma, providers)
-        default_model = self._default_override
-        if default_model is None:
-            default_model = DefaultModel.from_providers(providers)
-        return sensitivities, default_model
-
-    def _present_models(self) -> tuple[SensitivityModel, DefaultModel]:
-        models = self._models
-        if models is None:
-            models = self._models = self.models_for(self.population.providers)
-        return models
+        return (
+            SensitivityModel.from_providers(self._sigma, providers),
+            DefaultModel.from_providers(providers),
+        )
 
     @property
     def ids(self) -> tuple[Hashable, ...]:
@@ -330,11 +280,6 @@ class CompiledPopulation:
     def thresholds(self) -> np.ndarray:
         """The threshold vector ``v`` (row-aligned, ``inf`` = never)."""
         return self._thresholds
-
-    @property
-    def strict(self) -> bool:
-        """Definition 4's strict-inequality flag."""
-        return self._strict
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -415,28 +360,22 @@ class CompiledPopulation:
         running over :data:`RANK_AXES` — exactly the factor multiplying
         Eq. 12's exceedance in Eq. 14.  Computed on first request, cached.
 
-        Without an override, a provider's datum is read from its own
-        record, which is what the population's sensitivity model returns
-        for it.  The records' fields are multiplied in NumPy in the order
+        A provider's datum is read from its own record, which is what the
+        population's sensitivity model returns for it.  The records'
+        fields are multiplied in NumPy in the order
         ``(Sigma^a x s_i^a) x s_i^a[dim]``, the order of Eq. 14.
         """
         cached = self._weights_by_attribute.get(attribute)
         if cached is not None:
             return cached
-        model = self._sensitivity_override
-        if model is None:
-            attribute_weight = self._sigma.weight(attribute)
-            data = [
-                provider.sensitivity.get(attribute, NEUTRAL_SENSITIVITY)
-                for provider in self._providers
-            ]
-        else:
-            attribute_weight = model.attribute_weight(attribute)
-            data = [model.datum(pid, attribute) for pid in self._ids]
+        data = [
+            provider.sensitivity.get(attribute, NEUTRAL_SENSITIVITY)
+            for provider in self._providers
+        ]
         records = np.fromiter(
             chain.from_iterable(map(_DATUM_FIELDS, data)), np.float64, 4 * len(data)
         ).reshape(-1, 4)
-        cached = (attribute_weight * records[:, :1]) * records[:, 1:]
+        cached = (self._sigma.weight(attribute) * records[:, :1]) * records[:, 1:]
         self._weights_by_attribute[attribute] = cached
         return cached
 
@@ -502,12 +441,11 @@ class CompiledPopulation:
         self._dead += len(unique)
         # Drop what was derived from the providers present before.
         self._population = None
-        self._models = None
         self._alive_view = None
         return rows
 
     def compacted(self) -> "CompiledPopulation":
-        """The present providers as a new compilation, same overrides.
+        """The present providers as a new compilation.
 
         Cut from this store by the alive mask, walking no provider (the
         :class:`Population` is built on first read).  Survivors keep their
@@ -523,9 +461,6 @@ class CompiledPopulation:
         providers = self._providers
         compacted = CompiledPopulation.__new__(CompiledPopulation)
         compacted._sigma = self._sigma
-        compacted._sensitivity_override = self._sensitivity_override
-        compacted._default_override = self._default_override
-        compacted._strict = self._strict
         compacted._set_store(
             None,
             tuple([providers[row] for row in rows.tolist()]),

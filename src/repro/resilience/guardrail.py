@@ -34,12 +34,10 @@ import random
 
 import numpy as np
 
-from ..core.default import DefaultModel
 from ..core.engine import ViolationEngine
 from ..core.policy import HousePolicy
 from ..core.population import Population
 from ..core.ppdb import PPDBCertificate
-from ..core.sensitivity import SensitivityModel
 from ..core.violation import find_violations
 from ..lint.diagnostics import Diagnostic
 from ..obs import active_observer
@@ -81,19 +79,11 @@ class GuardedBatchEngine:
         self,
         population: Population | CompiledPopulation,
         *,
-        sensitivities: SensitivityModel | None = None,
-        default_model: DefaultModel | None = None,
-        implicit_zero: bool = True,
         sample_size: int = SAMPLE_SIZE,
         tolerance: float = SEVERITY_TOLERANCE,
         seed: int = 0,
     ) -> None:
-        self._batch = BatchViolationEngine(
-            population,
-            sensitivities=sensitivities,
-            default_model=default_model,
-            implicit_zero=implicit_zero,
-        )
+        self._batch = BatchViolationEngine(population)
         self._sample_size = int(sample_size)
         self._tolerance = float(tolerance)
         self._rng = random.Random(seed)
@@ -106,11 +96,6 @@ class GuardedBatchEngine:
     def population(self) -> Population:
         """The underlying population."""
         return self._batch.population
-
-    @property
-    def implicit_zero(self) -> bool:
-        """Whether the implicit-zero completion is applied."""
-        return self._batch.implicit_zero
 
     @property
     def degraded(self) -> bool:
@@ -223,12 +208,7 @@ class GuardedBatchEngine:
         providers = [compiled.provider(int(present[row])) for row in rows]
         sensitivities, default_model = compiled.models_for(providers)
         for row, provider in zip(rows, providers):
-            findings = find_violations(
-                provider.preferences,
-                policy,
-                sensitivities,
-                implicit_zero=self._batch.implicit_zero,
-            )
+            findings = find_violations(provider.preferences, policy, sensitivities)
             violation = sum(finding.weighted for finding in findings)
             violated = bool(findings)
             defaulted = bool(

@@ -128,7 +128,6 @@ def run_dynamics(
     step: WideningStep | None = None,
     per_provider_utility: float = 1.0,
     extra_utility_per_round: float = 0.25,
-    implicit_zero: bool = True,
     journal_path: str | None = None,
 ) -> list[RoundOutcome]:
     """Run *rounds* rounds of widen-then-default over a shrinking population.
@@ -157,7 +156,7 @@ def run_dynamics(
         "per_provider_utility": per_provider_utility,
         "extra_utility_per_round": extra_utility_per_round,
         "step": {dim.value: delta for dim, delta in step.deltas.items()},
-        "implicit_zero": implicit_zero,
+        "implicit_zero": True,  # a constant every journal has carried
     }
     outcomes: list[RoundOutcome] = []
     current_policy = round_policy(base_policy, base_policy.name, step, taxonomy, 0)
@@ -178,7 +177,7 @@ def run_dynamics(
         # are tombstoned in place rather than triggering a rebuild, and
         # consecutive round policies recompute only their changed columns
         # (the batch engine's delta path; docs/performance.md).
-        engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
+        engine = BatchViolationEngine(population)
         for round_index in range(rounds):
             if n_remaining == 0:
                 break

@@ -176,7 +176,6 @@ def run_expansion_sweep(
     attributes: Iterable[str] | None = None,
     purposes: Iterable[str] | None = None,
     scenario_name: str = "expansion-sweep",
-    implicit_zero: bool = True,
     guarded: bool = False,
     journal_path: str | None = None,
 ) -> ExpansionSweep:
@@ -230,7 +229,7 @@ def run_expansion_sweep(
         "step": {dim.value: delta for dim, delta in step.deltas.items()},
         "attributes": None if attributes is None else sorted(attributes),
         "purposes": None if purposes is None else sorted(purposes),
-        "implicit_zero": implicit_zero,
+        "implicit_zero": True,  # a constant every journal has carried
         "scenario_name": scenario_name,
     }
     n_current = len(population)
@@ -253,9 +252,7 @@ def run_expansion_sweep(
         # One compilation serves the whole sweep; consecutive widening
         # levels share most (attribute, purpose) columns, so the batch
         # engine's delta path re-evaluates only what each step moved.
-        engine = (GuardedBatchEngine if guarded else BatchViolationEngine)(
-            population, implicit_zero=implicit_zero
-        )
+        engine = (GuardedBatchEngine if guarded else BatchViolationEngine)(population)
         for k, policy in widening_path(
             base_policy,
             step,

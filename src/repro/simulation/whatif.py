@@ -88,21 +88,16 @@ class WhatIfAnalyzer:
         *,
         per_provider_utility: float = 1.0,
         alpha: float = 0.1,
-        implicit_zero: bool = True,
     ) -> None:
-        self._population = population
         self._per_provider_utility = check_real(
             per_provider_utility, "per_provider_utility", minimum=0.0
         )
         self._alpha = check_probability(alpha, "alpha")
-        self._implicit_zero = bool(implicit_zero)
         # One compiled population serves every candidate; the batch
         # engine's report cache means asking about the same candidate
         # twice (or needing both the report and the certificate, as
         # ``assess`` does) evaluates the model once.
-        self._engine = BatchViolationEngine(
-            population, implicit_zero=implicit_zero
-        )
+        self._engine = BatchViolationEngine(population)
         self._baseline_report = self._engine.evaluate(baseline_policy)
 
     @property

@@ -30,13 +30,18 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write *data* to *path* atomically (temp file + rename).
 
     Raises whatever the underlying I/O raises; on failure *path* is
-    left exactly as it was and the temporary file is cleaned up.
+    left exactly as it was and the temporary file is cleaned up.  A
+    temporary file that cannot be created (a missing or read-only
+    directory) raises the same :class:`OSError` class, naming *path*.
     """
     plan = _fault_plan()
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
+    try:
+        handle, temp_path = tempfile.mkstemp(
+            dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+        )
+    except OSError as error:
+        raise type(error)(error.errno, error.strerror, path) from error
     try:
         with os.fdopen(handle, "wb") as stream:
             if plan is not None:

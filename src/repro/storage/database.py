@@ -209,7 +209,6 @@ class PrivacyDatabase:
         self,
         *,
         mode: EnforcementMode = EnforcementMode.ENFORCE,
-        implicit_zero: bool = True,
         degraders=None,
     ) -> AccessGate:
         """An access gate over this database.
@@ -218,12 +217,7 @@ class PrivacyDatabase:
         :class:`~repro.storage.granularity.ValueDegrader` records so
         returned values are coarsened to each request's granularity.
         """
-        return AccessGate(
-            self._connection,
-            mode=mode,
-            implicit_zero=implicit_zero,
-            degraders=degraders,
-        )
+        return AccessGate(self._connection, mode=mode, degraders=degraders)
 
     # -- high-level operations ----------------------------------------------
 
@@ -252,12 +246,10 @@ class PrivacyDatabase:
             f"{policy.name!r} ({len(policy)} entries)"
         )
 
-    def engine(self, *, implicit_zero: bool = True) -> ViolationEngine:
+    def engine(self) -> ViolationEngine:
         """A :class:`ViolationEngine` over the *stored* policy and population."""
         return ViolationEngine(
-            self._repository.load_policy(),
-            self._repository.load_population(),
-            implicit_zero=implicit_zero,
+            self._repository.load_policy(), self._repository.load_population()
         )
 
     def certify(self, alpha: float) -> PPDBCertificate:

@@ -107,16 +107,16 @@ class AccessDecision:
 class AccessGate:
     """Evaluate and log access requests against stored preferences.
 
+    Section 5's implicit-zero rule applies: a provider who supplied the
+    attribute but never mentioned the request's purpose is treated as
+    preferring ``(0, 0, 0)``, so any such access violates them.
+
     Parameters
     ----------
     connection:
         A live connection to a privacy database.
     mode:
         Enforcement mode (see module docstring).
-    implicit_zero:
-        Apply the implicit-zero rule: a provider who supplied the
-        attribute but never mentioned the request's purpose is treated as
-        preferring ``(0, 0, 0)``, so any such access violates them.
     degraders:
         Optional per-attribute :class:`~repro.storage.granularity.ValueDegrader`
         records.  When present, returned values are rendered at the
@@ -129,7 +129,6 @@ class AccessGate:
         connection: sqlite3.Connection,
         *,
         mode: EnforcementMode = EnforcementMode.ENFORCE,
-        implicit_zero: bool = True,
         degraders: Mapping[str, "ValueDegrader"] | None = None,
     ) -> None:
         if not isinstance(mode, EnforcementMode):
@@ -137,7 +136,6 @@ class AccessGate:
         self._connection = connection
         self._repository = Repository(connection)
         self._mode = mode
-        self._implicit_zero = bool(implicit_zero)
         self._degraders = dict(degraders or {})
 
     @property
@@ -210,8 +208,6 @@ class AccessGate:
                 if row["purpose"] == request.purpose
             ]
             if not matching:
-                if not self._implicit_zero:
-                    continue
                 matching = [PrivacyTuple.zero(request.purpose)]
             for preference in matching:
                 for dimension in exceeded_dimensions(preference, request.tuple):

@@ -278,3 +278,26 @@ class TestAtomicOutput:
         printed = json.loads(capsys.readouterr().out)
         with open(out, encoding="utf-8") as handle:
             assert json.load(handle) == printed
+
+    def test_output_into_missing_directory_names_the_path(
+        self, documents, tmp_path, capsys
+    ):
+        out = str(tmp_path / "missing" / "certificate.json")
+        args = SUBCOMMAND_ARGS["certify"](documents) + ["--output", out]
+        assert main(args) == 2
+        line = _one_coded_line(capsys, "PVL901")
+        assert line.endswith(f"{out!r}")
+        assert ".tmp" not in line
+
+    def test_metrics_into_missing_directory_names_the_path(
+        self, documents, tmp_path, capsys
+    ):
+        args = SUBCOMMAND_ARGS["certify"](documents)
+        code = main(args)
+        capsys.readouterr()
+        metrics = str(tmp_path / "missing" / "metrics.json")
+        # The snapshot is advisory: the command's own exit code stands.
+        assert main(args + ["--metrics", metrics]) == code
+        line = _one_coded_line(capsys, "PVL901")
+        assert line.endswith(f"{metrics!r}")
+        assert ".tmp" not in line

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.core import (
-    DefaultModel,
     HousePolicy,
     Population,
     PrivacyTuple,
@@ -87,11 +86,6 @@ class TestConstruction:
         assert engine.population is population
         report = engine.evaluate(wide_policy)
         assert report.n_providers == 3
-
-    def test_rejects_overrides_with_precompiled(self, population):
-        compiled = CompiledPopulation(population)
-        with pytest.raises(ValidationError):
-            BatchViolationEngine(compiled, default_model=DefaultModel())
 
     def test_rejects_non_policy(self, population):
         engine = BatchViolationEngine(population)
@@ -256,11 +250,17 @@ class TestCertify:
 
 
 class TestReferenceEngine:
-    def test_reference_engine_shares_models(self, population, wide_policy):
-        default_model = DefaultModel({"p0": 0.0}, default_threshold=math.inf)
-        engine = BatchViolationEngine(population, default_model=default_model)
+    def test_reference_engine_shares_models(self, wide_policy):
+        population = Population(
+            [
+                _provider("p0", (1, 1, 1), threshold=0.0),
+                _provider("p1", (3, 3, 3), threshold=math.inf),
+                _provider("p2", (0, 0, 0), threshold=math.inf),
+            ]
+        )
+        engine = BatchViolationEngine(population)
         oracle = engine.reference_engine(wide_policy)
         report = engine.evaluate(wide_policy)
         expected = oracle.report()
-        assert report.defaulted_ids() == expected.defaulted_ids()
+        assert report.defaulted_ids() == expected.defaulted_ids() == ("p0",)
         assert report.total_violations == expected.total_violations

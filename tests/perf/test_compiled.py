@@ -10,15 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DefaultModel,
     DimensionSensitivity,
     HousePolicy,
     Population,
     PrivacyTuple,
     Provider,
     ProviderPreferences,
-    ProviderSensitivity,
-    SensitivityModel,
 )
 from repro.datasets import healthcare_scenario
 from repro.exceptions import UnknownProviderError, ValidationError
@@ -89,17 +86,6 @@ class TestConstruction:
         compiled = CompiledPopulation(small_population)
         assert compiled.thresholds.tolist() == [5.0, math.inf]
         assert compiled.segments == ("pragmatist", None)
-        assert compiled.strict is True
-
-    def test_default_model_override_changes_thresholds(self, small_population):
-        compiled = CompiledPopulation(
-            small_population,
-            default_model=DefaultModel(
-                {"alice": 1.0}, default_threshold=2.0, strict=False
-            ),
-        )
-        assert compiled.thresholds.tolist() == [1.0, 2.0]
-        assert compiled.strict is False
 
 
 class TestWeights:
@@ -135,11 +121,8 @@ class TestWeights:
         assert all(
             a != 1.5 * (2.6 * d) for a, d in zip(expected, (0.9, 2.4, 1.7))
         )
-        overridden = CompiledPopulation(
-            population, sensitivities=population.sensitivity_model()
-        )
-        for compiled in (CompiledPopulation(population), overridden):
-            assert compiled.attribute_weights("weight").tolist() == [expected]
+        compiled = CompiledPopulation(population)
+        assert compiled.attribute_weights("weight").tolist() == [expected]
 
     def test_attribute_weights_cached(self, small_population):
         compiled = CompiledPopulation(small_population)
@@ -285,30 +268,6 @@ def _edge_population() -> Population:
     )
 
 
-#: Model overrides that a compaction must carry over.
-OVERRIDES = {
-    "own-models": {},
-    "sensitivity-override": {
-        "sensitivities": SensitivityModel(
-            {"weight": 0.9, "salary": 2.6},
-            {
-                "a": ProviderSensitivity(
-                    "a", {"weight": _sensitivity(0.2, 1.9, 0.3, 1.1)}
-                ),
-                "b": ProviderSensitivity(
-                    "b", {"salary": _sensitivity(1.7, 0.1, 2.4, 0.7)}
-                ),
-            },
-        )
-    },
-    "non-strict-default-override": {
-        "default_model": DefaultModel(
-            {"a": 0.25, "silent": 1.5}, default_threshold=2.0, strict=False
-        )
-    },
-}
-
-
 def _assert_same_array(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.dtype == expected.dtype
     assert actual.shape == expected.shape
@@ -316,12 +275,11 @@ def _assert_same_array(actual: np.ndarray, expected: np.ndarray) -> None:
 
 
 def _assert_same_compilation(actual, expected, columns) -> None:
-    """Equal ids, segments, thresholds, strictness, weight tensors and
-    every field of every given column, array for array."""
+    """Equal ids, segments, thresholds, weight tensors and every field
+    of every given column, array for array."""
     assert actual.ids == expected.ids
     assert actual.segments == expected.segments
     _assert_same_array(actual.thresholds, expected.thresholds)
-    assert actual.strict == expected.strict
     for attribute in dict.fromkeys(a for a, _ in columns):
         _assert_same_array(
             actual.attribute_weights(attribute), expected.attribute_weights(attribute)
@@ -345,10 +303,9 @@ def _survivors(population: Population, victims) -> Population:
 
 
 class TestCompaction:
-    @pytest.mark.parametrize("overrides", OVERRIDES.values(), ids=OVERRIDES.keys())
-    def test_compacted_equals_fresh_compile(self, overrides):
+    def test_compacted_equals_fresh_compile(self):
         population = _edge_population()
-        compiled = CompiledPopulation(population, **overrides)
+        compiled = CompiledPopulation(population)
         # The "name" and "weight" columns are materialised before the
         # removal, so their weight tensors are cut; "salary" is first
         # read after it.
@@ -357,7 +314,7 @@ class TestCompaction:
         victims = ["a", "lonely", "c"]
         compiled.remove(victims)
         compacted = compiled.compacted()
-        fresh = CompiledPopulation(_survivors(population, victims), **overrides)
+        fresh = CompiledPopulation(_survivors(population, victims))
         _assert_same_compilation(
             compacted, fresh, ALL_COLUMNS + (("fingerprint", "billing"),)
         )
@@ -375,34 +332,25 @@ class TestCompaction:
         implicit = compacted.column("salary", "billing").implicit_providers
         assert compacted.row_of("silent") in implicit.tolist()
 
-    @pytest.mark.parametrize("overrides", OVERRIDES.values(), ids=OVERRIDES.keys())
-    def test_chained_compactions_equal_fresh_compiles(self, overrides):
+    def test_chained_compactions_equal_fresh_compiles(self):
         population = _edge_population()
-        compiled = CompiledPopulation(population, **overrides)
+        compiled = CompiledPopulation(population)
         gone: list = []
         for victims in (["multi"], ["empty", "b"], ["silent"]):
             compiled.column("name", "research")
             compiled.remove(victims)
             compiled = compiled.compacted()
             gone += victims
-            fresh = CompiledPopulation(_survivors(population, gone), **overrides)
+            fresh = CompiledPopulation(_survivors(population, gone))
             _assert_same_compilation(compiled, fresh, ALL_COLUMNS)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_removals_equal_fresh_compile(self, seed):
         rng = random.Random(seed)
         population = _random_population(rng)
-        overrides: dict = {}
         if seed % 2:
-            overrides["sensitivities"] = population.with_attribute_sensitivities(
-                {"salary": 1.9}
-            ).sensitivity_model()
-        if seed % 3 == 0:
-            overrides["default_model"] = DefaultModel(
-                {p.provider_id: 1.25 for p in population.providers[::3]},
-                strict=bool(seed % 4),
-            )
-        compiled = CompiledPopulation(population, **overrides)
+            population = population.with_attribute_sensitivities({"salary": 1.9})
+        compiled = CompiledPopulation(population)
         columns = tuple(
             (a, p)
             for a in ("name", "weight", "diagnosis", "salary")
@@ -413,7 +361,7 @@ class TestCompaction:
         ids = list(population.ids())
         victims = rng.sample(ids, rng.randrange(0, len(ids) + 1))
         compiled.remove(victims)
-        fresh = CompiledPopulation(_survivors(population, victims), **overrides)
+        fresh = CompiledPopulation(_survivors(population, victims))
         _assert_same_compilation(compiled.compacted(), fresh, columns)
 
     def test_compaction_reads_no_preferences(self, monkeypatch):

@@ -35,9 +35,8 @@ def _counters(snapshot):
     return {c["name"]: c["value"] for c in snapshot["counters"]}
 
 
-def _fresh_report(population, policy, *, implicit_zero=True):
-    engine = BatchViolationEngine(population, implicit_zero=implicit_zero)
-    return engine.evaluate(policy)
+def _fresh_report(population, policy):
+    return BatchViolationEngine(population).evaluate(policy)
 
 
 def _assert_reports_identical(actual, expected):
@@ -123,29 +122,6 @@ class TestMutableCompiledPopulation:
         survivors = population.without(victims)
         assert compiled.alive_ids == survivors.ids()
         assert compiled.population.ids() == survivors.ids()
-
-    def test_models_describe_the_present_providers(self):
-        rng = random.Random(8)
-        population = _random_population(rng)
-        compiled = CompiledPopulation(population)
-        # Read the models once, so the removal below must drop them.
-        before = (compiled.sensitivities, compiled.default_model)
-        victims = [p.provider_id for p in population.providers[::2]]
-        compiled.remove(victims)
-        present = population.without(victims)
-        expected = present.sensitivity_model()
-        assert compiled.sensitivities is not before[0]
-        assert compiled.default_model is not before[1]
-        assert compiled.sensitivities.explicit_providers() == (
-            expected.explicit_providers()
-        )
-        assert compiled.default_model.known_providers() == (
-            present.default_model().known_providers()
-        )
-        for pid in present.ids():
-            assert compiled.default_model.threshold(pid) == (
-                present.default_model().threshold(pid)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -277,46 +253,6 @@ class TestMutableBatchEngine:
         epoch = engine.epoch
         engine.remove([])
         assert engine.epoch == epoch
-
-    def test_mutations_under_model_overrides_match_fresh_engine(self):
-        # With overrides, the survivors keep the weights and thresholds
-        # of the override models, as a fresh compile with them does, and
-        # so does a compaction, which cuts them out of the store.
-        from repro.core.default import DefaultModel
-
-        compactions = 0
-        for seed in range(40):
-            rng = random.Random(seed)
-            population = _random_population(rng)
-            sensitivities = population.sensitivity_model()
-            default_model = DefaultModel(
-                {
-                    p.provider_id: rng.choice([0.0, 0.5, 2.0])
-                    for p in population.providers[::2]
-                },
-                strict=False,
-            )
-            policy = _random_policy(rng, name=f"override-{seed}")
-            present = population
-            engine = BatchViolationEngine(
-                population, sensitivities=sensitivities, default_model=default_model
-            )
-            engine.evaluate(policy)
-            removals = 0
-            for _ in range(3):
-                if len(present) < 2:
-                    break
-                victims = [rng.choice(present.providers).provider_id]
-                engine.remove(victims)
-                removals += 1
-                present = present.without(victims)
-                fresh = BatchViolationEngine(
-                    present, sensitivities=sensitivities, default_model=default_model
-                )
-                _assert_reports_identical(engine.evaluate(policy), fresh.evaluate(policy))
-                assert engine.certify(policy, 0.5) == fresh.certify(policy, 0.5)
-            compactions += engine.epoch - removals
-        assert compactions > 0
 
 
 # ---------------------------------------------------------------------------

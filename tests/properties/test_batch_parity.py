@@ -17,8 +17,10 @@ The corpus deliberately covers the awkward cases: providers with no
 preferences at all, attributes provided without any preference (the
 implicit-zero rows of Section 5), several preference tuples for one
 (attribute, purpose) pair, several policy tuples for one pair, policy
-attributes/purposes no provider knows, infinite and zero thresholds,
-``implicit_zero=False``, and non-strict default semantics.
+attributes/purposes no provider knows, and infinite and zero
+thresholds.  Both engines evaluate the paper's model: the providers' own
+records, the implicit-zero completion and Definition 4's strict
+inequality (the batch engine has no switch for any of them).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import random
 import pytest
 
 from repro.core import (
-    DefaultModel,
     DimensionSensitivity,
     HousePolicy,
     Population,
@@ -158,11 +159,8 @@ def test_randomized_scenario_parity(seed):
     rng = random.Random(seed)
     population = _random_population(rng)
     policy = _random_policy(rng, name=f"rand-{seed}")
-    implicit_zero = seed % 3 != 0  # every third scenario disables Section 5
-    batch = BatchViolationEngine(population, implicit_zero=implicit_zero)
-    reference = ViolationEngine(
-        policy, population, implicit_zero=implicit_zero
-    )
+    batch = BatchViolationEngine(population)
+    reference = ViolationEngine(policy, population)
     _assert_parity(batch, reference, policy)
 
 
@@ -209,37 +207,6 @@ def test_delta_path_parity_along_policy_sequences(seed):
     for policy in policies:
         reference = ViolationEngine(policy, population)
         _assert_parity(batch, reference, policy)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_parity_with_model_overrides(seed):
-    """Explicit sensitivity/default models pass through identically."""
-    rng = random.Random(20_000 + seed)
-    population = _random_population(rng)
-    policy = _random_policy(rng, name=f"override-{seed}")
-    sensitivities = _random_population(rng).sensitivity_model()
-    thresholds = {
-        provider.provider_id: _dyadic(rng, limit=120)
-        for provider in population
-        if rng.random() < 0.7
-    }
-    default_model = DefaultModel(
-        thresholds,
-        default_threshold=_dyadic(rng, limit=120),
-        strict=seed % 2 == 0,
-    )
-    batch = BatchViolationEngine(
-        population,
-        sensitivities=sensitivities,
-        default_model=default_model,
-    )
-    reference = ViolationEngine(
-        policy,
-        population,
-        sensitivities=sensitivities,
-        default_model=default_model,
-    )
-    _assert_parity(batch, reference, policy)
 
 
 def test_paper_worked_example_parity(paper_policy, paper_population):

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core import DefaultModel, ViolationEngine
+from repro.core import ViolationEngine
 from repro.lint.intervals import interval_analysis
 from repro.perf import BatchViolationEngine
 
@@ -33,17 +33,11 @@ from .test_batch_parity import (
 )
 
 
-def _exact_outcomes(policy, population, **model_kwargs):
-    return ViolationEngine(policy, population, **model_kwargs).report().outcomes
-
-
-def _assert_sound(policy, population, **model_kwargs):
+def _assert_sound(policy, population):
     """Containment + exact w_i for both weight-bounds modes."""
-    outcomes = _exact_outcomes(policy, population, **model_kwargs)
+    outcomes = ViolationEngine(policy, population).report().outcomes
     for mode in ("population", "provider"):
-        intervals = interval_analysis(
-            policy, population, weight_bounds=mode, **model_kwargs
-        )
+        intervals = interval_analysis(policy, population, weight_bounds=mode)
         assert intervals.n_providers == len(outcomes)
         total = 0.0
         for bounds, outcome in zip(intervals, outcomes):
@@ -78,19 +72,6 @@ def test_randomized_interval_soundness(seed):
     population = _random_population(rng)
     policy = _random_policy(rng, name=f"policy-{seed}")
     _assert_sound(policy, population)
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_soundness_with_model_overrides(seed):
-    rng = random.Random(0xB22 + seed)
-    population = _random_population(rng)
-    policy = _random_policy(rng, name=f"override-{seed}")
-    _assert_sound(
-        policy,
-        population,
-        default_model=DefaultModel(strict=False),
-        implicit_zero=bool(seed % 2),
-    )
 
 
 @pytest.mark.parametrize("seed", range(N_SCENARIOS))

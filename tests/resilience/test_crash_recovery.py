@@ -246,7 +246,6 @@ class TestForecastRecovery:
             scenario.population,
             history[-1],
             per_provider_utility=1.0,
-            implicit_zero=True,
         )
         path = str(tmp_path / "forecast.journal")
         plan = FaultPlan(
@@ -266,7 +265,6 @@ class TestForecastRecovery:
             scenario.population,
             history[-1],
             per_provider_utility=1.0,
-            implicit_zero=True,
         )
         assert resumed == expected
 

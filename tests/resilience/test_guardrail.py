@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.default import DefaultModel
 from repro.core.dimensions import Dimension
 from repro.core.population import Population
-from repro.core.sensitivity import SensitivityModel
 from repro.datasets import healthcare_scenario
 from repro.perf import BatchViolationEngine, CompiledPopulation
 from repro.resilience import FaultPlan, FaultSpec, GuardedBatchEngine
@@ -192,50 +190,14 @@ class TestAfterRemoval:
         assert report.provider_ids == expected.provider_ids
         assert np.array_equal(report.violations, expected.violations)
 
-    def test_overrides_are_the_oracle_models(self, scenario, wide_policy):
-        population = scenario.population
-        own = population.sensitivity_model()
-        sensitivities = SensitivityModel(
-            {attribute: 2.5 for attribute in own.attributes.as_dict()},
-            own.explicit_providers(),
+    def test_guards_a_precompiled_population(self, scenario, wide_policy):
+        own = scenario.population
+        population = own.with_attribute_sensitivities(
+            {attribute: 2.5 for attribute in own.attribute_sensitivities.as_dict()}
         )
-        default_model = population.default_model(strict=False)
-        guarded = GuardedBatchEngine(
-            population,
-            sensitivities=sensitivities,
-            default_model=default_model,
-            sample_size=len(population),
-        )
-        plain = BatchViolationEngine(
-            population, sensitivities=sensitivities, default_model=default_model
-        )
-        removed = population.ids()[1::4]
-        guarded.remove(removed)
-        plain.remove(removed)
-        report = guarded.evaluate(wide_policy)
-        assert not guarded.degraded
-        assert np.array_equal(
-            report.violations, plain.evaluate(wide_policy).violations
-        )
-
-    def test_guards_a_population_compiled_with_overrides(
-        self, scenario, wide_policy
-    ):
-        population = scenario.population
-        own = population.sensitivity_model()
-        sensitivities = SensitivityModel(
-            {attribute: 2.5 for attribute in own.attributes.as_dict()}, {}
-        )
-        default_model = DefaultModel(
-            {pid: 1.0 for pid in population.ids()}, strict=False
-        )
-        compiled = CompiledPopulation(
-            population, sensitivities=sensitivities, default_model=default_model
-        )
+        compiled = CompiledPopulation(population)
         guarded = GuardedBatchEngine(compiled, sample_size=len(population))
-        plain = BatchViolationEngine(
-            population, sensitivities=sensitivities, default_model=default_model
-        )
+        plain = BatchViolationEngine(population)
         removed = population.ids()[::3]
         for mutate in (None, removed):
             if mutate is not None:

@@ -2,10 +2,11 @@
 
 A journal resumes only while its run computes the same input fingerprint
 and replays the step payloads it recorded.  These literals are what a
-sweep (``max_steps=2``) and a dynamics run (``rounds=2``) over
-``examples/documents`` write; a change that alters either — a renamed
-row field, a dropped key in the hashed document — would refuse or
-misread every journal written before it, and fails here first.
+sweep (``max_steps=2``), a dynamics run (``rounds=2``) and a forecast
+history replay (the policy, then the candidate) over
+``examples/documents`` write; a change that alters any of them — a
+renamed row field, a dropped key in the hashed document — would refuse
+or misread every journal written before it, and fails here first.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.estimation import observe_widening_history
 from repro.policy_lang import parse_policy, parse_population, parse_taxonomy
 from repro.resilience import RunJournal
 from repro.simulation import run_dynamics, run_expansion_sweep
@@ -56,15 +58,28 @@ DYNAMICS_STEPS = (
     '"total_violations":176.0,"utility":1.25,"violation_probability":0.5}',
 )
 
+FORECAST_FINGERPRINT = (
+    "8fd6d71aa014e1a0bfe6702f7ca8ec8e6dbefbf82de7ddbe31a894fb7a0ae6fe"
+)
+FORECAST_STEPS = (
+    '{"departures":[["Ted",60.0]],"index":0,'
+    '"last_tolerated":[["Alice",0.0],["Bob",80.0],["Ted",0.0]],'
+    '"remaining":["Alice","Bob"]}',
+    '{"departures":[["Bob",160.0],["Ted",60.0]],"index":1,'
+    '"last_tolerated":[["Alice",0.0],["Bob",80.0],["Ted",0.0]],'
+    '"remaining":["Alice"]}',
+)
+
+
+def _load(name):
+    return json.loads((DOCUMENTS / f"{name}.json").read_text())
+
 
 @pytest.fixture(scope="module")
 def inputs():
-    def load(name):
-        return json.loads((DOCUMENTS / f"{name}.json").read_text())
-
-    taxonomy = parse_taxonomy(load("taxonomy"))
-    policy = parse_policy(load("policy"), taxonomy)
-    population = parse_population(load("population"), taxonomy)
+    taxonomy = parse_taxonomy(_load("taxonomy"))
+    policy = parse_policy(_load("policy"), taxonomy)
+    population = parse_population(_load("population"), taxonomy)
     return population, policy, taxonomy
 
 
@@ -74,6 +89,14 @@ def _sweep(inputs, journal_path=None):
 
 def _dynamics(inputs, journal_path=None):
     return run_dynamics(*inputs, rounds=2, journal_path=journal_path)
+
+
+def _forecast(inputs, journal_path=None):
+    population, policy, taxonomy = inputs
+    candidate = parse_policy(_load("candidate"), taxonomy)
+    return observe_widening_history(
+        population, [policy, candidate], journal_path=journal_path
+    )
 
 
 def _stored(path) -> tuple[str, list[str]]:
@@ -96,6 +119,7 @@ def _stored(path) -> tuple[str, list[str]]:
 RUNS = {
     "sweep": (_sweep, SWEEP_FINGERPRINT, SWEEP_STEPS),
     "dynamics": (_dynamics, DYNAMICS_FINGERPRINT, DYNAMICS_STEPS),
+    "forecast": (_forecast, FORECAST_FINGERPRINT, FORECAST_STEPS),
 }
 
 

@@ -105,15 +105,6 @@ class TestImplicitZeroAtGate:
             )
         assert excinfo.value.decision.violated_providers == ("alice", "bob")
 
-    def test_implicit_zero_disabled_allows(self, db):
-        db.repository.ensure_purpose("marketing")
-        gate = db.gate(implicit_zero=False)
-        decision = gate.request(
-            AccessRequest("weight", PrivacyTuple("marketing", 1, 0, 0))
-        )
-        assert decision.allowed
-        assert not decision.violates
-
 
 class TestAuditMode:
     def test_violating_request_allowed_but_logged(self, db):

@@ -171,6 +171,13 @@ class TestAtomicWrites:
         with open(path, encoding="utf-8") as handle:
             assert handle.read() == "new"
 
+    def test_missing_directory_error_names_the_given_path(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(FileNotFoundError) as excinfo:
+            atomic_write_bytes(path, b"never written")
+        assert excinfo.value.filename == path
+        assert os.listdir(tmp_path) == []
+
     def test_disk_full_leaves_no_file_and_no_temp(self, tmp_path):
         path = str(tmp_path / "out.json")
         plan = FaultPlan(

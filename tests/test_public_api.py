@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
 import repro
+
+#: The model switches the ablations vary (Section 5's implicit-zero
+#: completion, and the sensitivity and default models that replace the
+#: providers' own records).  Only ``repro.core`` takes them.
+MODEL_SWITCHES = frozenset({"implicit_zero", "sensitivities", "default_model"})
 
 
 class TestPublicSurface:
@@ -123,3 +130,48 @@ class TestPublicSurface:
                 continue
             obj = getattr(repro, name)
             assert getattr(obj, "__doc__", None), f"{name} lacks a docstring"
+
+
+def _modules_outside_core():
+    """``repro`` and every submodule but ``repro.core`` and ``__main__``."""
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        name = info.name
+        if name in ("repro.__main__", "repro.core") or name.startswith(
+            "repro.core."
+        ):
+            continue
+        yield importlib.import_module(name)
+
+
+def _public_callables(module):
+    """``(name, function)`` for every public function, ``__init__`` and
+    public method defined in *module*."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != (
+            module.__name__
+        ):
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            for attribute, member in vars(obj).items():
+                if attribute.startswith("_") and attribute != "__init__":
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    yield f"{module.__name__}.{name}.{attribute}", member
+
+
+def test_model_switches_live_only_in_core():
+    """Everything built on the batch engine evaluates the paper's model;
+    the switches the ablations vary stay on the reference functions."""
+    found = sorted(
+        f"{name}({parameter})"
+        for module in _modules_outside_core()
+        for name, function in _public_callables(module)
+        for parameter in inspect.signature(function).parameters
+        if parameter in MODEL_SWITCHES
+    )
+    assert found == []
