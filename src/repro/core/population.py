@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable
+
+import numpy as np
 
 from .._validation import check_real
 from ..exceptions import UnknownProviderError, ValidationError
@@ -85,7 +88,7 @@ class Population:
         defaults to neutral.
     """
 
-    __slots__ = ("_providers", "_by_id", "_attribute_sensitivities")
+    __slots__ = ("_providers", "_by_id", "_attribute_sensitivities", "_store")
 
     def __init__(
         self,
@@ -112,6 +115,12 @@ class Population:
         elif not isinstance(attribute_sensitivities, AttributeSensitivities):
             attribute_sensitivities = AttributeSensitivities(attribute_sensitivities)
         self._attribute_sensitivities = attribute_sensitivities
+        # Set by repro.simulation.population.generate_population and
+        # carried by subset / without / with_attribute_sensitivities: the
+        # compiled store generation walked and the rows of it that are
+        # this population's (None: all of them), so compiling cuts those
+        # rows instead of walking the providers.  Opaque here.
+        self._store: tuple[object, np.ndarray | None] | None = None
 
     @property
     def providers(self) -> tuple[Provider, ...]:
@@ -176,10 +185,7 @@ class Population:
         unknown = excluded - set(self._by_id)
         if unknown:
             raise UnknownProviderError(sorted(unknown, key=repr)[0])
-        return Population(
-            (p for p in self._providers if p.provider_id not in excluded),
-            self._attribute_sensitivities,
-        )
+        return self._select([p.provider_id not in excluded for p in self._providers])
 
     def subset(self, provider_ids: Iterable[Hashable]) -> "Population":
         """A new population restricted to the given providers (order kept)."""
@@ -187,13 +193,23 @@ class Population:
         unknown = wanted - set(self._by_id)
         if unknown:
             raise UnknownProviderError(sorted(unknown, key=repr)[0])
-        return Population(
-            (p for p in self._providers if p.provider_id in wanted),
-            self._attribute_sensitivities,
-        )
+        return self._select([p.provider_id in wanted for p in self._providers])
 
     def with_attribute_sensitivities(
         self, attribute_sensitivities: AttributeSensitivities | Mapping[str, float]
     ) -> "Population":
         """A copy with a different ``Sigma`` vector."""
-        return Population(self._providers, attribute_sensitivities)
+        copy = Population(self._providers, attribute_sensitivities)
+        copy._store = self._store
+        return copy
+
+    def _select(self, keep: list[bool]) -> "Population":
+        """The providers where *keep* is true, in order, and their store rows."""
+        selected = Population(
+            compress(self._providers, keep), self._attribute_sensitivities
+        )
+        if self._store is not None:
+            store, rows = self._store
+            picked = np.flatnonzero(keep)
+            selected._store = (store, picked if rows is None else rows[picked])
+        return selected

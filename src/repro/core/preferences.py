@@ -197,9 +197,10 @@ class ProviderPreferences:
         self, extra: Iterable[PreferenceEntry | tuple[str, PrivacyTuple]]
     ) -> "ProviderPreferences":
         """A new preference set with *extra* entries appended."""
+        extra = list(extra)  # read twice below; a generator only once
         return ProviderPreferences(
             self._provider_id,
-            list(self._entries) + list(extra),
+            list(self._entries) + extra,
             attributes_provided=self._attributes_provided
             | {
                 e.attribute if isinstance(e, PreferenceEntry) else e[0]

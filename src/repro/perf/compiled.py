@@ -12,14 +12,22 @@ out for the vectorized kernels in :mod:`repro.perf.batch`:
   ``(V, G, R)`` ranks, grouped by **column** — one column per
   ``(attribute, purpose)`` pair — with each column's rows in row order
   and, within a row, in entry order;
+* per attribute, the sensitivity records ``(s, s[V], s[G], s[R])``;
 * per column, the explicit rows as slices of that store and the
   providers subject to the implicit-zero completion, each paired with the
   precomputed severity weights ``Sigma^a x s_i^a x s_i^a[dim]`` so the
   inner loop of Eq. 14 reduces to one fused multiply-add.
 
-The compilation is tied to a population and reads thresholds and
-sensitivity records from its providers, the records the population's own
-models hold.  It is policy-independent: columns are materialised lazily
+Everything but ``Sigma`` and the columns is a read-only **store** built
+by one walk over the providers (:meth:`_Store.walk`); a store takes
+rows of itself by one cut (:meth:`_Store.cut`), which equals a walk of
+those rows' providers array for array.  A population from
+:func:`~repro.simulation.population.generate_population`, and its
+subsets, carry the store that generation walked, so their compiles cut
+it instead of walking the providers again; any other population is
+walked.
+
+A compilation is policy-independent: columns are materialised lazily
 for whatever ``(attribute, purpose)`` pairs the evaluated policies
 mention, then cached, so a widening sweep touching the same columns
 repeatedly pays the gather cost once.
@@ -30,9 +38,9 @@ or widening-game run: :meth:`CompiledPopulation.remove` tombstones rows
 in an alive mask (no array is rebuilt and no row moves).  Survivors keep
 their rows, so every per-provider sum accumulates exactly as it would in
 a fresh compile of the providers still present.
-:meth:`CompiledPopulation.compacted` cuts the survivors' store out of
-the arrays by that mask, walking no provider, and equals such a fresh
-compile array for array.
+:meth:`CompiledPopulation.compacted` cuts the survivors' rows out of the
+store, walking no provider, and equals such a fresh compile array for
+array.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import numpy as np
 
 from ..core.default import DefaultModel
 from ..core.population import Population, Provider
-from ..core.sensitivity import NEUTRAL_SENSITIVITY, SensitivityModel
+from ..core.sensitivity import AttributeSensitivities, SensitivityModel
 from ..exceptions import UnknownProviderError, ValidationError
 from ..obs import active_observer
 
@@ -92,50 +100,56 @@ class CompiledColumn:
         return int(self.implicit_providers.shape[0])
 
 
-class CompiledPopulation:
-    """A :class:`~repro.core.population.Population` flattened for batch use.
+class _Store:
+    """What a compile reads of a population, whatever ``Sigma`` or policy.
 
-    The arrays span every **row**, tombstoned ones included:
-    ``len(compiled)``, :attr:`ids`, :attr:`thresholds` and every column
-    are row-aligned.  The providers still present are the rows of
-    :attr:`alive_rows`; :attr:`population` is them as a
-    :class:`~repro.core.population.Population`.
-
-    Thresholds and weights are read from the
-    :class:`~repro.core.population.Provider` objects, the same arithmetic
-    the population's own models perform; :meth:`models_for` builds those
-    models for a few providers when a caller needs them.
+    ``ids``, ``segments`` and ``thresholds`` are row-aligned.  The entry
+    store (``entry_rows``, ``entry_ranks``) is grouped by column, and
+    ``spans`` maps a column to its ``[start, stop)`` slice of it;
+    ``provided`` maps an attribute to the rows that supplied it, and
+    ``records`` to its ``(N, 4)`` sensitivity records, neutral (all ones)
+    where a provider holds none.  Every array is read-only, so
+    compilations share a store; it holds no provider.
     """
 
     __slots__ = (
-        "_population",
-        "_sigma",
-        "_providers",
-        "_ids",
-        "_index",
-        "_segments",
-        "_thresholds",
-        "_alive",
-        "_dead",
-        "_alive_view",
-        "_entry_rows",
-        "_entry_ranks",
-        "_spans",
-        "_provided",
-        "_weights_by_attribute",
-        "_columns",
+        "ids",
+        "segments",
+        "thresholds",
+        "entry_rows",
+        "entry_ranks",
+        "spans",
+        "provided",
+        "records",
     )
 
-    def __init__(self, population: Population) -> None:
-        if not isinstance(population, Population):
-            raise ValidationError(
-                f"population must be a Population, got {type(population).__name__}"
-            )
-        start = perf_counter() if active_observer() is not None else 0.0
-        self._sigma = population.attribute_sensitivities
-        providers = population.providers
-        ids = population.ids()
+    def __init__(
+        self,
+        ids: tuple[Hashable, ...],
+        segments: tuple[str | None, ...],
+        thresholds: np.ndarray,
+        entry_rows: np.ndarray,
+        entry_ranks: np.ndarray,
+        spans: dict[tuple[str, str], tuple[int, int]],
+        provided: dict[str, np.ndarray],
+        records: dict[str, np.ndarray],
+    ) -> None:
+        for array in chain(
+            (thresholds, entry_rows, entry_ranks), provided.values(), records.values()
+        ):
+            array.flags.writeable = False
+        self.ids = ids
+        self.segments = segments
+        self.thresholds = thresholds
+        self.entry_rows = entry_rows
+        self.entry_ranks = entry_ranks
+        self.spans = spans
+        self.provided = provided
+        self.records = records
 
+    @classmethod
+    def walk(cls, providers: Sequence[Provider]) -> _Store:
+        """The store of *providers*, read from their objects."""
         # One pass over the entries, attribute by attribute: the rows that
         # supplied each attribute (only they get implicit zeros) and a table
         # of its distinct tuple objects, so an entry costs one lookup by
@@ -146,6 +160,7 @@ class CompiledPopulation:
         distinct: list[int] = []  # column code, V, G, R per distinct tuple
         codes: list[int] = []
         counts: list[int] = []
+        held: dict[str, tuple[list[int], list]] = {}  # rows, records
         for row, provider in enumerate(providers):
             preferences = provider.preferences
             for attribute in preferences.attributes_provided:
@@ -164,6 +179,12 @@ class CompiledPopulation:
                         distinct += (column, t.visibility, t.granularity, t.retention)
                     codes.append(code)
             counts.append(len(preferences))
+            for attribute, datum in provider.sensitivity.items():
+                rows_data = held.get(attribute)
+                if rows_data is None:
+                    rows_data = held[attribute] = ([], [])
+                rows_data[0].append(row)
+                rows_data[1].append(datum)
 
         # The entry store: one stable sort by column keeps each column's
         # rows in row order and, within a row, in entry order.
@@ -172,11 +193,16 @@ class CompiledPopulation:
         entry_columns = tuples[entry_tuples, 0]
         order = np.argsort(entry_columns, kind="stable")
         bounds = np.searchsorted(entry_columns[order], np.arange(len(columns) + 1))
-        self._set_store(
-            population,
-            providers,
-            ids,
-            tuple(p.segment for p in providers),
+        records = {}
+        for attribute, (rows, data) in held.items():
+            array = np.ones((len(counts), 4))
+            array[rows] = np.fromiter(
+                chain.from_iterable(map(_DATUM_FIELDS, data)), np.float64, 4 * len(data)
+            ).reshape(-1, 4)
+            records[attribute] = array
+        return cls(
+            tuple([p.provider_id for p in providers]),
+            tuple([p.segment for p in providers]),
             np.array([p.threshold for p in providers], dtype=np.float64),
             np.repeat(np.arange(len(counts), dtype=np.int64), counts)[order],
             tuples[entry_tuples[order], 1:],
@@ -185,49 +211,134 @@ class CompiledPopulation:
                 attribute: np.array(supplied, dtype=np.int64)
                 for attribute, (supplied, _) in groups.items()
             },
-            {},
-            start,
+            records,
         )
 
-    def _set_store(
+    def cut(self, rows: np.ndarray) -> _Store:
+        """The store of *rows* (sorted, distinct), renumbered ``0..``.
+
+        The selected rows keep their order and every entry its place in
+        its column, so the cut equals the walk of those rows' providers
+        array for array.
+        """
+        selected = np.zeros(len(self.ids), dtype=bool)
+        selected[rows] = True
+        renumber = np.cumsum(selected, dtype=np.int64) - 1
+        # The kept entries' positions; an old span edge moves to the
+        # number of kept entries before it.
+        kept = np.flatnonzero(selected[self.entry_rows])
+        spans = self.spans
+        edges = np.searchsorted(
+            kept, np.fromiter(chain.from_iterable(spans.values()), np.intp, 2 * len(spans))
+        ).tolist()
+        listed = rows.tolist()
+        ids, segments = self.ids, self.segments
+        return _Store(
+            tuple([ids[row] for row in listed]),
+            tuple([segments[row] for row in listed]),
+            self.thresholds[rows],
+            renumber.take(self.entry_rows.take(kept)),
+            self.entry_ranks.take(kept, axis=0),
+            {
+                key: (begin, end)
+                for key, begin, end in zip(spans, edges[0::2], edges[1::2])
+                if begin < end
+            },
+            {
+                attribute: renumber[supplied[selected[supplied]]]
+                for attribute, supplied in self.provided.items()
+            },
+            {
+                attribute: records.take(rows, axis=0)
+                for attribute, records in self.records.items()
+            },
+        )
+
+
+class CompiledPopulation:
+    """A :class:`~repro.core.population.Population` flattened for batch use.
+
+    The arrays span every **row**, tombstoned ones included:
+    ``len(compiled)``, :attr:`ids`, :attr:`thresholds` and every column
+    are row-aligned.  The providers still present are the rows of
+    :attr:`alive_rows`; :attr:`population` is them as a
+    :class:`~repro.core.population.Population`.
+
+    Thresholds and weights come from the providers' own records, the
+    same arithmetic the population's own models perform;
+    :meth:`models_for` builds those models for a few providers when a
+    caller needs them.  A population that carries a store (a generated
+    one, or a subset of it) is compiled by cutting that store; any other
+    is walked.
+    """
+
+    __slots__ = (
+        "_population",
+        "_sigma",
+        "_providers",
+        "_store",
+        "_index",
+        "_alive",
+        "_dead",
+        "_alive_view",
+        "_weights_by_attribute",
+        "_columns",
+    )
+
+    def __init__(self, population: Population) -> None:
+        if not isinstance(population, Population):
+            raise ValidationError(
+                f"population must be a Population, got {type(population).__name__}"
+            )
+        start = perf_counter() if active_observer() is not None else 0.0
+        carried = population._store
+        if carried is None:
+            store, source = _Store.walk(population.providers), "walk"
+        else:
+            store, rows = carried
+            if rows is not None:
+                store = store.cut(rows)
+            source = "cut"
+        self._install(
+            population,
+            population.providers,
+            population.attribute_sensitivities,
+            store,
+            start,
+            source,
+        )
+
+    def _install(
         self,
         population: Population | None,
         providers: tuple[Provider, ...],
-        ids: tuple[Hashable, ...],
-        segments: tuple[str | None, ...],
-        thresholds: np.ndarray,
-        entry_rows: np.ndarray,
-        entry_ranks: np.ndarray,
-        spans: dict[tuple[str, str], tuple[int, int]],
-        provided: dict[str, np.ndarray],
-        weights_by_attribute: dict[str, np.ndarray],
+        sigma: AttributeSensitivities,
+        store: _Store,
         start: float,
+        source: str,
     ) -> None:
-        """Install a store, every row alive; counts one compilation.
+        """Compile over *store*, every row alive; counts one compilation.
 
-        *spans* maps a column to its ``[start, stop)`` slice of the entry
-        store; *provided* an attribute to the rows that supplied it.
+        *source* labels the compile time: ``walk`` when the store was
+        walked from the providers, ``cut`` when it was carried or cut.
         """
         self._population = population
         self._providers = providers
-        self._ids = ids
-        self._index = {pid: i for i, pid in enumerate(ids)}
-        self._segments = segments
-        self._thresholds = thresholds
-        self._alive = np.ones(len(ids), dtype=bool)
+        self._sigma = sigma
+        self._store = store
+        self._index = {pid: i for i, pid in enumerate(store.ids)}
+        self._alive = np.ones(len(store.ids), dtype=bool)
         self._dead = 0
         self._alive_view: tuple | None = None
-        self._entry_rows = entry_rows
-        self._entry_ranks = entry_ranks
-        self._spans = spans
-        self._provided = provided
-        self._weights_by_attribute = weights_by_attribute
+        self._weights_by_attribute: dict[str, np.ndarray] = {}
         self._columns: dict[tuple[str, str], CompiledColumn] = {}
         obs = active_observer()
         if obs is not None:
             obs.inc("perf.compilations")
-            obs.set_gauge("perf.compiled_providers", len(ids))
-            obs.observe("perf.compile_seconds", perf_counter() - start)
+            obs.set_gauge("perf.compiled_providers", len(store.ids))
+            obs.observe(
+                "perf.compile_seconds", perf_counter() - start, source=source
+            )
 
     # ------------------------------------------------------------------
     # identity
@@ -265,7 +376,7 @@ class CompiledPopulation:
     @property
     def ids(self) -> tuple[Hashable, ...]:
         """Provider ids, one per row (the population order)."""
-        return self._ids
+        return self._store.ids
 
     def provider(self, row: int) -> Provider:
         """The :class:`Provider` compiled at *row* (tombstoned or not)."""
@@ -274,20 +385,20 @@ class CompiledPopulation:
     @property
     def segments(self) -> tuple[str | None, ...]:
         """Per-provider segment labels, in row order."""
-        return self._segments
+        return self._store.segments
 
     @property
     def thresholds(self) -> np.ndarray:
         """The threshold vector ``v`` (row-aligned, ``inf`` = never)."""
-        return self._thresholds
+        return self._store.thresholds
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._store.ids)
 
     def __repr__(self) -> str:
         return (
             f"CompiledPopulation({self.alive_count} providers, "
-            f"{self._dead} tombstoned, {len(self._spans)} explicit columns)"
+            f"{self._dead} tombstoned, {len(self._store.spans)} explicit columns)"
         )
 
     def row_of(self, provider_id: Hashable) -> int:
@@ -315,7 +426,7 @@ class CompiledPopulation:
     @property
     def alive_count(self) -> int:
         """Providers still present."""
-        return len(self._ids) - self._dead
+        return len(self) - self._dead
 
     @property
     def alive_rows(self) -> np.ndarray:
@@ -336,16 +447,16 @@ class CompiledPopulation:
         view = self._alive_view
         if view is None:
             rows = np.flatnonzero(self._alive)
+            ids, segments = self._store.ids, self._store.segments
             if self._dead:
                 listed = rows.tolist()
-                ids, segments = self._ids, self._segments
                 view = (
                     rows,
                     tuple([ids[row] for row in listed]),
                     tuple([segments[row] for row in listed]),
                 )
             else:
-                view = (rows, self._ids, self._segments)
+                view = (rows, ids, segments)
             self._alive_view = view
         return view
 
@@ -360,21 +471,18 @@ class CompiledPopulation:
         running over :data:`RANK_AXES` — exactly the factor multiplying
         Eq. 12's exceedance in Eq. 14.  Computed on first request, cached.
 
-        A provider's datum is read from its own record, which is what the
-        population's sensitivity model returns for it.  The records'
-        fields are multiplied in NumPy in the order
+        A provider's datum is its own record, which is what the
+        population's sensitivity model returns for it; an attribute no
+        provider holds a record for weighs neutral.  The records' fields
+        are multiplied in NumPy in the order
         ``(Sigma^a x s_i^a) x s_i^a[dim]``, the order of Eq. 14.
         """
         cached = self._weights_by_attribute.get(attribute)
         if cached is not None:
             return cached
-        data = [
-            provider.sensitivity.get(attribute, NEUTRAL_SENSITIVITY)
-            for provider in self._providers
-        ]
-        records = np.fromiter(
-            chain.from_iterable(map(_DATUM_FIELDS, data)), np.float64, 4 * len(data)
-        ).reshape(-1, 4)
+        records = self._store.records.get(attribute)
+        if records is None:
+            records = np.ones((len(self), 4))
         cached = (self._sigma.weight(attribute) * records[:, :1]) * records[:, 1:]
         self._weights_by_attribute[attribute] = cached
         return cached
@@ -391,12 +499,13 @@ class CompiledPopulation:
         cached = self._columns.get(key)
         if cached is not None:
             return cached
+        store = self._store
         weights = self.attribute_weights(attribute)
-        start, stop = self._spans.get(key, (0, 0))
-        row_providers = self._entry_rows[start:stop]
-        row_ranks = self._entry_ranks[start:stop]
+        start, stop = store.spans.get(key, (0, 0))
+        row_providers = store.entry_rows[start:stop]
+        row_ranks = store.entry_ranks[start:stop]
         row_weights = weights[row_providers]
-        supplied = np.asarray(self._provided.get(attribute, ()), dtype=np.int64)
+        supplied = np.asarray(store.provided.get(attribute, ()), dtype=np.int64)
         if row_providers.size and supplied.size:
             # Providers holding an explicit entry for the column are never
             # completed.
@@ -447,41 +556,20 @@ class CompiledPopulation:
     def compacted(self) -> "CompiledPopulation":
         """The present providers as a new compilation.
 
-        Cut from this store by the alive mask, walking no provider (the
-        :class:`Population` is built on first read).  Survivors keep their
-        order and every entry its place in its column, so every array
+        Their rows are cut out of the store, walking no provider (the
+        :class:`Population` is built on first read), so every array
         equals a fresh compile's, bit for bit.  Counts one compilation.
         """
         start = perf_counter() if active_observer() is not None else 0.0
-        alive = self._alive
-        rows, ids, segments = self._alive_rows_ids_segments()
-        renumber = np.cumsum(alive, dtype=np.int64) - 1
-        keep = alive[self._entry_rows]
-        cut = np.concatenate(([0], np.cumsum(keep))).tolist()
+        rows = self.alive_rows
         providers = self._providers
         compacted = CompiledPopulation.__new__(CompiledPopulation)
-        compacted._sigma = self._sigma
-        compacted._set_store(
+        compacted._install(
             None,
             tuple([providers[row] for row in rows.tolist()]),
-            ids,
-            segments,
-            self._thresholds[rows],
-            renumber[self._entry_rows[keep]],
-            self._entry_ranks[keep],
-            {
-                key: (cut[begin], cut[end])
-                for key, (begin, end) in self._spans.items()
-                if cut[begin] < cut[end]
-            },
-            {
-                attribute: renumber[supplied[alive[supplied]]]
-                for attribute, supplied in self._provided.items()
-            },
-            {
-                attribute: weights[rows]
-                for attribute, weights in self._weights_by_attribute.items()
-            },
+            self._sigma,
+            self._store.cut(rows),
             start,
+            "cut",
         )
         return compacted

@@ -29,6 +29,7 @@ from ..core.preferences import ProviderPreferences
 from ..core.sensitivity import DimensionSensitivity
 from ..core.tuples import PrivacyTuple
 from ..exceptions import SimulationError
+from ..perf.compiled import _Store
 from ..taxonomy.builder import Taxonomy
 from .sampling import (
     check_range,
@@ -251,7 +252,9 @@ def generate_population(spec: PopulationSpec) -> Population:
                 segment=segment.name,
             )
         )
-    return Population(providers, attribute_sensitivities=dict(spec.attributes))
+    population = Population(providers, attribute_sensitivities=dict(spec.attributes))
+    population._store = (_Store.walk(providers), None)
+    return population
 
 
 #: The cap of a rank whose ladder has no top (:class:`UnboundedRetention`).

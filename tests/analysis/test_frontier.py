@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import pareto_frontier
-from repro.exceptions import ValidationError
 from repro.simulation import run_expansion_sweep
 
 

@@ -90,6 +90,13 @@ class TestAccessors:
         assert len(more) == 3
         assert len(prefs) == 2  # original untouched
 
+    def test_with_entries_reads_a_generator_once(self, prefs):
+        more = prefs.with_entries(
+            entry for entry in [("height", PrivacyTuple("billing", 1, 1, 1))]
+        )
+        assert "height" in more.attributes_provided
+        assert len(more) == 3
+
     def test_equality(self):
         a = ProviderPreferences("x", [("w", PrivacyTuple("p", 1, 1, 1))])
         b = ProviderPreferences("x", [("w", PrivacyTuple("p", 1, 1, 1))])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import ViolationEngine
 from repro.datasets import crm_scenario, healthcare_scenario, social_network_scenario
 

@@ -85,6 +85,27 @@ class TestMetricsFlag:
         assert counters["perf.compilations"] == 1.0
         assert "engine.reference.evaluations" not in counters
 
+    def test_certify_walks_the_parsed_documents(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        code = main(
+            [
+                "certify",
+                *INPUTS,
+                "--alpha",
+                "0.7",
+                "--json",
+                "--metrics",
+                str(metrics),
+            ]
+        )
+        assert code == 0
+        compiles = {
+            entry["labels"]["source"]: entry["count"]
+            for entry in json.loads(metrics.read_text())["timers"]
+            if entry["name"] == "perf.compile_seconds"
+        }
+        assert compiles == {"walk": 1}
+
     def test_snapshot_is_key_sorted_and_stable(self, documents, tmp_path, capsys):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
         for path in paths:

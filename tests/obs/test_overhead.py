@@ -23,6 +23,7 @@ from repro.obs import (
     span,
 )
 from repro.perf import BatchViolationEngine
+from repro.simulation import run_dynamics
 
 
 class TestSwitch:
@@ -86,6 +87,23 @@ class TestInstrumentationWhileEnabled:
         timer_names = {entry["name"] for entry in snapshot["timers"]}
         assert "perf.compile_seconds" in timer_names
         assert "engine.batch.evaluate_seconds" in timer_names
+
+    def test_a_generated_subset_compiles_by_cutting_its_store(self):
+        scenario = healthcare_scenario(200, seed=3)
+        subset = scenario.population.subset(scenario.population.ids()[::2])
+        with observed() as obs:
+            run_dynamics(subset, scenario.policy, scenario.taxonomy, rounds=40)
+        snapshot = obs.snapshot()
+        compiles = {
+            entry["labels"]["source"]: entry["count"]
+            for entry in snapshot["timers"]
+            if entry["name"] == "perf.compile_seconds"
+        }
+        # The subset's compile and the run's one compaction.
+        assert compiles == {"cut": 2}
+        counters = {entry["name"]: entry["value"] for entry in snapshot["counters"]}
+        assert counters["perf.compilations"] == 2.0
+        assert counters["delta.compactions"] == 1.0
 
     def test_no_metrics_leak_once_disabled(self):
         scenario = healthcare_scenario(10, seed=3)

@@ -1,8 +1,10 @@
-"""Unit tests for the one-time population compilation and its compaction."""
+"""Unit tests for the one-time population compilation, its compaction and
+the store a generated population carries."""
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 
@@ -17,7 +19,17 @@ from repro.core import (
     Provider,
     ProviderPreferences,
 )
-from repro.datasets import healthcare_scenario
+from repro.datasets import (
+    crm_scenario,
+    healthcare_scenario,
+    social_network_scenario,
+)
+from repro.datasets.government import (
+    GOVERNMENT_ATTRIBUTES,
+    government_policy,
+    government_segments,
+    government_taxonomy,
+)
 from repro.exceptions import UnknownProviderError, ValidationError
 from repro.obs import observed
 from repro.perf import (
@@ -27,6 +39,12 @@ from repro.perf import (
     CompiledPopulation,
 )
 from repro.perf.batch import COMPACT_THRESHOLD
+from repro.simulation import (
+    PopulationSpec,
+    generate_population,
+    run_dynamics,
+    run_expansion_sweep,
+)
 
 from tests.properties.test_batch_parity import _random_population
 
@@ -409,3 +427,212 @@ class TestCompaction:
             _assert_same_array(report.violations, want.violations)
             _assert_same_array(report.defaulted, want.defaulted)
             assert report.defaulted_ids() == want.defaulted_ids()
+
+
+# ---------------------------------------------------------------------------
+# a generated population's carried store: every cut held to the walk
+# ---------------------------------------------------------------------------
+
+SCENARIOS = {
+    "healthcare": healthcare_scenario,
+    "crm": crm_scenario,
+    "social_network": social_network_scenario,
+}
+SIZES_AND_SEEDS = ((40, 1), (120, 2), (300, 5))
+
+
+def _generated(name: str, n: int, seed: int):
+    """A generated population, carrying its store, with a policy and
+    taxonomy to run it under.
+
+    ``government`` is the population ``government_scenario`` generates
+    before it re-thresholds its captive citizens (which builds a new,
+    store-less population).
+    """
+    if name == "government":
+        taxonomy = government_taxonomy()
+        policy = government_policy(taxonomy)
+        spec = PopulationSpec(
+            taxonomy=taxonomy,
+            attributes=GOVERNMENT_ATTRIBUTES,
+            n_providers=n,
+            segments=government_segments(),
+            seed=seed,
+            id_prefix="citizen-",
+            anchor_policy=policy,
+        )
+        return generate_population(spec), policy, taxonomy
+    scenario = SCENARIOS[name](n, seed=seed)
+    return scenario.population, scenario.policy, scenario.taxonomy
+
+
+def _walked(population: Population) -> Population:
+    """The same providers and Sigma carrying no store: compiled by the walk."""
+    return Population(population.providers, population.attribute_sensitivities)
+
+
+def _every_column(population: Population) -> tuple[tuple[str, str], ...]:
+    """Every supplied or weighed attribute against every stated purpose,
+    plus an attribute and a purpose nobody holds."""
+    attributes = {"fingerprint"}
+    purposes = {"nobody-states-this"}
+    for provider in population:
+        attributes |= provider.preferences.attributes_provided
+        attributes |= set(provider.sensitivity)
+        purposes |= {entry.tuple.purpose for entry in provider.preferences.entries}
+    return tuple((a, p) for a in sorted(attributes) for p in sorted(purposes))
+
+
+def _random_chain(rng: random.Random, root: Population):
+    """``(move, population)`` for each step of a random chain from *root*.
+
+    Two subsets (ids in shuffled order; the second is a subset of a
+    subset), a ``without``, a new Sigma and a full selection, shuffled,
+    then the empty selection.
+    """
+    moves = ["subset", "subset", "without", "sigma", "full"]
+    rng.shuffle(moves)
+    population = root
+    for move in moves + ["empty"]:
+        ids = list(population.ids())
+        if move == "subset":
+            population = population.subset(
+                rng.sample(ids, rng.randint(len(ids) // 4, 3 * len(ids) // 4))
+            )
+        elif move == "without":
+            population = population.without(rng.sample(ids, len(ids) // 3))
+        elif move == "sigma":
+            sigma = population.attribute_sensitivities.as_dict()
+            population = population.with_attribute_sensitivities(
+                {
+                    attribute: rng.choice((0.5, 1.25, 2.0, 3.5))
+                    for attribute in (*sigma, "fingerprint")
+                }
+            )
+        elif move == "full":
+            population = population.subset(rng.sample(ids, len(ids)))
+        else:
+            population = population.subset([])
+        yield move, population
+
+
+GENERATED_CASES = [
+    (name, n, seed)
+    for name in (*SCENARIOS, "government")
+    for n, seed in SIZES_AND_SEEDS
+]
+
+
+class TestCarriedStore:
+    @pytest.mark.parametrize("name,n,seed", GENERATED_CASES)
+    def test_every_cut_equals_the_walk(self, name, n, seed):
+        root, _, _ = _generated(name, n, seed)
+        columns = _every_column(root)
+        _assert_same_compilation(
+            CompiledPopulation(root), CompiledPopulation(_walked(root)), columns
+        )
+        moves = []
+        for move, population in _random_chain(random.Random(seed), root):
+            moves.append(move)
+            assert population._store is not None
+            _assert_same_compilation(
+                CompiledPopulation(population),
+                CompiledPopulation(_walked(population)),
+                columns,
+            )
+        assert moves[-1] == "empty" and not len(population)
+
+    @pytest.mark.parametrize("name,n,seed", GENERATED_CASES)
+    def test_compaction_of_a_cut_equals_a_fresh_walk(self, name, n, seed):
+        rng = random.Random(seed)
+        root, _, _ = _generated(name, n, seed)
+        columns = _every_column(root)
+        ids = list(root.ids())
+        population = root.subset(rng.sample(ids, len(ids) // 2))
+        compiled = CompiledPopulation(population)
+        for key in rng.sample(columns, 4):
+            compiled.column(*key)
+        victims = rng.sample(list(population.ids()), rng.randrange(len(population)))
+        compiled.remove(victims)
+        _assert_same_compilation(
+            compiled.compacted(),
+            CompiledPopulation(_walked(population.without(victims))),
+            columns,
+        )
+
+    @pytest.mark.parametrize("name", sorted((*SCENARIOS, "government")))
+    def test_runs_on_a_subset_equal_runs_on_its_walked_copy(self, name):
+        root, policy, taxonomy = _generated(name, 300, 4)
+        ids = list(root.ids())
+        subset = root.subset(random.Random(4).sample(ids, 200))
+        walked = _walked(subset)
+        assert run_dynamics(subset, policy, taxonomy, rounds=12) == run_dynamics(
+            walked, policy, taxonomy, rounds=12
+        )
+        assert run_expansion_sweep(
+            subset, policy, taxonomy, max_steps=6
+        ) == run_expansion_sweep(walked, policy, taxonomy, max_steps=6)
+
+    def test_compiling_a_generated_subset_reads_no_preferences(self, monkeypatch):
+        root, _, _ = _generated("healthcare", 120, 5)
+        policy = HousePolicy(
+            [
+                (attribute, PrivacyTuple(purpose, 5, 5, 5))
+                for attribute in ("age", "weight", "diagnosis", "income")
+                for purpose in ("billing", "research", "treatment")
+            ],
+            name="wide",
+        )
+        picked = random.Random(5).sample(list(root.ids()), 70)
+        expected = BatchViolationEngine(_walked(root.subset(picked))).evaluate(policy)
+        assert expected.n_defaulted > 0
+
+        def unreadable(*args):
+            raise AssertionError("a provider's preferences were read")
+
+        monkeypatch.setattr(ProviderPreferences, "entries", property(unreadable))
+        monkeypatch.setattr(
+            ProviderPreferences, "attributes_provided", property(unreadable)
+        )
+        monkeypatch.setattr(ProviderPreferences, "for_attribute", unreadable)
+        report = BatchViolationEngine(root.subset(picked)).evaluate(policy)
+        assert report.provider_ids == expected.provider_ids
+        _assert_same_array(report.violations, expected.violations)
+        _assert_same_array(report.thresholds, expected.thresholds)
+        assert report.defaulted_ids() == expected.defaulted_ids()
+
+    def test_store_arrays_refuse_writes(self):
+        root, policy, _ = _generated("healthcare", 60, 2)
+        subset = root.subset(list(root.ids())[::2])
+        for population in (root, subset, _walked(subset)):
+            compiled = CompiledPopulation(population)
+            column = compiled.column("weight", "billing")
+            assert column.n_rows
+            for array in (compiled.thresholds, column.row_providers, column.row_ranks):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        # Two compiles of one generated population share its store, and a
+        # report with nothing tombstoned hands out the store's thresholds.
+        first, second = CompiledPopulation(root), CompiledPopulation(root)
+        assert first.thresholds is second.thresholds
+        assert BatchViolationEngine(first).evaluate(policy).thresholds is first.thresholds
+
+    def test_dropped_runs_leave_no_reference_cycle(self):
+        def run():
+            for seed in range(3):
+                scenario = healthcare_scenario(50, seed=seed)
+                population = scenario.population
+                CompiledPopulation(population)
+                subset = population.subset(list(population.ids())[::2])
+                run_dynamics(subset, scenario.policy, scenario.taxonomy, rounds=10)
+
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

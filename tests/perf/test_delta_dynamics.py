@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import Population
 from repro.core.dimensions import Dimension
 from repro.obs import observed
 from repro.perf import BatchViolationEngine
@@ -35,16 +36,23 @@ def scenario():
     return healthcare_scenario(N_PROVIDERS, seed=9)
 
 
+def _store_less(population: Population) -> Population:
+    """*population*'s providers and Sigma, compiled by walking them."""
+    return Population(population.providers, population.attribute_sensitivities)
+
+
 def _rebuild_path_dynamics(scenario):
     """The pre-incremental behaviour: recompile after every departure.
 
     Uses plain batch engines and rebuilds on each round with defaults —
     the loop :func:`run_dynamics` ran before the incremental engine
     existed.  This is the oracle the incremental path must match bit
-    for bit.
+    for bit.  Every population it compiles is built store-less, so each
+    compile walks the providers rather than cutting the generated
+    population's store.
     """
     outcomes = []
-    current_population = scenario.population
+    current_population = _store_less(scenario.population)
     current_policy = round_policy(
         scenario.policy, scenario.policy.name, STEP, scenario.taxonomy, 0
     )
@@ -69,8 +77,8 @@ def _rebuild_path_dynamics(scenario):
         )
         outcomes.append(outcome)
         if outcome.defaulted_providers:
-            current_population = current_population.without(
-                outcome.defaulted_providers
+            current_population = _store_less(
+                current_population.without(outcome.defaulted_providers)
             )
             engine = BatchViolationEngine(current_population)
     return outcomes

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.estimation import DefaultObservation, ThresholdEstimator
 

@@ -185,7 +185,9 @@ class TestAfterRemoval:
         report = guarded.evaluate(wide_policy)
         monkeypatch.undo()
         survivors = scenario.population.without(removed)
-        expected = BatchViolationEngine(survivors).evaluate(wide_policy)
+        expected = BatchViolationEngine(
+            Population(survivors.providers, survivors.attribute_sensitivities)
+        ).evaluate(wide_policy)
         assert not guarded.degraded
         assert report.provider_ids == expected.provider_ids
         assert np.array_equal(report.violations, expected.violations)
@@ -221,6 +223,8 @@ class TestAfterRemoval:
         with plan.activate():
             report = guarded.evaluate(wide_policy)
         survivors = scenario.population.without(removed)
-        expected = BatchViolationEngine(survivors).evaluate(wide_policy)
+        expected = BatchViolationEngine(
+            Population(survivors.providers, survivors.attribute_sensitivities)
+        ).evaluate(wide_policy)
         assert [d.code for d in guarded.diagnostics] == ["PVL301", "PVL303"]
         _assert_oracle_report(report, expected)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Dimension, PrivacyTuple
-from repro.core.dimensions import OrderedDomain, UnboundedRetention
+from repro.core.dimensions import UnboundedRetention
 from repro.core.purpose import chain
 from repro.exceptions import DomainError, UnknownPurposeError, ValidationError
 from repro.taxonomy import Taxonomy, TaxonomyBuilder, standard_taxonomy
