@@ -17,12 +17,9 @@ from .aggregates import PopulationSummary, SegmentStats, summarize
 from .cdf import DefaultCDF, default_cdf_from_sweep
 from .certification import CertificationDocument, batch_certification_document
 from .frontier import FrontierPoint, ParetoFrontier, pareto_frontier
-from .lint_report import LintReport, lint_report_table
 from .tables import format_table
 
 __all__ = [
-    "LintReport",
-    "lint_report_table",
     "FrontierPoint",
     "ParetoFrontier",
     "pareto_frontier",

@@ -149,6 +149,11 @@ class AttributeSensitivities:
     def __getitem__(self, attribute: str) -> float:
         return self.weight(attribute)
 
+    # Every attribute has a weight, so there is nothing finite to iterate;
+    # without this, iteration would fall back to ``__getitem__(0)``,
+    # ``(1)``, ... and never end.  :meth:`as_dict` lists the explicit ones.
+    __iter__ = None
+
     def __contains__(self, attribute: object) -> bool:
         return attribute in self._weights
 

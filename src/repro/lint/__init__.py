@@ -22,11 +22,11 @@ Four layers (see ``docs/linting.md`` for the full catalogue):
 * **economics** (``PVL201``-``PVL202``) — Eq. 31 sanity for candidate
   widenings: annihilated populations and unattainable break-even
   utilities;
-* **population** (``PVL210``-``PVL214``) — the policy/population pair
-  through the severity-interval abstraction
-  (:mod:`repro.lint.intervals`): dead and subsumed preference clauses,
-  vacuous policies, statically certifiable populations, statically
-  inevitable defaults.
+* **population** (``PVL210``-``PVL214``) — the policy/population pair:
+  dead and subsumed preference clauses from lattice geometry; vacuous
+  policies, statically certifiable populations and statically
+  inevitable defaults from one batch evaluation
+  (:class:`~repro.perf.batch.BatchViolationEngine`) per lint run.
 
 Entry points: :func:`lint_documents` (documents in, :class:`LintReport`
 out: one :func:`build_context`, one :func:`run_rules` over it), the
@@ -50,12 +50,6 @@ from .formats import (
     render_sarif,
     render_text,
 )
-from .intervals import (
-    PopulationIntervals,
-    ProviderSeverityBounds,
-    SeverityInterval,
-    interval_analysis,
-)
 from .plugins import lint_rule, load_entry_point_rules, plugin_load_errors
 from .registry import (
     SCOPES,
@@ -78,12 +72,9 @@ __all__ = [
     "LintConfig",
     "LintContext",
     "LintReport",
-    "PopulationIntervals",
-    "ProviderSeverityBounds",
     "RuleInfo",
     "SCOPES",
     "Severity",
-    "SeverityInterval",
     "SourceLocation",
     "all_rules",
     "apply_baseline",
@@ -91,7 +82,6 @@ __all__ = [
     "diagnostic_fingerprint",
     "fingerprint",
     "get_rule",
-    "interval_analysis",
     "lint_documents",
     "lint_rule",
     "load_baseline",

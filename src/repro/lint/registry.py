@@ -23,10 +23,10 @@ from ..core.population import Population
 from ..core.tuples import PrivacyTuple
 from ..exceptions import LintConfigurationError
 from ..obs import active_observer
+from ..perf.batch import BatchReport, BatchViolationEngine
 from ..policy_lang.ast import PolicyDocument, PreferenceDocument
 from ..taxonomy.builder import Taxonomy
 from .diagnostics import Diagnostic, Severity, SourceLocation, sort_key
-from .intervals import IntervalGeometry, PopulationIntervals
 
 
 class Layer(enum.Enum):
@@ -35,8 +35,9 @@ class Layer(enum.Enum):
     ``DOCUMENT`` rules look at one document against the taxonomy;
     ``MODEL`` rules reason across documents about the lowered model;
     ``ECONOMICS`` rules check Section 9's widening arithmetic;
-    ``POPULATION`` rules reason about the policy/population pair through
-    the interval abstraction (:mod:`repro.lint.intervals`).
+    ``POPULATION`` rules reason about the policy/population pair, through
+    lattice geometry or one batch evaluation of it
+    (:attr:`LintContext.report`).
     """
 
     DOCUMENT = "document"
@@ -96,24 +97,18 @@ class LintContext:
     config: LintConfig = field(default_factory=LintConfig)
 
     @cached_property
-    def interval_geometry(self) -> IntervalGeometry:
-        """The weight-independent pass of the interval analysis of
-        ``policy`` against ``population`` (exceedance profiles, finding
-        counts, suppliers), computed once per context for both weight
-        modes.  Only read when both were lowered."""
-        return IntervalGeometry.of(self.policy, self.population)
+    def engine(self) -> BatchViolationEngine:
+        """The batch engine over ``population``, compiled on first read
+        and at most once per context.  Only read when ``policy`` and
+        ``population`` were both lowered."""
+        return BatchViolationEngine(self.population)
 
     @cached_property
-    def population_intervals(self) -> PopulationIntervals:
-        """The static severity intervals under population weight bounds
-        (PVL110, PVL212, PVL213), weighed once per context."""
-        return self.interval_geometry.weigh("population")
-
-    @cached_property
-    def provider_intervals(self) -> PopulationIntervals:
-        """The static severities under each provider's own weights
-        (PVL214), weighed once per context."""
-        return self.interval_geometry.weigh("provider")
+    def report(self) -> BatchReport:
+        """The one batch evaluation of ``policy`` against ``population``
+        (PVL212, PVL214); a certificate :attr:`engine` derives for the
+        same policy (PVL110, PVL213) reads the same cached evaluation."""
+        return self.engine.evaluate(self.policy)
 
     @cached_property
     def policy_rows(self) -> tuple[int, ...]:

@@ -4,12 +4,12 @@ The paper's central observation is that violations are decidable from the
 documents alone: a house policy tuple exceeding a provider preference
 tuple (Definition 1) is detectable before any data is collected, and
 alpha-PPDB certification (Definition 3) is a static property of the
-policy/population pair.  These rules perform that static reasoning
-without running an engine.  PVL101 decides Definition 1 per policy rule
-from the rank triples of each provider's ``(attribute, purpose)``
-column, the implicit zero tuple standing in for a column the supplier
-left empty; PVL110 reads the certificate of the interval analysis
-(:mod:`repro.lint.intervals`), whose violated set is exact.
+policy/population pair.  These rules perform that reasoning on the
+documents, before any data is collected.  PVL101 decides Definition 1
+per policy rule from the rank triples of each provider's ``(attribute,
+purpose)`` column, the implicit zero tuple standing in for a column the
+supplier left empty; PVL110 reads the certificate of the context's one
+batch evaluation (:attr:`~repro.lint.registry.LintContext.engine`).
 ``tests/properties/test_lint_reference_parity.py`` holds both against
 the reference :func:`~repro.core.violation.violation_indicator` and
 :func:`~repro.core.ppdb.certify_alpha_ppdb` on randomized populations.
@@ -359,7 +359,7 @@ def check_static_alpha_ppdb(
         or ctx.population is None
     ):
         return
-    certificate = ctx.population_intervals.certificate(ctx.config.alpha)
+    certificate = ctx.engine.certify(ctx.policy, ctx.config.alpha)
     if certificate.satisfied:
         return
     emit(

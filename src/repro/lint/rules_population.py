@@ -1,12 +1,14 @@
 """Population-layer rules (``PVL210``-``PVL214``).
 
-These rules reason about the policy/population pair through the interval
-abstraction of :mod:`repro.lint.intervals` and through pure lattice
-geometry: clauses that can never be consulted, preferences the policy
-can never violate, policies that are vacuous against the population, and
-deployments whose alpha-PPDB or default verdicts are already decided
-statically.  ``PVL201``/``PVL202`` are taken by the economics layer, so
-the population catalogue starts at ``PVL210``.
+These rules reason about the policy/population pair.  ``PVL210`` and
+``PVL211`` read lattice geometry off the documents: clauses that can
+never be consulted and preferences the policy can never violate.
+``PVL212``-``PVL214`` read the context's one batch evaluation
+(:attr:`~repro.lint.registry.LintContext.report`, and its engine's
+certificate): policies that are vacuous against the population, and
+deployments whose alpha-PPDB or default verdicts are decided before any
+data is collected.  ``PVL201``/``PVL202`` are taken by the economics
+layer, so the population catalogue starts at ``PVL210``.
 
 Scopes (descriptive metadata, printed in SARIF rule descriptors):
 ``PVL210``, ``PVL211``, and ``PVL214`` are *provider*-scoped — each
@@ -19,8 +21,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+import numpy as np
+
 from ..core.tuples import PrivacyTuple
 from ..exceptions import ValidationError
+from ..perf.batch import policy_columns
 from ..policy_lang.ast import TupleSpec
 from .diagnostics import Severity, SourceLocation
 from .registry import Layer, LintContext, rule
@@ -178,17 +183,17 @@ def check_vacuous_policy(ctx: LintContext, emit: Callable[..., None]) -> None:
         or not len(ctx.population)
     ):
         return
-    intervals = ctx.population_intervals
-    if any(not bounds.provably_safe for bounds in intervals):
+    report = ctx.report
+    if report.n_violated:
         return
     emit(
         SourceLocation("policy", name=ctx.policy.name),
         f"policy is vacuous against this population: no clause geometry "
-        f"can violate any of the {intervals.n_providers} provider(s) "
+        f"can violate any of the {report.n_providers} provider(s) "
         f"(house severity bounds are [0, 0])",
-        n_providers=intervals.n_providers,
-        house_lower=intervals.house.lower,
-        house_upper=intervals.house.upper,
+        n_providers=report.n_providers,
+        house_lower=0.0,
+        house_upper=0.0,
     )
 
 
@@ -214,10 +219,10 @@ def check_statically_certifiable(
         or not len(ctx.population)
     ):
         return
-    intervals = ctx.population_intervals
-    certificate = intervals.certificate(ctx.config.alpha)
+    certificate = ctx.engine.certify(ctx.policy, ctx.config.alpha)
     if not certificate.satisfied:
         return  # the failing direction is PVL110's business
+    house_lower, house_upper = _house_bounds(ctx)
     emit(
         SourceLocation("policy", name=ctx.policy.name),
         f"alpha-PPDB holds statically: P(W) = "
@@ -229,9 +234,40 @@ def check_statically_certifiable(
         violation_probability=certificate.violation_probability,
         margin=certificate.margin,
         n_providers=certificate.n_providers,
-        house_lower=intervals.house.lower,
-        house_upper=intervals.house.upper,
+        house_lower=house_lower,
+        house_upper=house_upper,
     )
+
+
+def _house_bounds(ctx: LintContext) -> tuple[float, float]:
+    """Bounds on Eq. 16's total from each attribute's weight range.
+
+    Per policy attribute, Eq. 12's rank exceedance along each dimension,
+    summed over the attribute's columns (explicit rows and implicit-zero
+    suppliers), times the least and the greatest weight along that
+    dimension over the attribute's suppliers.  Any one column's explicit
+    and implicit rows are exactly those suppliers, since a provider
+    states preferences only on attributes it supplies.
+    """
+    compiled = ctx.engine.compiled
+    exceedance: dict[str, np.ndarray] = {}
+    weights: dict[str, np.ndarray] = {}
+    for (attribute, purpose), entries in policy_columns(ctx.policy).items():
+        column = compiled.column(attribute, purpose)
+        ranks = np.array(entries, dtype=np.int64)
+        total = exceedance.setdefault(attribute, np.zeros(3, dtype=np.int64))
+        total += np.maximum(ranks[:, None] - column.row_ranks, 0).sum(axis=(0, 1))
+        total += ranks.sum(axis=0) * column.n_implicit
+        weights[attribute] = np.concatenate(
+            (column.row_weights, column.implicit_weights)
+        )
+    lower = upper = 0.0
+    for attribute, total in exceedance.items():
+        supplied = weights[attribute]
+        if len(supplied):
+            lower += float((total * supplied.min(axis=0)).sum())
+            upper += float((total * supplied.max(axis=0)).sum())
+    return lower, upper
 
 
 @rule(
@@ -252,20 +288,18 @@ def check_inevitable_default(
 ) -> None:
     if ctx.policy is None or ctx.population is None or not len(ctx.population):
         return
-    # Provider-exact bounds (point intervals): each provider's verdict
-    # depends only on their own document and weights, as the rule's
-    # ``provider`` scope declares.
-    for bounds in ctx.provider_intervals:
-        if not bounds.must_default:
-            continue
-        relation = ">" if bounds.strict else ">="
+    # Each provider's verdict depends only on their own document and
+    # weights, as the rule's ``provider`` scope declares.
+    report = ctx.report
+    for row in np.flatnonzero(report.defaulted).tolist():
+        violation = float(report.violations[row])
+        threshold = float(report.thresholds[row])
         emit(
-            SourceLocation("population", name=str(bounds.provider_id)),
+            SourceLocation("population", name=str(report.provider_ids[row])),
             f"default is statically inevitable: Violation_i = "
-            f"{bounds.interval.lower:g} {relation} threshold "
-            f"{bounds.threshold:g}",
-            severity_lower=bounds.interval.lower,
-            severity_upper=bounds.interval.upper,
-            threshold=bounds.threshold,
-            strict=bounds.strict,
+            f"{violation:g} > threshold {threshold:g}",
+            severity_lower=violation,
+            severity_upper=violation,
+            threshold=threshold,
+            strict=True,
         )

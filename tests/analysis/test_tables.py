@@ -64,31 +64,3 @@ class TestFormatTable:
     def test_generator_rows_accepted(self):
         text = format_table(["a"], ([i] for i in range(3)))
         assert len(text.splitlines()) == 5
-
-
-class TestLintReportTable:
-    def test_rows_carry_code_severity_location(self):
-        from repro.analysis import lint_report_table
-        from repro.lint import Diagnostic, LintReport, Severity, SourceLocation
-
-        report = LintReport.from_diagnostics(
-            [
-                Diagnostic(
-                    code="PVL001",
-                    severity=Severity.ERROR,
-                    message="unknown purpose 'resale'",
-                    location=SourceLocation("policy", name="base", index=0),
-                )
-            ]
-        )
-        table = lint_report_table(report)
-        assert "PVL001" in table
-        assert "error" in table
-        assert "policy 'base' rule 0" in table
-
-    def test_empty_report_is_still_printable(self):
-        from repro.analysis import lint_report_table
-        from repro.lint import LintReport
-
-        table = lint_report_table(LintReport(diagnostics=()))
-        assert "no findings" in table

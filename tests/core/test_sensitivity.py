@@ -89,6 +89,15 @@ class TestAttributeSensitivities:
         with pytest.raises(ValidationError):
             AttributeSensitivities({"weight": -1.0})
 
+    def test_not_iterable(self):
+        # Subscripting answers 1.0 for any key, so iterating through
+        # __getitem__ would never end; iteration must refuse at once.
+        sigma = AttributeSensitivities({"weight": 4.0})
+        with pytest.raises(TypeError):
+            iter(sigma)
+        with pytest.raises(TypeError):
+            list(sigma)
+
     def test_as_dict_copies(self):
         sigma = AttributeSensitivities({"weight": 4.0})
         d = sigma.as_dict()

@@ -30,6 +30,7 @@ from repro.datasets import (
 )
 from repro.datasets.export import scenario_documents
 from repro.lint import LintConfig, lint_documents, render_json
+from repro.obs import observed
 from repro.policy_lang import parse_taxonomy
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -79,43 +80,27 @@ def test_dataset_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
-def test_population_bounds_analysed_once(name, monkeypatch):
-    """One geometry pass per lint run, one weight pass per mode.
+def test_population_bounds_analysed_once(name):
+    """One compile and one full batch evaluation per lint run.
 
-    PVL110, PVL212 and PVL213 read the population-bounds intervals and
-    PVL214 the provider-bounds ones; both weigh the exceedance geometry
-    of the run's one lint context, and the output is still the golden
-    bytes.
+    PVL110 and PVL213 take their certificates from the run's one batch
+    engine and PVL212 and PVL214 read its one report, so every reading
+    after the first is served from the engine's cache, and the output
+    is still the golden bytes.
     """
-    from repro.lint.intervals import IntervalGeometry
-
-    # The populations themselves are kept, so no id is reused.
-    geometries: list[object] = []
-    weighings: list[tuple[object, str]] = []
-    of = IntervalGeometry.of.__func__
-    weigh = IntervalGeometry.weigh
-
-    def counted_of(cls, policy, population, **kwargs):
-        geometries.append(population)
-        return of(cls, policy, population, **kwargs)
-
-    def counted_weigh(self, weight_bounds, **kwargs):
-        weighings.append((self.population, weight_bounds))
-        return weigh(self, weight_bounds, **kwargs)
-
-    monkeypatch.setattr(IntervalGeometry, "of", classmethod(counted_of))
-    monkeypatch.setattr(IntervalGeometry, "weigh", counted_weigh)
     taxonomy, documents = dataset_report(name)
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
-    plain = lint_documents(
-        taxonomy,
-        policy=documents["policy"],
-        population=documents["population"],
-        config=CONFIG,
-    )
+    with observed() as obs:
+        plain = lint_documents(
+            taxonomy,
+            policy=documents["policy"],
+            population=documents["population"],
+            config=CONFIG,
+        )
     assert render_json(plain) + "\n" == golden
-    assert len(geometries) == 1
-    assert sorted((id(p), mode) for p, mode in weighings) == [
-        (id(geometries[0]), "population"),
-        (id(geometries[0]), "provider"),
-    ]
+    counters = {
+        entry["name"]: entry["value"] for entry in obs.snapshot()["counters"]
+    }
+    assert counters["perf.compilations"] == 1
+    assert counters["engine.batch.full_evaluations"] == 1
+    assert "engine.batch.delta_evaluations" not in counters

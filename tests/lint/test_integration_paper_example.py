@@ -135,3 +135,45 @@ class TestGuaranteedViolationAgreement:
             taxonomy, documents, widened_policy
         ).report()
         assert engine_report.violation_probability == 1.0
+
+
+class TestPopulationRulesAgreement:
+    """PVL213 and PVL214 against a live engine on the Section 8 example:
+    Alice 0, Ted 60 and Bob 80 make Eq. 16's total 140, and only Ted
+    (threshold 50) defaults."""
+
+    def test_inevitable_defaults_are_the_engine_defaults(
+        self, taxonomy, documents
+    ):
+        report = lint_documents(
+            taxonomy,
+            policy=documents["policy"],
+            population=documents["population"],
+            select=["PVL214"],
+        )
+        engine_report = engine_for(
+            taxonomy, documents, documents["policy"]
+        ).report()
+        assert [d.location.name for d in report] == [
+            str(p) for p in engine_report.defaulted_ids()
+        ] == ["Ted"]
+        payload = report.diagnostics[0].payload
+        assert payload["severity_lower"] == payload["severity_upper"] == 60.0
+        assert payload["threshold"] == 50.0
+
+    def test_house_bounds_contain_the_engine_total(self, taxonomy, documents):
+        report = lint_documents(
+            taxonomy,
+            policy=documents["policy"],
+            population=documents["population"],
+            config=LintConfig(alpha=0.7),
+            select=["PVL213"],
+        )
+        assert report.codes() == ("PVL213",)
+        payload = report.diagnostics[0].payload
+        total = engine_for(
+            taxonomy, documents, documents["policy"]
+        ).report().total_violations
+        assert total == 140.0
+        assert payload["house_lower"] <= total <= payload["house_upper"]
+        assert (payload["house_lower"], payload["house_upper"]) == (20.0, 152.0)

@@ -258,6 +258,13 @@ class TestPVL110StaticAlphaPPDB:
                      population=clean_population)
         assert codes(report) == []
 
+    def test_silent_on_empty_population(self, taxonomy, clean_policy):
+        # Definition 3 holds vacuously for N = 0, even at alpha = 0.
+        report = run(taxonomy, "PVL110", policy=clean_policy,
+                     population={"providers": []},
+                     config=LintConfig(alpha=0.0))
+        assert codes(report) == []
+
 
 class TestPolicyRowIndex:
     """Policy-rule findings point at document rows, not lowered entries.

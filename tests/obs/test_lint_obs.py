@@ -1,10 +1,12 @@
-"""Lint explains where its time goes: the ``lint.run`` span and the
-``lint.rule_seconds{code}`` timer.
+"""Lint explains where its time goes: the ``lint.run`` span, the
+``lint.rule_seconds{code}`` timer, and the batch engine's counters.
 
 While an observer is active, a lint run (one
 :func:`~repro.lint.registry.run_rules` call) is one ``lint.run`` span and
 each rule's check one timer sample; while none is, a run reads the
-observer once and records nothing.
+observer once and records nothing.  The population rules share one
+compile and one batch evaluation per run, and a run whose rules need
+neither (or whose population does not lower) compiles nothing.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.lint import all_rules, lint_documents
+from repro.lint import LintConfig, all_rules, lint_documents
 from repro.lint import registry
-from repro.obs import active_observer
+from repro.obs import active_observer, observed
 from repro.policy_lang import parse_taxonomy
 
 from tests.cli.test_cli import POLICY, POPULATION, TAXONOMY, _base_args
+from tests.lint.test_edge_golden import load
 
 
 @pytest.fixture()
@@ -41,6 +44,15 @@ def _rule_samples(snapshot: dict) -> dict[str, int]:
         entry["labels"]["code"]: entry["count"]
         for entry in snapshot["timers"]
         if entry["name"] == "lint.rule_seconds"
+    }
+
+
+def _batch_counters(snapshot: dict) -> dict[str, float]:
+    """The compile and batch-evaluation counters of a snapshot."""
+    return {
+        entry["name"]: entry["value"]
+        for entry in snapshot["counters"]
+        if entry["name"].startswith(("perf.", "engine.batch."))
     }
 
 
@@ -74,6 +86,39 @@ class TestRuleTimer:
     def test_selected_rules_only(self, documents, tmp_path, capsys):
         snapshot = _lint(documents, tmp_path, "--select", "PVL101,PVL110")
         assert _rule_samples(snapshot) == {"PVL101": 1, "PVL110": 1}
+
+
+class TestOneEvaluation:
+    def test_population_rules_compile_and_evaluate_once(
+        self, documents, tmp_path, capsys
+    ):
+        snapshot = _lint(documents, tmp_path)
+        counters = _batch_counters(snapshot)
+        assert counters["perf.compilations"] == 1
+        assert counters["engine.batch.full_evaluations"] == 1
+        assert "engine.batch.delta_evaluations" not in counters
+
+    def test_second_certificate_is_a_cache_hit(
+        self, documents, tmp_path, capsys
+    ):
+        snapshot = _lint(documents, tmp_path, "--select", "PVL110,PVL213")
+        counters = _batch_counters(snapshot)
+        assert counters["perf.compilations"] == 1
+        assert counters["engine.batch.full_evaluations"] == 1
+        assert counters["engine.batch.cache_hits"] == 1
+
+    def test_document_rules_compile_nothing(self, documents, tmp_path, capsys):
+        snapshot = _lint(documents, tmp_path, "--select", "PVL001")
+        assert _batch_counters(snapshot) == {}
+
+    def test_unlowered_documents_compile_nothing(self):
+        taxonomy, loaded = load("edge_unlowered")
+        with observed() as obs:
+            report = lint_documents(
+                taxonomy, **loaded, config=LintConfig(alpha=0.5)
+            )
+        assert report  # the spec rules still fire
+        assert _batch_counters(obs.snapshot()) == {}
 
 
 class TestTrace:

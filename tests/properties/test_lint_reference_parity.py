@@ -2,8 +2,8 @@
 
 PVL101 decides Definition 1 per policy rule from each supplier's
 ``(attribute, purpose)`` column, stopping at the first supplier the rule
-does not violate; PVL110 reads the interval analysis's certificate.
-Neither calls the reference functions any more, so these tests hold
+does not violate; PVL110 reads the batch engine's certificate.
+Neither calls the reference functions, so these tests hold
 them against those functions on the randomized corpus the batch parity
 suite uses — providers with no preferences, attributes supplied without
 any preference (the implicit zero tuple of Section 5), several tuples
